@@ -38,9 +38,9 @@ from .exactnum import Cyclotomic, NotRationalError
 from .genfun import (
     EXT,
     SYM,
+    MultiplicityTable,
     genfun_rational,
     genfun_series,
-    genfun_series_table,
     multiplicity_table,
 )
 from .groupdata import (
@@ -53,7 +53,13 @@ from .groupdata import (
     regular_character,
     validate_table,
 )
-from .lambdaops import LambdaSequence, char_poly, is_periodic, product_form
+from .lambdaops import (
+    LambdaSequence,
+    char_poly,
+    is_periodic,
+    power_sum_check,
+    product_form,
+)
 from .permgroup import Permutation, class_data, enumerate_group, standard_characters
 
 EXIT_OK = 0
@@ -747,12 +753,15 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         "regular-degree-multiplicities",
         list(qs) == [chi.values[0].to_rational() for chi in table.irreducibles],
     )
-    # dual-route generating-function coefficients
+    # dual route for every irreducible: the certified symmetric-power table,
+    # with each per-class S^n recomputed from psi by the power-sum identity
     ok = True
     detail = ""
     for j, chi in enumerate(table.irreducibles):
         try:
-            genfun_series_table(chi, table, SYM, degree, cross_check=True)
+            seq = LambdaSequence.compute(chi, degree, expect_character=True)
+            power_sum_check(seq)
+            MultiplicityTable.certify(seq, table, SYM)
         except Exception as exc:
             ok = False
             detail = f"{table.labels[j]}: {exc}"

@@ -1,12 +1,14 @@
 """Multiplicity tables and exact generating functions in t.
 
 For a character chi the multiplicity of the j-th irreducible in S^i(chi)
-(resp. the i-th exterior power) is organized two ways: as rows of a truncated
-table, and as the exact rational function whose series lists the column.  The
-rational form is assembled from the per-class polynomials lambda_{-t}(chi):
-summing size*chi_j(c)/|G| over full conjugacy classes is Galois-stable, so
-the numerator and denominator provably have rational coefficients; that fact
-is certified at runtime rather than assumed.
+(resp. the i-th exterior power) is the inner product of chi_j with the
+per-class values of LambdaSequence.  It is organized as rows of a certified
+truncated table, as one column of series coefficients, and as the exact
+rational function whose series lists that column.  The rational form is
+assembled from the per-class polynomials lambda_{-t}(chi): summing
+size*chi_j(c)/|G| over full conjugacy classes is Galois-stable, so the
+numerator and denominator provably have rational coefficients; that fact is
+certified at runtime rather than assumed.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from .groupdata import (
     CharacterTable,
     ClassFunction,
     decompose,
+    inner_product,
     integral_multiplicities,
 )
-from .lambdaops import LambdaSequence, char_poly, sym_series_at_class
+# CrossCheckError is re-exported: genfun_series(cross_check=True) raises it
+from .lambdaops import CrossCheckError, LambdaSequence, char_poly, power_sum_check
 
 SYM = "sym"
 EXT = "ext"
@@ -34,10 +38,6 @@ class NotRationalCoefficientsError(ArithmeticError):
     The class sums are Galois-stable, so this firing signals an internal
     error or corrupted input, never a legitimate outcome.
     """
-
-
-class CrossCheckError(AssertionError):
-    """The table route and the per-class series route disagreed."""
 
 
 def _trim(coeffs: list) -> list:
@@ -254,6 +254,15 @@ class MultiplicityTable:
     labels: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def certify(
+        cls, seq: LambdaSequence, table: CharacterTable, op: str
+    ) -> "MultiplicityTable":
+        """Decompose every S^i (or lambda^i) of ``seq`` into nonnegative integers."""
+        source = seq.syms if op == SYM else seq.lambdas
+        rows = [integral_multiplicities(decompose(f, table)) for f in source]
+        return cls(op=op, labels=table.labels, rows=tuple(rows))
+
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
 
@@ -271,72 +280,7 @@ def multiplicity_table(
     if M < 0:
         raise ValueError("degree must be nonnegative")
     seq = LambdaSequence.compute(chi, M, expect_character=True)
-    source = seq.syms if op == SYM else seq.lambdas
-    rows = [
-        integral_multiplicities(decompose(source[i], table)) for i in range(M + 1)
-    ]
-    return MultiplicityTable(op=op, labels=table.labels, rows=tuple(rows))
-
-
-def _per_class_coeffs(chi: ClassFunction, op: str, M: int) -> list[list[Cyclotomic]]:
-    cd = chi.data
-    out = []
-    for c in range(cd.class_count):
-        if op == SYM:
-            coeffs = sym_series_at_class(chi, c, M)
-        else:
-            coeffs = char_poly(chi, c)[: M + 1]
-            coeffs += [as_cyclotomic(0)] * (M + 1 - len(coeffs))
-        out.append(coeffs)
-    return out
-
-
-def genfun_series_table(
-    chi: ClassFunction,
-    table: CharacterTable,
-    op: str,
-    M: int,
-    cross_check: bool = False,
-) -> list[list[Fraction]]:
-    """All multiplicity generating series at once: one column per irreducible.
-
-    The per-class series of S_t(chi) (or the per-class lambda_t polynomials)
-    are computed once and weighted against each irreducible; with
-    ``cross_check`` the whole table is recomputed through the
-    decomposition route and compared exactly.
-    """
-    _op_check(op)
-    cd = table.classes
-    by_class = _per_class_coeffs(chi, op, M)
-    columns: list[list[Fraction]] = []
-    for j, chi_j in enumerate(table.irreducibles):
-        weights = [
-            chi_j.values[c] * cd.sizes[c] for c in range(cd.class_count)
-        ]
-        col = []
-        for n in range(M + 1):
-            acc = as_cyclotomic(0)
-            for c, w in enumerate(weights):
-                if not w.is_zero():
-                    acc = acc + w * by_class[cd.inverse_class[c]][n]
-            acc = acc / cd.group_order
-            try:
-                col.append(acc.to_rational())
-            except NotRationalError:
-                raise NotRationalCoefficientsError(
-                    f"coefficient of t^{n} toward {table.labels[j]} is not "
-                    f"rational: {acc!r}"
-                ) from None
-        columns.append(col)
-    if cross_check:
-        mt = multiplicity_table(chi, table, op, M)
-        for j, col in enumerate(columns):
-            if list(mt.column(j)) != col:
-                raise CrossCheckError(
-                    f"series route disagrees with the table column for "
-                    f"{table.labels[j]}: {col} vs {mt.column(j)}"
-                )
-    return columns
+    return MultiplicityTable.certify(seq, table, op)
 
 
 def genfun_series(
@@ -349,33 +293,27 @@ def genfun_series(
 ) -> list[Fraction]:
     """Coefficients 0..M of the multiplicity generating function for chi_j.
 
-    Computed from the per-class series route; with ``cross_check`` the
-    column is recomputed through the multiplicity table and compared exactly.
+    Each coefficient is the inner product of chi_j with S^n(chi) (or
+    lambda^n), so chi may be a virtual character.  With ``cross_check`` chi
+    must be a character: the column comes from the certified multiplicity
+    table, and the per-class S values are recomputed by ``power_sum_check``.
     """
     _op_check(op)
-    cd = table.classes
-    chi_j = table.irreducibles[j]
-    by_class = _per_class_coeffs(chi, op, M)
+    if cross_check:
+        seq = LambdaSequence.compute(chi, M, expect_character=True)
+        power_sum_check(seq)
+        column = MultiplicityTable.certify(seq, table, op).column(j)
+        return [Fraction(m) for m in column]
+    seq = LambdaSequence.compute(chi, M)
     out = []
-    for n in range(M + 1):
-        acc = as_cyclotomic(0)
-        for c in range(cd.class_count):
-            w = chi_j.values[c]
-            if not w.is_zero():
-                acc = acc + w * cd.sizes[c] * by_class[cd.inverse_class[c]][n]
-        acc = acc / cd.group_order
+    for n, f in enumerate(seq.syms if op == SYM else seq.lambdas):
+        v = inner_product(table.irreducibles[j], f)
         try:
-            out.append(acc.to_rational())
+            out.append(v.to_rational())
         except NotRationalError:
             raise NotRationalCoefficientsError(
-                f"coefficient of t^{n} is not rational: {acc!r}"
+                f"coefficient of t^{n} is not rational: {v!r}"
             ) from None
-    if cross_check:
-        col = multiplicity_table(chi, table, op, M).column(j)
-        if list(col) != out:
-            raise CrossCheckError(
-                f"series route {out} disagrees with table column {col}"
-            )
     return out
 
 

@@ -7,6 +7,7 @@ The power operations are evaluated pointwise on conjugacy classes:
   n*lambda^n = sum_{i<n} (-1)^(n+1+i) lambda^i psi^(n-i),
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
+``power_sum_check`` recomputes S^n from psi alone as an independent route.
 All divisions are by integers inside Q(zeta), hence exact.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
 product form lambda_t = prod (1 - (-t)^a_i)^(b_i/a_i) over the divisors of
@@ -36,12 +37,18 @@ class NonIntegralDegreeError(ValueError):
     """A per-class polynomial needs chi(identity) to be a nonnegative integer."""
 
 
+class CrossCheckError(AssertionError):
+    """Two independent routes to the same values disagreed."""
+
+
 def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
     # psi[n] for n = 1..M (psi[0] unused); returns lambda^0..lambda^M
     lam: list[Cyclotomic] = [as_cyclotomic(1)]
     for n in range(1, M + 1):
         acc = as_cyclotomic(0)
         for i in range(n):
+            if lam[i].is_zero():
+                continue
             term = lam[i] * psi[n - i]
             acc = acc + term if i % 2 == 0 else acc - term
         sign = 1 if (n + 1) % 2 == 0 else -1
@@ -150,18 +157,31 @@ def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
 
 def sym_series_at_class(chi: ClassFunction, c: int, M: int) -> list[Cyclotomic]:
     """Coefficients 0..M of S_t(chi) at class c, i.e. of 1/lambda_{-t}(chi)(c)."""
-    lam = char_poly(chi, c)
-    # a_i = coefficient of t^i in lambda_{-t} beyond the constant 1
-    a = [as_cyclotomic(0)] + [
-        lam[i] if i % 2 == 0 else -lam[i] for i in range(1, len(lam))
-    ]
-    b = [as_cyclotomic(1)]
-    for n in range(1, M + 1):
-        acc = as_cyclotomic(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            acc = acc + b[n - i] * a[i]
-        b.append(-acc)
-    return b
+    return _scalar_syms(char_poly(chi, c), M)
+
+
+def power_sum_check(seq: LambdaSequence) -> None:
+    """Recompute every S^n of ``seq`` from its psi values and compare exactly.
+
+    The second route is Newton's power-sum identity
+    n*S^n = sum_{i=1..n} psi^i S^(n-i); it shares no recurrence with
+    psi -> lambda -> S.  The lambda <-> S inversion is unitriangular, so
+    agreement on S certifies the lambda values as well.
+    """
+    cd = seq.base.data
+    for c in range(cd.class_count):
+        psi = [None] + [f.values[c] for f in seq.adams]
+        h = [as_cyclotomic(1)]
+        for n in range(1, seq.degree_bound + 1):
+            acc = as_cyclotomic(0)
+            for i in range(1, n + 1):
+                acc = acc + psi[i] * h[n - i]
+            h.append(acc / n)
+            if h[n] != seq.syms[n].values[c]:
+                raise CrossCheckError(
+                    f"S^{n} at class {cd.names[c]}: the power-sum route gives "
+                    f"{h[n]!r}, the lambda route {seq.syms[n].values[c]!r}"
+                )
 
 
 def power_sum_from_elementary(e: Sequence, n: int):
@@ -187,16 +207,7 @@ def complete_from_elementary(e: Sequence, n: int):
     """h_n evaluated at elementary-symmetric values, via the inversion recurrence."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ee = [as_cyclotomic(0)] + [as_cyclotomic(x) for x in e]
-    while len(ee) <= n:
-        ee.append(as_cyclotomic(0))
-    b = [as_cyclotomic(1)]
-    for m in range(1, n + 1):
-        acc = as_cyclotomic(0)
-        for i in range(1, m + 1):
-            acc = acc + b[m - i] * ee[i]
-        b.append(-acc)
-    return b[n] if n % 2 == 0 else -b[n]
+    return _scalar_syms([as_cyclotomic(1)] + [as_cyclotomic(x) for x in e], n)[n]
 
 
 def is_periodic(f: ClassFunction) -> bool:

@@ -26,9 +26,9 @@ from symext.exactnum import binom
 from symext.genfun import (
     EXT,
     SYM,
+    MultiplicityTable,
     RationalFunction,
     genfun_rational,
-    genfun_series_table,
     multiplicity_table,
 )
 from symext.groupdata import (
@@ -38,7 +38,12 @@ from symext.groupdata import (
     regular_character,
     validate_table,
 )
-from symext.lambdaops import LambdaSequence, char_poly, exterior_powers
+from symext.lambdaops import (
+    LambdaSequence,
+    char_poly,
+    exterior_powers,
+    power_sum_check,
+)
 
 from oracle_utils import (
     S3_STANDARD_REPS,
@@ -435,5 +440,8 @@ def test_criterion_10e_dual_route_to_degree_25():
     for fam, param in SWEEP_BUILTINS:
         tab = get_group(fam, param)
         for chi in tab.irreducibles:
-            genfun_series_table(chi, tab, SYM, 25, cross_check=True)
-    _passed("10e", "table route equals per-class series route to degree 25")
+            seq = LambdaSequence.compute(chi, 25, expect_character=True)
+            # S^n at every class again, from psi alone by Newton's power sums
+            power_sum_check(seq)
+            MultiplicityTable.certify(seq, tab, SYM)
+    _passed("10e", "certified table matches the power-sum route to degree 25")

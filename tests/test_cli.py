@@ -136,6 +136,26 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_dual_route_catches_a_wrong_sym_value(monkeypatch):
+    import symext.lambdaops as lambdaops
+
+    real = lambdaops._scalar_syms
+
+    def bumped(lam, M):
+        # S^M + 1 at every class still decomposes into integers, so only the
+        # power-sum route can notice
+        out = real(lam, M)
+        if M >= 2:
+            out[M] = out[M] + 1
+        return out
+
+    monkeypatch.setattr(lambdaops, "_scalar_syms", bumped)
+    code, out, _ = run_cli(["verify", "--group", "S3"])
+    assert code == EXIT_VERIFY
+    line = next(ln for ln in out.splitlines() if ln.startswith("dual-route-coefficients"))
+    assert line.split()[1] == "FAIL"
+
+
 def test_output_determinism_and_machine_round_trip():
     args = ["decompose", "--group", "A4", "--char", "chi4", "--op", "sym",
             "--degree", "8", "--format", "machine"]

@@ -14,7 +14,6 @@ from symext.genfun import (
     format_poly,
     genfun_rational,
     genfun_series,
-    genfun_series_table,
     multiplicity_table,
     poly_gcd,
     poly_mul,
@@ -112,12 +111,25 @@ def test_genfun_series_examples():
     assert genfun_series(chi3, s3, 2, EXT, 4) == [0, 1, 0, 0, 0]
 
 
-def test_genfun_series_table_matches_single_column():
+def test_genfun_series_matches_table_columns():
     a4 = get_group("A4")
     chi4 = a4.character("chi4")
-    cols = genfun_series_table(chi4, a4, SYM, 12, cross_check=True)
+    mt = multiplicity_table(chi4, a4, SYM, 12)
     for j in range(4):
-        assert cols[j] == genfun_series(chi4, a4, j, SYM, 12)
+        col = list(mt.column(j))
+        assert genfun_series(chi4, a4, j, SYM, 12) == col
+        assert genfun_series(chi4, a4, j, SYM, 12, cross_check=True) == col
+
+
+def test_genfun_series_of_virtual_character():
+    # lambda_t of a virtual character does not stop at chi(identity): the
+    # series must follow the lambda-ring, not a per-class polynomial of degree 1
+    s3 = get_group("S3")
+    virt = s3.character("chi3") - s3.character("chi2")
+    got = genfun_series(virt, s3, 0, SYM, 5)
+    assert got == [1, 0, 1, 1, 0, 1]
+    seq = LambdaSequence.compute(virt, 5)
+    assert got == [decompose(f, s3)[0] for f in seq.syms]
 
 
 def test_genfun_rational_examples():
@@ -155,8 +167,13 @@ def test_dimension_sum_rule():
     chi = tab.character("chi4")
     d = 3
     degs = tab.degrees()
-    sym_cols = genfun_series_table(chi, tab, SYM, 10)
-    ext_cols = genfun_series_table(chi, tab, EXT, 10)
+    sym_cols = [genfun_series(chi, tab, j, SYM, 10) for j in range(5)]
+    ext_cols = [genfun_series(chi, tab, j, EXT, 10) for j in range(5)]
+    sym_table = multiplicity_table(chi, tab, SYM, 10)
+    ext_table = multiplicity_table(chi, tab, EXT, 10)
+    for j in range(5):
+        assert sym_cols[j] == list(sym_table.column(j))
+        assert ext_cols[j] == list(ext_table.column(j))
     for i in range(11):
         assert sum(degs[j] * sym_cols[j][i] for j in range(5)) == binom(d + i - 1, i)
         assert sum(degs[j] * ext_cols[j][i] for j in range(5)) == binom(d, i)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from symext.catalog import get_group, tau_prime
 from symext.exactnum import Cyclotomic
 from symext.groupdata import ClassFunction, adams, decompose, regular_character
 from symext.lambdaops import (
+    CrossCheckError,
     InvalidCharacterError,
     LambdaSequence,
     NonIntegralDegreeError,
@@ -15,6 +17,7 @@ from symext.lambdaops import (
     complete_from_elementary,
     exterior_powers,
     is_periodic,
+    power_sum_check,
     power_sum_from_elementary,
     product_form,
     sym_series_at_class,
@@ -216,11 +219,24 @@ def test_consistency_triangle():
         chi = tab.character(lbl)
         M = 6
         seq = LambdaSequence.compute(chi, M, expect_character=True)
+        power_sum_check(seq)
         for c in range(tab.classes.class_count):
             lam_c = [seq.lambdas[i].values[c] for i in range(1, M + 1)]
             for n in range(1, M + 1):
                 assert seq.adams[n - 1].values[c] == power_sum_from_elementary(lam_c, n)
                 assert seq.syms[n].values[c] == complete_from_elementary(lam_c, n)
+
+
+def test_power_sum_check_detects_one_altered_value():
+    tab = get_group("A4")
+    seq = LambdaSequence.compute(tab.character("chi4"), 6, expect_character=True)
+    power_sum_check(seq)
+    syms = list(seq.syms)
+    vals = list(syms[4].values)
+    vals[2] = vals[2] + 1
+    syms[4] = ClassFunction(tab.classes, vals)
+    with pytest.raises(CrossCheckError, match="S\\^4"):
+        power_sum_check(dataclasses.replace(seq, syms=tuple(syms)))
 
 
 def test_matrix_trace_oracle():
