@@ -25,6 +25,7 @@ from .lambdaops import (
     LambdaSequence,
     ProductForm,
     char_poly,
+    char_polys,
     exterior_powers,
     is_periodic,
     product_form,

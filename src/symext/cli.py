@@ -239,6 +239,8 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(f"cannot read group spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
     if raw.get("format_version") != 1:
         raise InputError(f"{path}: format_version must be 1")
     try:
@@ -249,6 +251,9 @@ def load_group_spec(path: str) -> GroupContext:
         irreducibles = raw["irreducibles"]
     except KeyError as exc:
         raise InputError(f"{path}: missing required field {exc}") from exc
+    for field, value in (("classes", classes), ("irreducibles", irreducibles)):
+        if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+            raise InputError(f"{path}: {field} must be a list of JSON objects")
     names, sizes, rep_orders, inverse = [], [], [], []
     prime_maps: dict[int, list[int]] = {}
     for i, cls in enumerate(classes):

@@ -13,8 +13,10 @@ certified at runtime rather than assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .exactnum import Cyclotomic, NotRationalError, as_cyclotomic
@@ -26,7 +28,7 @@ from .groupdata import (
     integral_multiplicities,
 )
 # CrossCheckError is re-exported: genfun_series(cross_check=True) raises it
-from .lambdaops import CrossCheckError, LambdaSequence, char_poly, power_sum_check
+from .lambdaops import CrossCheckError, LambdaSequence, char_polys, power_sum_check
 
 SYM = "sym"
 EXT = "ext"
@@ -92,15 +94,25 @@ def poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
     return _trim(q), _trim(num)
 
 
+def _primitive(p: Sequence) -> list[int]:
+    p = _trim([Fraction(c) for c in p])
+    den = lcm(*(c.denominator for c in p))
+    p = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*p) or 1
+    return [x // g for x in p]
+
+
 def poly_gcd(a: Sequence, b: Sequence) -> list:
-    """Monic gcd over a field (Fraction coefficients)."""
-    a, b = _trim(list(a)), _trim(list(b))
+    """Monic gcd over Q: the primitive pseudo-remainder sequence in Z[t]
+    (Collins 1967; Brown 1971), made monic once at the end."""
+    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = poly_scale(a, 1 / a[-1])
-    return a
+        while len(a) >= len(b):  # a <- (lead(b)*a - lead(a)*t^k*b) / g
+            g, k = gcd(a[-1], b[-1]), len(a) - len(b)
+            sa, sb = b[-1] // g, a[-1] // g
+            a = _trim([sa * x - (sb * b[i - k] if i >= k else 0) for i, x in enumerate(a)])
+        a, b = b, _primitive(a)
+    return [Fraction(x, a[-1]) for x in a]
 
 
 
@@ -161,30 +173,21 @@ class RationalFunction:
         return series_of_rational(self, M)
 
     def factored_denominator(self) -> tuple[list[tuple[int, int]], list[Fraction]]:
-        """Best-effort display factorization of den as prod (1-t^a)^e.
-
-        Trial division runs from large a down (small factors divide the large
-        composite ones, so ascending order would shred the product); whatever
-        does not factor is returned as a leftover polynomial.
-        """
+        """Best-effort display factorization of den as prod (1-t^a)^e times a
+        leftover, dividing from large a down (small factors divide the large
+        composite ones, so ascending order would shred the product)."""
         rem = list(self.den)
-        factors: list[tuple[int, int]] = []
-        a = len(rem) - 1
-        while a >= 1 and len(rem) > 1:
-            base = [Fraction(1)] + [Fraction(0)] * (a - 1) + [Fraction(-1)]
-            if len(base) > len(rem):
-                a -= 1
-                continue
-            q, r = poly_divmod(rem, base)
-            if r:
-                a -= 1
-                continue
-            if factors and factors[-1][0] == a:
-                factors[-1] = (a, factors[-1][1] + 1)
-            else:
-                factors.append((a, 1))
-            rem = q
-        return factors, _trim(rem)
+        factors = []
+        for a in range(len(rem) - 1, 0, -1):
+            while len(rem) > a:
+                q = list(rem)
+                for i in range(a, len(q)):
+                    q[i] += q[i - a]  # rem = (1-t^a)*q gives q_i = rem_i + q_(i-a)
+                if any(q[len(q) - a :]):  # exact iff the top a coefficients cancel
+                    break
+                rem = q[: len(q) - a]
+                factors.append(a)
+        return list(Counter(factors).items()), _trim(rem)
 
     def __str__(self) -> str:
         num = format_poly(self.num)
@@ -327,20 +330,21 @@ def genfun_rational(
     distinct per-class denominators; both resulting polynomials have rational
     coefficients because the class sum is Galois-stable, and every
     coefficient is certified before the exact gcd reduction over Q.  The
-    exterior side is the finite polynomial of exterior multiplicities.
+    exterior side is the finite polynomial of exterior multiplicities.  A
+    virtual chi whose lambda_t does not stop at chi(e) raises
+    InvalidCharacterError (see ``char_polys``); ``genfun_series`` handles it.
     """
     _op_check(op)
     cd = table.classes
     chi_j = table.irreducibles[j]
+    polys = char_polys(chi)
     if op == EXT:
-        d = int(chi.values[0].to_rational())
-        seq = LambdaSequence.compute(chi, d, expect_character=True)
-        poly = [decompose(seq.lambdas[i], table)[j] for i in range(d + 1)]
-        return RationalFunction.make(poly, [1])
+        lambdas = [ClassFunction(cd, [p[i] for p in polys]) for i in range(len(polys[0]))]
+        return RationalFunction.make([decompose(f, table)[j] for f in lambdas], [1])
     # group classes by their denominator polynomial lambda_{-t}(chi)(c^-1)
     groups: list[tuple[list[Cyclotomic], Cyclotomic]] = []
     for c in range(cd.class_count):
-        lam = char_poly(chi, cd.inverse_class[c])
+        lam = polys[cd.inverse_class[c]]
         dpoly = [v if i % 2 == 0 else -v for i, v in enumerate(lam)]
         weight = chi_j.values[c] * cd.sizes[c]
         for g, (existing, w) in enumerate(groups):

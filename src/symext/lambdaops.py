@@ -44,15 +44,16 @@ class CrossCheckError(AssertionError):
 def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
     # psi[n] for n = 1..M (psi[0] unused); returns lambda^0..lambda^M
     lam: list[Cyclotomic] = [as_cyclotomic(1)]
+    support = [0]  # indices of the nonzero lambda^i so far
     for n in range(1, M + 1):
         acc = as_cyclotomic(0)
-        for i in range(n):
-            if lam[i].is_zero():
-                continue
+        for i in support:
             term = lam[i] * psi[n - i]
             acc = acc + term if i % 2 == 0 else acc - term
         sign = 1 if (n + 1) % 2 == 0 else -1
         lam.append(acc * Fraction(sign, n) if sign < 0 else acc / n)
+        if not lam[n].is_zero():
+            support.append(n)
     return lam
 
 
@@ -149,10 +150,42 @@ def _integral_degree(chi: ClassFunction) -> int:
 
 
 def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
-    """Coefficients of lambda_t(chi) at class c, a polynomial of degree chi(e)."""
+    """Coefficients of lambda_t(chi) at class c, a polynomial of degree chi(e).
+
+    The recurrence is truncated at chi(e), which is exact for characters;
+    ``char_polys`` certifies it for a class function that may be virtual.
+    """
     d = _integral_degree(chi)
     psi = [None] + [chi.values[chi.data.power_map(n)[c]] for n in range(1, d + 1)]
     return _scalar_lambdas(psi, d)
+
+
+def char_polys(chi: ClassFunction) -> list[list[Cyclotomic]]:
+    """``char_poly`` at every class, certified to be all of lambda_t(chi).
+
+    For a virtual character lambda_t(chi)(c) need not stop at d = chi(e);
+    then InvalidCharacterError is raised.  lambda^n(c) = 0 for
+    d < n <= d + o(c) suffices: the truncation P satisfies Newton's identity
+    t*P' = P*p, p = sum (-1)^(n+1) psi^n t^n, up to t^(d+o(c)), and as psi^n(c)
+    has period o(c) in n, both sides times 1-(-t)^o(c) are polynomials of
+    degree <= d + o(c), hence equal.  lambda_t(chi)(c) is a polynomial iff chi
+    restricted to <c> is a character, which then holds on every subgroup of
+    <c>, so one class per maximal cyclic subgroup is checked.
+    """
+    d = _integral_degree(chi)
+    cd = chi.data
+    covered: set[int] = set()
+    for c in sorted(range(cd.class_count), key=lambda c: -cd.rep_orders[c]):
+        if c in covered:
+            continue
+        covered.update(cd.power_map(n)[c] for n in range(1, cd.rep_orders[c] + 1))
+        top = d + cd.rep_orders[c]
+        psi = [None] + [chi.values[cd.power_map(n)[c]] for n in range(1, top + 1)]
+        if any(not v.is_zero() for v in _scalar_lambdas(psi, top)[d + 1 :]):
+            raise InvalidCharacterError(
+                f"lambda_t is not a polynomial of degree {d} at class {cd.names[c]}"
+            )
+    return [char_poly(chi, c) for c in range(cd.class_count)]
 
 
 def sym_series_at_class(chi: ClassFunction, c: int, M: int) -> list[Cyclotomic]:

@@ -81,6 +81,22 @@ def test_genfun_rational_and_series():
     assert coeffs == ["0", "2", "7", "18", "42", "84", "153", "264", "429", "666", "1001"]
 
 
+S4_REGULAR_CHI1 = """\
+field        value
+display      (1 - 3*t + 13*t^2 + 55*t^3 + 336*t^4 + 1245*t^5 + 4915*t^6 + 14595*t^7 + 41275*t^8 + 99295*t^9 + 222075*t^10 + 443997*t^11 + 825190*t^12 + 1395997*t^13 + 2204411*t^14 + 3206567*t^15 + 4367292*t^16 + 5517834*t^17 + 6539082*t^18 + 7211746*t^19 + 7471780*t^20 + 7211746*t^21 + 6539082*t^22 + 5517834*t^23 + 4367292*t^24 + 3206567*t^25 + 2204411*t^26 + 1395997*t^27 + 825190*t^28 + 443997*t^29 + 222075*t^30 + 99295*t^31 + 41275*t^32 + 14595*t^33 + 4915*t^34 + 1245*t^35 + 336*t^36 + 55*t^37 + 13*t^38 - 3*t^39 + t^40) / (1-t^4)^6(1-t^3)^8(1-t^2)^6(1-t)^4
+numerator    1 -3 13 55 336 1245 4915 14595 41275 99295 222075 443997 825190 1395997 2204411 3206567 4367292 5517834 6539082 7211746 7471780 7211746 6539082 5517834 4367292 3206567 2204411 1395997 825190 443997 222075 99295 41275 14595 4915 1245 336 55 13 -3 1
+denominator  1 -4 0 12 6 -12 -68 -4 141 168 -24 -552 -466 376 1356 1200 -1290 -3096 -2084 2480 6354 3168 -4320 -10176 -5341 7132 13692 7700 -8966 -17268 -8552 8876 19122 8876 -8552 -17268 -8966 7700 13692 7132 -5341 -10176 -4320 3168 6354 2480 -2084 -3096 -1290 1200 1356 376 -466 -552 -24 168 141 -4 -68 -12 6 12 0 -4 1
+"""
+
+
+def test_genfun_regular_s4_output_is_pinned():
+    code, out, _ = run_cli(
+        ["genfun", "--group", "S4", "--char", "regular", "--irr", "chi1", "--op", "sym"]
+    )
+    assert code == EXIT_OK
+    assert out == S4_REGULAR_CHI1
+
+
 def test_genfun_ext_zero_column():
     code, out, _ = run_cli(
         ["genfun", "--group", "S4", "--char", "chi3", "--irr", "chi5", "--op", "ext"]
@@ -239,6 +255,27 @@ def test_group_spec_errors(tmp_path):
     path3.write_text(json.dumps(doc))
     code, _, err = run_cli(["verify", "--group", str(path3)])
     assert code == EXIT_INPUT and "7" in err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: [1, 2], "top level must be a JSON object"),
+        (lambda doc: {**doc, "classes": doc["classes"][:-1] + [7]}, "classes must be"),
+        (lambda doc: {**doc, "classes": {"c": 1}}, "classes must be"),
+        (lambda doc: {**doc, "irreducibles": 5}, "irreducibles must be"),
+        (lambda doc: {**doc, "irreducibles": {"chi1": 1}}, "irreducibles must be"),
+        (lambda doc: {**doc, "irreducibles": [[1]]}, "irreducibles must be"),
+    ],
+    ids=["top-level-array", "class-entry-int", "classes-object",
+         "irreducibles-int", "irreducibles-object", "irreducible-entry-list"],
+)
+def test_group_spec_of_the_wrong_shape_is_an_input_error(tmp_path, mutate, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(mutate(dump_group_spec(get_group("S3")))))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 def test_generators_route():

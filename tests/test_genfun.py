@@ -142,6 +142,38 @@ def test_genfun_rational_examples():
     assert genfun_rational(chi2, s3, 1, SYM) == RF([0, 1], [2])
 
 
+def test_genfun_rational_rejects_virtual_characters():
+    # lambda_t of a virtual character need not stop at chi(identity), and a
+    # form built from the truncated per-class polynomials would disagree with
+    # these series, so genfun_rational must refuse them
+    s3 = get_group("S3")
+    chi1, chi2, chi3 = (s3.character(f"chi{i}") for i in (1, 2, 3))
+    for virt, series in (
+        (chi3 - chi2, [1, 0, 1, 1, 0, 1, 1]),
+        (chi2 - chi1, [1, -1, 1, -1, 1, -1, 1]),
+    ):
+        assert genfun_series(virt, s3, 0, SYM, 6) == series
+        for op in (SYM, EXT):
+            with pytest.raises(InvalidCharacterError):
+                genfun_rational(virt, s3, 0, op)
+    # degree 4, and lambda^5 vanishes at every class; lambda^6 does not
+    d12 = get_group("D2n", 6)
+    chi = [d12.character(lbl) for lbl in d12.labels]
+    virt = (chi[1] + chi[2] + chi[3]) * 2 - chi[5]
+    with pytest.raises(InvalidCharacterError):
+        genfun_rational(virt, d12, 0, SYM)
+
+
+def test_genfun_rational_of_large_degree_regular_character():
+    # the S4 regular character: degree-24 per-class polynomials, a gcd of
+    # a degree-72 numerator with a degree-96 denominator
+    s4 = get_group("S4")
+    pi = regular_character(s4.classes)
+    table = multiplicity_table(pi, s4, SYM, 30)
+    for j in range(s4.classes.class_count):
+        assert genfun_rational(pi, s4, j, SYM).series(30) == list(table.column(j))
+
+
 def test_genfun_rational_ext_is_polynomial():
     s4 = get_group("S4")
     chi3 = s4.character("chi3")
