@@ -6,7 +6,8 @@ rational generating functions), ``closedform`` (shortcut evaluations),
 builtin catalog, from a JSON group-spec file, or from permutation generators.
 Output is deterministic: the same invocation produces byte-identical text.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (a certification or cross-check inside symext failed).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .permgroup import Permutation, class_data, enumerate_group, standard_charac
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -254,6 +256,14 @@ def load_group_spec(path: str) -> GroupContext:
     for field, value in (("classes", classes), ("irreducibles", irreducibles)):
         if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
             raise InputError(f"{path}: {field} must be a list of JSON objects")
+    if not classes:
+        raise InputError(f"{path}: classes must not be empty")
+
+    def class_index(value, where: str) -> int:
+        if not 0 <= int(value) < len(classes):
+            raise InputError(f"{where}: class index {value} is not in 0..{len(classes) - 1}")
+        return int(value)
+
     names, sizes, rep_orders, inverse = [], [], [], []
     prime_maps: dict[int, list[int]] = {}
     for i, cls in enumerate(classes):
@@ -262,11 +272,14 @@ def load_group_spec(path: str) -> GroupContext:
             names.append(str(cls["name"]))
             sizes.append(int(cls["size"]))
             rep_orders.append(int(cls["rep_order"]))
-            inverse.append(int(cls["inverse"]))
+            inverse.append(class_index(cls["inverse"], f"{where}.inverse"))
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc}") from exc
+        if sizes[-1] < 1 or rep_orders[-1] < 1:
+            raise InputError(f"{where}: size and rep_order must be positive")
         for p_raw, image in cls.get("prime_powers", {}).items():
-            prime_maps.setdefault(int(p_raw), [0] * len(classes))[i] = int(image)
+            image = class_index(image, f"{where}.prime_powers[{p_raw!r}]")
+            prime_maps.setdefault(int(p_raw), [0] * len(classes))[i] = image
     exponent = lcm(*rep_orders)
     if root_order % exponent:
         raise InputError(
@@ -934,6 +947,9 @@ def main(argv=None) -> int:
     except (NotRationalError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (AssertionError, ArithmeticError) as exc:
+        print("internal error: " + str(exc).replace("\n", " "), file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(doc.render(args.format))
     return code
 

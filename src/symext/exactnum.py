@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -105,8 +106,8 @@ def binom(r: RationalLike, n: int) -> Fraction:
 # reentrant: Phi_N computation recurses into proper divisors under the lock
 _cache_lock = threading.RLock()
 _phi_cache: dict[int, tuple[int, ...]] = {}
-# _power_cache[N][m] = integer coordinates of z^m on the power basis
-_power_cache: dict[int, list[tuple[int, ...]]] = {}
+# _power_cache[N][m] = nonzero (j, coordinate) pairs of z^m, m < N, on the power basis
+_power_cache: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 _totient_cache: dict[int, int] = {}
 
 
@@ -157,28 +158,93 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         return poly
 
 
-def _power_rows(n: int, upto: int) -> list[tuple[int, ...]]:
-    """Rows m -> integer coordinates of z^m mod Phi_n, for all m <= upto."""
+def _power_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Rows m < n -> the nonzero (j, coordinate) pairs of z^m mod Phi_n."""
     rows = _power_cache.get(n)
-    if rows is not None and len(rows) > upto:
+    if rows is not None:
         return rows
     with _cache_lock:
-        rows = _power_cache.get(n)
-        deg = _phi_of(n)
-        if rows is None:
-            rows = [tuple(1 if j == m else 0 for j in range(deg)) for m in range(deg)]
-            _power_cache[n] = rows
-        phi = cyclotomic_polynomial(n)
-        while len(rows) <= upto:
-            prev = rows[-1]
-            shifted = [0] + list(prev[: deg - 1])
-            top = prev[deg - 1]
+        deg, phi = _phi_of(n), cyclotomic_polynomial(n)
+        row, rows = [1] + [0] * (deg - 1), []
+        for _ in range(n):
+            rows.append(tuple((j, r) for j, r in enumerate(row) if r))
+            top, row = row[-1], [0] + row[:-1]
             if top:
                 # z^deg = -(phi_0 + phi_1 z + ... + phi_{deg-1} z^{deg-1})
                 for j in range(deg):
-                    shifted[j] -= top * phi[j]
-            rows.append(tuple(shifted))
+                    row[j] -= top * phi[j]
+        _power_cache[n] = rows
         return rows
+
+
+def fold(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """Integer coordinates of sum x*z^e over (e, x) pairs, reduced mod Phi_n."""
+    out = [0] * _phi_of(n)
+    rows = _power_rows(n)
+    for e, x in terms:
+        if x:
+            for j, r in rows[e % n]:
+                out[j] += x * r
+    return out
+
+
+# ---------------------------------------------------------------------------
+# packed coordinates: a value v of Q(zeta_n) over a denominator D is the int
+# sum_i x_i 2^(width*i), where x_i are the coordinates of D*v.  A sum of
+# products of packed values is a packed polynomial product; it unpacks exactly
+# while every slot lies strictly inside (-2^(width-1), 2^(width-1)).
+
+
+def _coords(v: "Cyclotomic", n: int) -> tuple[int, ...]:
+    # coordinates at order n over v.den; a rational value embeds at any order
+    return v.num if v.order == n or not any(v.num[1:]) else v.lift(n).num
+
+
+def pack_bounds(
+    values: Sequence["Cyclotomic"], n: int, scales: Sequence[int] | None = None
+) -> tuple[int, int]:
+    """(D, b): the common denominator D of the values, and the bit length b of
+    the largest |coordinate| of D * value * scale at order n."""
+    den = lcm(*(v.den for v in values))
+    top = max(
+        (max(map(abs, _coords(v, n))) * (den // v.den) * s
+         for v, s in zip(values, scales or [1] * len(values))),
+        default=0,
+    )
+    return den, top.bit_length()
+
+
+def slot_width(xbits: int, ybits: int, terms: int, n: int) -> int:
+    """Slot width for a sum of ``terms`` products of packed values at order n
+    with coordinates below 2^xbits and 2^ybits: every slot of the sum is below
+    terms * phi(n) * 2^(xbits + ybits) in magnitude."""
+    return -(-(xbits + ybits + (terms * _phi_of(n)).bit_length() + 1) // 64) * 64
+
+
+def pack(
+    values: Sequence["Cyclotomic"], n: int, den: int, width: int,
+    scales: Sequence[int] | None = None,
+) -> list[int]:
+    """Each value * scale at order n over the denominator den, packed at ``width``."""
+    out = []
+    for v, s in zip(values, scales or [1] * len(values)):
+        s, p = s * (den // v.den), 0
+        for x in reversed(_coords(v, n)):
+            p = (p << width) + x * s
+        out.append(p)
+    return out
+
+
+def packed_dot(xs: Sequence[int], ys: Sequence[int], width: int, n: int) -> list[int]:
+    """Coordinates mod Phi_n of sum_c x_c*y_c for values packed at ``width``:
+    one integer dot product, unpacked into 2*phi(n) - 1 slots and folded."""
+    total, half, mask = sum(map(mul, xs, ys)), 1 << (width - 1), (1 << width) - 1
+    slots = []
+    for _ in range(2 * _phi_of(n) - 1):
+        s = ((total + half) & mask) - half
+        slots.append(s)
+        total = (total - s) >> width
+    return fold(enumerate(slots), n)
 
 
 # ---------------------------------------------------------------------------
@@ -247,28 +313,9 @@ class Cyclotomic:
         """Sum of q * zeta_order^e over (e, q) pairs, in canonical form."""
         if order < 1:
             raise ValueError("order must be a positive integer")
-        deg = _phi_of(order)
-        pending: list[tuple[int, Fraction]] = []
-        den = 1
-        maxe = 0
-        for e, q in terms:
-            q = Fraction(q)
-            if q == 0:
-                continue
-            e %= order
-            pending.append((e, q))
-            den = den * q.denominator // gcd(den, q.denominator)
-            maxe = max(maxe, e)
-        acc = [0] * deg
-        rows = _power_rows(order, maxe) if maxe >= deg else None
-        for e, q in pending:
-            n = int(q * den)
-            if e < deg:
-                acc[e] += n
-            else:
-                for j, r in enumerate(rows[e]):
-                    if r:
-                        acc[j] += n * r
+        pending = [(e, Fraction(q)) for e, q in terms]
+        den = lcm(*(q.denominator for _, q in pending))
+        acc = fold(((e, int(q * den)) for e, q in pending), order)
         return Cyclotomic._raw(order, acc, den)
 
     @staticmethod
@@ -298,20 +345,7 @@ class Cyclotomic:
         if new_order % self.order:
             raise ValueError("can only lift to a multiple of the current order")
         k = new_order // self.order
-        deg = _phi_of(new_order)
-        acc = [0] * deg
-        top = (len(self.num) - 1) * k
-        rows = _power_rows(new_order, top) if top >= deg else None
-        for i, x in enumerate(self.num):
-            if not x:
-                continue
-            e = i * k
-            if e < deg:
-                acc[e] += x
-            else:
-                for j, r in enumerate(rows[e]):
-                    if r:
-                        acc[j] += x * r
+        acc = fold(((i * k, x) for i, x in enumerate(self.num)), new_order)
         return Cyclotomic._raw(new_order, acc, self.den)
 
     @staticmethod
@@ -381,66 +415,23 @@ class Cyclotomic:
                 for j, y in enumerate(b.num):
                     if y:
                         conv[i + j] += x * y
-        out = list(conv[:deg])
-        if any(conv[deg:]):
-            rows = _power_rows(a.order, 2 * deg - 2)
-            for m in range(deg, 2 * deg - 1):
-                c = conv[m]
-                if c:
-                    for j, r in enumerate(rows[m]):
-                        if r:
-                            out[j] += c * r
-        return Cyclotomic._raw(a.order, out, a.den * b.den)
+        return Cyclotomic._raw(a.order, fold(enumerate(conv), a.order), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, by extended Euclid against Phi_order."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, which is a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic value")
         if self.is_rational():
             num = [self.den] + [0] * (len(self.num) - 1)
             return Cyclotomic._raw(self.order, num, self.num[0])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        old_r, r = phi, [Fraction(x, self.den) for x in self.num]
-        old_s: list[Fraction] = [Fraction(0)]
-        s: list[Fraction] = [Fraction(1)]
-
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r = trim(r)
-        while True:
-            if not r:
-                raise ZeroDivisionError("value shares a factor with Phi_N")
-            if len(r) == 1:
-                break
-            quo = [Fraction(0)] * (len(old_r) - len(r) + 1)
-            rem = list(old_r)
-            inv_lead = 1 / r[-1]
-            for i in range(len(rem) - 1, len(r) - 2, -1):
-                c = rem[i] * inv_lead
-                if c:
-                    quo[i - (len(r) - 1)] = c
-                    for j, rj in enumerate(r):
-                        rem[i - (len(r) - 1) + j] -= c * rj
-            rem = trim(rem)
-            new_s = list(old_s) + [Fraction(0)] * max(0, len(quo) + len(s) - 1 - len(old_s))
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s):
-                        if sc:
-                            new_s[i + j] -= qc * sc
-            old_r, r = r, rem
-            old_s, s = s, trim(new_s)
-        scale = 1 / r[0]
-        deg = _phi_of(self.order)
-        out = [Fraction(0)] * deg
-        for i, c in enumerate(s):
-            out[i] = c * scale
-        return Cyclotomic(self.order, out)
+        adj = Cyclotomic.from_rational(1)
+        for u in range(2, self.order):
+            if gcd(u, self.order) == 1:
+                adj = adj * self.galois(u)
+        return adj / (self * adj).to_rational()
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         o = Cyclotomic._coerce(other)
@@ -476,21 +467,7 @@ class Cyclotomic:
         """Apply the automorphism zeta -> zeta^u; u must be a unit mod order."""
         if gcd(u, self.order) != 1:
             raise ValueError("exponent must be coprime to the order")
-        u %= self.order
-        deg = len(self.num)
-        acc = [0] * deg
-        top = (deg - 1) * u
-        rows = _power_rows(self.order, top) if top >= deg else None
-        for i, x in enumerate(self.num):
-            if not x:
-                continue
-            e = i * u
-            if e < deg:
-                acc[e] += x
-            else:
-                for j, r in enumerate(rows[e]):
-                    if r:
-                        acc[j] += x * r
+        acc = fold(((i * u, x) for i, x in enumerate(self.num)), self.order)
         return Cyclotomic._raw(self.order, acc, self.den)
 
     def conjugate(self) -> "Cyclotomic":

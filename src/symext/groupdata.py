@@ -10,15 +10,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactnum import (
     Cyclotomic,
     NotRationalError,
     Scalar,
     as_cyclotomic,
+    pack,
+    pack_bounds,
+    packed_dot,
     prime_factors,
     primes_below,
+    slot_width,
 )
 
 
@@ -228,7 +233,7 @@ class ClassFunction:
 class CharacterTable:
     """Class data together with the irreducible characters over it."""
 
-    __slots__ = ("classes", "irreducibles", "labels", "name")
+    __slots__ = ("classes", "irreducibles", "labels", "name", "_packed")
 
     def __init__(
         self,
@@ -245,6 +250,7 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         self.labels = tuple(labels)
         self.name = name
+        self._packed: _PackedRows | None = None  # built by decompose
 
     @property
     def ambient_root_order(self) -> int:
@@ -290,42 +296,113 @@ def adams(f: ClassFunction, n: int) -> ClassFunction:
     return ClassFunction(f.data, [f.values[pm[c]] for c in range(f.data.class_count)])
 
 
+def _product_order(a: Cyclotomic, b: Cyclotomic) -> int:
+    # the order Cyclotomic.__mul__ gives a*b: a rational factor takes the other's
+    if b.is_rational() and a.order >= b.order:
+        return a.order
+    return b.order if a.is_rational() else lcm(a.order, b.order)
+
+
+def _pair_sums(
+    xrows: Sequence[Sequence[Cyclotomic]],
+    yrows: Sequence[Sequence[Cyclotomic]],
+    scales: Sequence[int] | None = None,
+    n: int = 0,
+) -> Iterator[tuple[int, int, list[int], int]]:
+    """(i, j, coordinates, denominator) of the packed class sum of
+    scale*xrows[i]*yrows[j] for every i <= j, at order n (default: the lcm
+    order of all values)."""
+    n = n or lcm(*(v.order for row in (*xrows, *yrows) for v in row))
+    xden, xbits = pack_bounds([v for r in xrows for v in r], n, scales and scales * len(xrows))
+    yden, ybits = pack_bounds([v for r in yrows for v in r], n)
+    w = slot_width(xbits, ybits, max(map(len, xrows), default=0), n)
+    ys = [pack(r, n, yden, w) for r in yrows]
+    for i, row in enumerate(xrows):
+        x = pack(row, n, xden, w, scales)
+        for j in range(i, len(ys)):
+            yield i, j, packed_dot(x, ys[j], w, n), xden * yden
+
+
+def _dot(
+    xs: Sequence[Cyclotomic], ys: Sequence[Cyclotomic], scales: Sequence[int] | None = None
+) -> Cyclotomic:
+    """sum_c scale_c*x_c*y_c at the order Cyclotomic arithmetic gives it."""
+    n = lcm(*map(_product_order, xs, ys))
+    _, _, coords, den = next(_pair_sums([xs], [ys], scales, n))
+    return Cyclotomic._raw(n, coords, den)
+
+
 def inner_product(f: ClassFunction, f2: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum over classes of size * f(c) * f2(inverse class of c)."""
     f._check(f2)
     cd = f.data
-    total = as_cyclotomic(0)
-    for c in range(cd.class_count):
-        total = total + f.values[c] * f2.values[cd.inverse_class[c]] * cd.sizes[c]
-    return total / cd.group_order
+    return _dot(f.values, [f2.values[i] for i in cd.inverse_class], cd.sizes) / cd.group_order
+
+
+class _PackedRows:
+    """A table's irreducible values at one order over one denominator, packed
+    for ``decompose``; repacked only when wider slots are needed."""
+
+    __slots__ = ("order", "den", "bits", "packed")
+
+    def __init__(self, table: CharacterTable, order: int):
+        self.order, self.packed = order, (0, [])
+        values = [v for chi in table.irreducibles for v in chi.values]
+        self.den, self.bits = pack_bounds(values, order)
+
+    def widen(self, table: CharacterTable, width: int) -> tuple[int, list[list[int]]]:
+        """(w, rows): the rows packed at a width w >= ``width``."""
+        packed = self.packed
+        if packed[0] < width:
+            rows = [pack(chi.values, self.order, self.den, width) for chi in table.irreducibles]
+            packed = self.packed = (width, rows)
+        return packed
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities of f against the irreducible basis, as exact rationals.
 
+    Each one is the packed class sum (1/|G|) sum_c |c| chi_j(c) f(c^-1).
     Raises NonRationalMultiplicityError when some inner product is not
     rational (f is then not a rational virtual character); the reconstruction
-    is verified exactly before returning.
+    is verified exactly, on packed integers, before returning.
     """
     f._check(ClassFunction.constant(table.classes, 0))
-    coeffs = []
-    for j, chi in enumerate(table.irreducibles):
-        v = inner_product(chi, f)
-        try:
-            coeffs.append(v.to_rational())
-        except NotRationalError:
+    cd, k = table.classes, table.classes.class_count
+    pr = table._packed or _PackedRows(
+        table, lcm(*(v.order for chi in table.irreducibles for v in chi.values))
+    )
+    n = lcm(pr.order, *(v.order for v in f.values))
+    if n != pr.order:
+        pr = _PackedRows(table, n)
+    table._packed = pr
+    inv_f = [f.values[i] for i in cd.inverse_class]
+    fden, fbits = pack_bounds(f.values, n)
+    gden, gbits = pack_bounds(inv_f, n, cd.sizes)
+    w, rows = pr.widen(table, slot_width(pr.bits, gbits, k, n))
+    g = pack(inv_f, n, gden, w, cd.sizes)
+    d = pr.den * gden * cd.group_order
+    nums = []
+    for j, row in enumerate(rows):
+        coords = packed_dot(row, g, w, n)
+        if any(coords[1:]):
+            v = inner_product(table.irreducibles[j], f)
             raise NonRationalMultiplicityError(
                 f"inner product with {table.labels[j]} is not rational: {v!r}"
-            ) from None
-    recon = [as_cyclotomic(0)] * table.classes.class_count
-    for q, chi in zip(coeffs, table.irreducibles):
-        if q:
-            recon = [r + chi.values[c] * q for c, r in enumerate(recon)]
-    if any(r != v for r, v in zip(recon, f.values)):
+            )
+        nums.append(coords[0] * fden)
+    # with q_j = nums_j / (d * fden): sum_j q_j chi_j(c) = f(c) as
+    # sum_j nums_j R_j[c] = d * pr.den * F[c], at a width that holds both sides
+    w, rows = pr.widen(table, max(
+        slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
+        slot_width((d * pr.den).bit_length(), fbits, 1, 1),
+    ))
+    recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
+    if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
         raise NonRationalMultiplicityError(
             "class function is outside the span of the irreducibles"
         )
-    return tuple(coeffs)
+    return tuple(Fraction(x, d * fden) for x in nums)
 
 
 def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -398,26 +475,22 @@ def validate_table(table: CharacterTable) -> list[str]:
             degs.append(int(d))
     if len(degs) == k and sum(d * d for d in degs) != cd.group_order:
         report.append("sum of squared degrees differs from the group order")
-    # row orthogonality
-    for i in range(k):
-        for j in range(i, k):
+    # row and column orthogonality, as packed class sums
+    inv_rows = [[chi.values[c] for c in cd.inverse_class] for chi in chis]
+    for i, j, coords, den in _pair_sums([chi.values for chi in chis], inv_rows, cd.sizes):
+        want = 1 if i == j else 0
+        if any(coords[1:]) or Fraction(coords[0], den * cd.group_order) != want:
             v = inner_product(chis[i], chis[j])
-            want = 1 if i == j else 0
-            if v != want:
-                report.append(
-                    f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}"
-                )
-    # column orthogonality
-    for c in range(k):
-        for c2 in range(c, k):
-            s = as_cyclotomic(0)
-            for chi in chis:
-                s = s + chi.values[c] * chi.values[c2].conjugate()
-            want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
-            if s != want:
-                report.append(
-                    f"column product {cd.names[c]},{cd.names[c2]} = {s!r}, expected {want}"
-                )
+            report.append(f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}")
+    cols = [[chi.values[c] for chi in chis] for c in range(k)]
+    conj = [[v.conjugate() for v in col] for col in cols]
+    for c, c2, coords, den in _pair_sums(cols, conj):
+        want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
+        if any(coords[1:]) or Fraction(coords[0], den) != want:
+            s = _dot(cols[c], conj[c2])
+            report.append(
+                f"column product {cd.names[c]},{cd.names[c2]} = {s!r}, expected {want}"
+            )
     # the inverse map must implement complex conjugation on characters
     for j, chi in enumerate(chis):
         for c in range(k):

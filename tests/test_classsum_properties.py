@@ -1,0 +1,205 @@
+"""Property tests of the packed class sums in groupdata.
+
+``inner_product`` and ``decompose`` pack every cyclotomic value into one
+integer and take each class sum as an integer dot product.  They are compared
+here with the plain Cyclotomic-arithmetic loop kept below as the reference,
+on values of mixed orders (1, proper divisors of the table's order N, N, and
+multiples of N as a spec file's ``root_order`` may give), negative and
+non-unit-denominator coordinates, and coordinates far beyond one 64-bit slot.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symext.catalog import get_group
+from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
+from symext.groupdata import (
+    CharacterTable,
+    ClassData,
+    ClassFunction,
+    NonRationalMultiplicityError,
+    decompose,
+    inner_product,
+    validate_table,
+)
+
+
+def reference_inner_product(f, f2):
+    """The class sum in Cyclotomic arithmetic, one term at a time."""
+    cd = f.data
+    total = as_cyclotomic(0)
+    for c in range(cd.class_count):
+        total = total + f.values[c] * f2.values[cd.inverse_class[c]] * cd.sizes[c]
+    return total / cd.group_order
+
+
+def reference_decompose(f, table):
+    coeffs = []
+    for j, chi in enumerate(table.irreducibles):
+        v = reference_inner_product(chi, f)
+        if not v.is_rational():
+            raise NonRationalMultiplicityError(
+                f"inner product with {table.labels[j]} is not rational: {v!r}"
+            )
+        coeffs.append(v.to_rational())
+    for c, value in enumerate(f.values):
+        recon = sum((chi.values[c] * q for q, chi in zip(coeffs, table.irreducibles)),
+                    as_cyclotomic(0))
+        if recon != value:
+            raise NonRationalMultiplicityError(
+                "class function is outside the span of the irreducibles"
+            )
+    return tuple(coeffs)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except NonRationalMultiplicityError as exc:
+        return ("error", str(exc))
+
+
+TABLES = [("S3", None), ("D2n", 5), ("D2n", 6), ("D2n", 8), ("Q4n", 3), ("Q4n", 5), ("Hp", 3)]
+# a multiple of the exponent, as a spec file's root_order may be
+ABOVE = 2
+
+
+def value_orders(table):
+    n = table.classes.exponent
+    return divisors(n) + [ABOVE * n]
+
+
+coordinate = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, -(2**63), 2**64 + 1, -(2**127)]),
+)
+
+
+@st.composite
+def cyclotomic(draw, orders):
+    n = draw(st.sampled_from(orders))
+    num = draw(st.lists(coordinate, min_size=totient(n), max_size=totient(n)))
+    if draw(st.booleans()):
+        num = num[:1] + [0] * (len(num) - 1)  # a rational value stored at order n
+    den = draw(st.sampled_from([1, 1, 2, 3, 12, 2**65]))
+    return Cyclotomic(n, [Fraction(x, den) for x in num])
+
+
+@st.composite
+def table_and_function(draw):
+    table = get_group(*draw(st.sampled_from(TABLES)))
+    orders = value_orders(table)
+    values = [draw(cyclotomic(orders)) for _ in range(table.classes.class_count)]
+    return table, ClassFunction(table.classes, values)
+
+
+@st.composite
+def table_and_virtual(draw):
+    """A table and a rational combination of its irreducibles, with the coefficients."""
+    table = get_group(*draw(st.sampled_from(TABLES)))
+    k = table.classes.class_count
+    coeffs = draw(st.lists(
+        st.fractions(max_denominator=6) | st.integers(-(2**70), 2**70).map(Fraction),
+        min_size=k, max_size=k,
+    ))
+    f = ClassFunction.constant(table.classes, 0)
+    for q, chi in zip(coeffs, table.irreducibles):
+        f = f + chi * q
+    return table, f, tuple(coeffs)
+
+
+def same(a, b):
+    return a == b and repr(a) == repr(b) and a.order == b.order
+
+
+@settings(deadline=None, max_examples=80)
+@given(table_and_function(), st.data())
+def test_inner_product_matches_the_cyclotomic_loop(tf, data):
+    table, f = tf
+    orders = value_orders(table)
+    f2 = ClassFunction(table.classes, [data.draw(cyclotomic(orders)) for _ in f.values])
+    assert same(inner_product(f, f2), reference_inner_product(f, f2))
+    chi = table.irreducibles[data.draw(st.integers(0, len(table.irreducibles) - 1))]
+    assert same(inner_product(chi, f), reference_inner_product(chi, f))
+
+
+@settings(deadline=None, max_examples=60)
+@given(table_and_virtual())
+def test_decompose_matches_the_cyclotomic_loop_on_virtual_characters(tfc):
+    table, f, coeffs = tfc
+    got = decompose(f, table)
+    assert got == coeffs == reference_decompose(f, table)
+    assert all(type(q) is Fraction for q in got)
+
+
+@settings(deadline=None, max_examples=60)
+@given(table_and_function())
+def test_decompose_of_any_class_function_matches_the_cyclotomic_loop(tf):
+    # mostly not rational combinations: the same exception with the same text
+    table, f = tf
+    assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+
+
+@settings(deadline=None, max_examples=40)
+@given(table_and_virtual(), st.data())
+def test_unvalidated_non_basis_table_fails_the_reconstruction(tfc, data):
+    table, f, coeffs = tfc
+    k = table.classes.class_count
+    lost = data.draw(st.integers(1, k - 1))
+    # chi_lost replaced by a copy of the trivial character: not a basis any more
+    rows = list(table.irreducibles)
+    rows[lost] = rows[0]
+    fake = CharacterTable(table.classes, rows, table.labels)
+    got = outcome(decompose, f, fake)
+    assert got == outcome(reference_decompose, f, fake)
+    if coeffs[lost]:
+        assert got == ("error", "class function is outside the span of the irreducibles")
+
+
+def cyclic3():
+    """Class data of the cyclic group of order 3."""
+    return ClassData(3, 3, ["1", "a", "a2"], [1, 1, 1], [1, 3, 3], [0, 2, 1],
+                     {2: [0, 2, 1], 3: [0, 0, 0]})
+
+
+def test_slot_width_bound_is_tight():
+    # 3 classes, phi(3) = 2 and coordinates of 30 and 31 bits: the middle slot
+    # of the packed sum is 6 (2^30 - 1)(2^31 - 1) > 2^63, one bit beyond a
+    # 64-bit slot, so the sum needs the 128-bit width the bound gives
+    cd = cyclic3()
+    x, y = 2**30 - 1, 2**31 - 1
+    f = ClassFunction(cd, [Cyclotomic(3, [x, x])] * 3)
+    f2 = ClassFunction(cd, [Cyclotomic(3, [y, y])] * 3)
+    assert same(inner_product(f, f2), reference_inner_product(f, f2))
+    assert inner_product(f, f2) == Cyclotomic(3, [0, x * y])
+
+
+def test_validate_table_reports_are_unchanged():
+    # D2n:5 with one value moved by a 10th root of unity and a rational value
+    # stored at order 20; the report was recorded with the Cyclotomic loops,
+    # so each value prints at the order Cyclotomic arithmetic gives it
+    table = get_group("D2n", 5)
+    rows = [list(chi.values) for chi in table.irreducibles]
+    rows[2][1] = rows[2][1] + Cyclotomic.root_of_unity(10)
+    rows[1][2] = (rows[1][2] + 1).lift(20)
+    bad = CharacterTable(table.classes, [ClassFunction(table.classes, r) for r in rows],
+                         table.labels)
+    assert validate_table(bad) == [
+        "<chi1,chi2> = 1/5, expected 0",
+        "<chi1,tau1> = 1/5*z10, expected 0",
+        "<chi2,chi2> = 8/5, expected 1",
+        "<chi2,tau1> = -1/5+1/5*z10-1/5*z10^2+1/5*z10^3, expected 0",
+        "<chi2,tau2> = -1/5-1/5*z5^2-1/5*z5^3, expected 0",
+        "<tau1,tau1> = 7/5-2/5*z10+3/5*z10^2, expected 1",
+        "<tau1,tau2> = -1/5-1/5*z10^2, expected 0",
+        "column product C0,C1 = 2-2*z10+2*z10^2-2*z10^3, expected 0",
+        "column product C0,C2 = 1, expected 0",
+        "column product C1,C1 = 7, expected 5",
+        "column product C1,C2 = -z20^4, expected 0",
+        "column product C2,C2 = 8, expected 5",
+        "column product C2,Cr = -1, expected 0",
+        "tau1 at inverse of C1 is not the conjugate",
+    ]

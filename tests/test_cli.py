@@ -7,6 +7,7 @@ import pytest
 from symext.catalog import get_group
 from symext.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
     OutputDocument,
@@ -276,6 +277,53 @@ def test_group_spec_of_the_wrong_shape_is_an_input_error(tmp_path, mutate, messa
     code, out, err = run_cli(["verify", "--group", str(path)])
     assert code == EXIT_INPUT and out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def _set_class_field(doc, c, field, value):
+    doc["classes"][c][field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _set_class_field(doc, 1, "inverse", 7), "classes[1].inverse"),
+        (lambda doc: _set_class_field(doc, 1, "inverse", -1), "classes[1].inverse"),
+        (lambda doc: _set_class_field(doc, 2, "prime_powers", {"2": 9, "3": 0}),
+         "classes[2].prime_powers['2']"),
+        (lambda doc: {**doc, "classes": []}, "classes must not be empty"),
+        (lambda doc: _set_class_field(doc, 1, "size", 0), "classes[1]: size"),
+        (lambda doc: _set_class_field(doc, 2, "rep_order", 0), "classes[2]: size"),
+    ],
+    ids=["inverse-too-large", "inverse-negative", "prime-power-image", "no-classes",
+         "zero-size", "zero-order"],
+)
+def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, message):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(mutate(dump_group_spec(get_group("S3")))))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_internal_fault_exits_3_without_traceback(monkeypatch):
+    import symext.lambdaops as lambdaops
+
+    real = lambdaops._scalar_syms
+
+    def bumped(lam, M):
+        out = real(lam, M)
+        if M >= 2:
+            out[M] = out[M] + 1
+        return out
+
+    monkeypatch.setattr(lambdaops, "_scalar_syms", bumped)
+    code, out, err = run_cli(
+        ["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1", "--check-consistency"]
+    )
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_generators_route():
