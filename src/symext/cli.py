@@ -35,7 +35,7 @@ from .closedforms import (
     quotient_pullback,
     subgroup_spec,
 )
-from .exactnum import Cyclotomic, NotRationalError
+from .exactnum import Cyclotomic
 from .genfun import (
     EXT,
     SYM,
@@ -48,6 +48,8 @@ from .groupdata import (
     CharacterTable,
     ClassData,
     ClassFunction,
+    NonIntegralMultiplicityError,
+    NonRationalMultiplicityError,
     complete_power_maps,
     decompose,
     inner_product,
@@ -67,6 +69,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# Largest --degree (decompose, closedform, verify) and genfun --series: the
+# recurrences grow about as degree^2 per class, the class sums with the size
+# of the integers; at 1000 the largest builtin regular character takes seconds.
+MAX_DEGREE = 1000
 
 
 class InputError(ValueError):
@@ -206,17 +213,37 @@ def _builtin_context(family: str, param: int | None) -> GroupContext:
     except Exception:
         model = None
     if model is not None:
-        ctx.model = model
-        _, natural = standard_characters(model.group, model.data)
-        # transport the natural character onto the builtin class order
-        ctx.natural = ClassFunction(
-            cd, [natural.values[model.matching[c]] for c in range(cd.class_count)]
-        )
+        _set_model(ctx, model)
     for name, idx in catalog.named_subgroups(family, param).items():
         ctx.subgroups[name] = subgroup_spec(cd, idx)
     ctx.central = catalog.central_characters(family, param)
     ctx.transfers = catalog.quotient_transfers(family, param)
     return ctx
+
+
+def _degree(value: int, flag: str = "--degree") -> int:
+    if not 0 <= value <= MAX_DEGREE:
+        raise InputError(f"{flag} must be in 0..{MAX_DEGREE}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    # a JSON integer; bool is an int subclass in Python but not in JSON
+    if type(value) is not int:
+        raise InputError(f"{where} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be a JSON object")
+    return value
+
+
+def _indices(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list of class indices")
+    return tuple(_integer(i, where) for i in value)
 
 
 def _parse_cyclo(value, root_order: int, where: str) -> Cyclotomic:
@@ -228,7 +255,7 @@ def _parse_cyclo(value, root_order: int, where: str) -> Cyclotomic:
         return Cyclotomic.from_terms(
             root_order, [(int(e), Fraction(int(n), int(d))) for e, n, d in value]
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 
@@ -247,8 +274,8 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(f"{path}: format_version must be 1")
     try:
         name = str(raw["name"])
-        order = int(raw["order"])
-        root_order = int(raw["root_order"])
+        order = _integer(raw["order"], f"{path}: order")
+        root_order = _integer(raw["root_order"], f"{path}: root_order")
         classes = raw["classes"]
         irreducibles = raw["irreducibles"]
     except KeyError as exc:
@@ -260,9 +287,9 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(f"{path}: classes must not be empty")
 
     def class_index(value, where: str) -> int:
-        if not 0 <= int(value) < len(classes):
+        if not 0 <= _integer(value, where) < len(classes):
             raise InputError(f"{where}: class index {value} is not in 0..{len(classes) - 1}")
-        return int(value)
+        return value
 
     names, sizes, rep_orders, inverse = [], [], [], []
     prime_maps: dict[int, list[int]] = {}
@@ -270,14 +297,16 @@ def load_group_spec(path: str) -> GroupContext:
         where = f"{path}: classes[{i}]"
         try:
             names.append(str(cls["name"]))
-            sizes.append(int(cls["size"]))
-            rep_orders.append(int(cls["rep_order"]))
+            sizes.append(_integer(cls["size"], f"{where}.size"))
+            rep_orders.append(_integer(cls["rep_order"], f"{where}.rep_order"))
             inverse.append(class_index(cls["inverse"], f"{where}.inverse"))
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc}") from exc
         if sizes[-1] < 1 or rep_orders[-1] < 1:
             raise InputError(f"{where}: size and rep_order must be positive")
-        for p_raw, image in cls.get("prime_powers", {}).items():
+        for p_raw, image in _object(cls.get("prime_powers", {}), f"{where}.prime_powers").items():
+            if not (p_raw.isascii() and p_raw.isdigit()):
+                raise InputError(f"{where}.prime_powers: key {p_raw!r} is not an integer")
             image = class_index(image, f"{where}.prime_powers[{p_raw!r}]")
             prime_maps.setdefault(int(p_raw), [0] * len(classes))[i] = image
     exponent = lcm(*rep_orders)
@@ -310,44 +339,36 @@ def load_group_spec(path: str) -> GroupContext:
     ctx = GroupContext(name=name, table=table, regular=regular_character(cd))
     gens = raw.get("generators")
     if gens:
-        perms = [Permutation.from_cycles(g) for g in gens]
-        degree = max(p.degree for p in perms)
-        perms = [
-            Permutation(list(p.images) + list(range(p.degree, degree))) for p in perms
-        ]
-        group = enumerate_group(perms)
-        derived = class_data(group)
-        matching = catalog.match_class_data(cd, derived)
-        if matching is None:
-            raise InputError(f"{path}: generators do not match the declared classes")
-        ctx.model = PermModel(group, derived, matching)
-        _, natural = standard_characters(group, derived)
-        ctx.natural = ClassFunction(
-            cd, [natural.values[matching[c]] for c in range(cd.class_count)]
-        )
-    for sub_name, idx in raw.get("normal_subgroups", {}).items():
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise InputError(f"{path}: generators must be a list of cycle strings")
+        group = _enumerate_generators(gens)
+        _attach_model(ctx, group, f"{path}: generators do not match the declared classes")
+    subgroups = _object(raw.get("normal_subgroups", {}), f"{path}: normal_subgroups")
+    for sub_name, idx in subgroups.items():
+        where = f"{path}: normal_subgroups[{sub_name!r}]"
         try:
-            ctx.subgroups[sub_name] = subgroup_spec(cd, tuple(int(i) for i in idx))
+            ctx.subgroups[sub_name] = subgroup_spec(cd, _indices(idx, where))
         except InvalidSubgroupError as exc:
-            raise InputError(f"{path}: normal_subgroups[{sub_name!r}]: {exc}") from exc
-    for cname, cc in raw.get("central_chars", {}).items():
+            raise InputError(f"{where}: {exc}") from exc
+    for cname, cc in _object(raw.get("central_chars", {}), f"{path}: central_chars").items():
         where = f"{path}: central_chars[{cname!r}]"
-        sub = cc.get("subgroup")
+        sub = _object(cc, where).get("subgroup")
         if isinstance(sub, str):
             if sub not in ctx.subgroups:
                 raise InputError(f"{where}: unknown subgroup {sub!r}")
             spec = ctx.subgroups[sub]
         else:
             try:
-                spec = subgroup_spec(cd, tuple(int(i) for i in sub))
+                spec = subgroup_spec(cd, _indices(sub, f"{where}.subgroup"))
             except InvalidSubgroupError as exc:
                 raise InputError(f"{where}: {exc}") from exc
         zeta = {
-            int(c): Cyclotomic.root_of_unity(root_order, int(e))
-            for c, e in cc.get("zeta", {}).items()
+            int(c): Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
+            for c, e in _object(cc.get("zeta", {}), f"{where}.zeta").items()
         }
+        multiplier = _integer(cc.get("multiplier", 1), f"{where}.multiplier")
         try:
-            ctx.central[cname] = central_char_spec(cd, spec, zeta, int(cc.get("multiplier", 1)))
+            ctx.central[cname] = central_char_spec(cd, spec, zeta, multiplier)
         except InvalidCentralCharError as exc:
             raise InputError(f"{where}: {exc}") from exc
     return ctx
@@ -400,8 +421,8 @@ def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) 
     return doc
 
 
-def _enumerate_generators(text: str):
-    perms = [Permutation.from_cycles(g) for g in text.split(";") if g.strip()]
+def _enumerate_generators(cycles: list[str]):
+    perms = [Permutation.from_cycles(g) for g in cycles if g.strip()]
     if not perms:
         raise InputError("no generators given")
     degree = max(p.degree for p in perms)
@@ -409,11 +430,30 @@ def _enumerate_generators(text: str):
     return enumerate_group(perms)
 
 
+def _set_model(ctx: GroupContext, model: PermModel) -> None:
+    # the natural character is transported onto the table's class order
+    ctx.model = model
+    _, natural = standard_characters(model.group, model.data)
+    cd = ctx.table.classes
+    ctx.natural = ClassFunction(
+        cd, [natural.values[model.matching[c]] for c in range(cd.class_count)]
+    )
+
+
+def _attach_model(ctx: GroupContext, group, mismatch: str) -> None:
+    """Attach the permutation group ``group`` as the model of ctx's table."""
+    derived = class_data(group)
+    matching = catalog.match_class_data(ctx.table.classes, derived)
+    if matching is None:
+        raise InputError(mismatch)
+    _set_model(ctx, PermModel(group, derived, matching))
+
+
 def resolve_group(args) -> GroupContext:
     selector = getattr(args, "group", None)
     generators = getattr(args, "generators", None)
     if generators and not selector:
-        group = _enumerate_generators(generators)
+        group = _enumerate_generators(generators.split(";"))
         data = class_data(group)
         ctx = GroupContext(name=f"<generated order {len(group)}>")
         ctx.model = PermModel(group, data, tuple(range(data.class_count)))
@@ -429,19 +469,9 @@ def resolve_group(args) -> GroupContext:
             ctx = _builtin_context(family, param)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    if generators:
-        # a table plus explicit generators: attach the model to the table
-        group = _enumerate_generators(generators)
-        derived = class_data(group)
-        matching = catalog.match_class_data(ctx.table.classes, derived)
-        if matching is None:
-            raise InputError("generators do not realize the selected group")
-        ctx.model = PermModel(group, derived, matching)
-        _, natural = standard_characters(group, derived)
-        ctx.natural = ClassFunction(
-            ctx.table.classes,
-            [natural.values[matching[c]] for c in range(ctx.table.classes.class_count)],
-        )
+    if generators:  # a table plus explicit generators
+        group = _enumerate_generators(generators.split(";"))
+        _attach_model(ctx, group, "generators do not realize the selected group")
     return ctx
 
 
@@ -459,8 +489,7 @@ def cmd_decompose(args) -> tuple[OutputDocument, int]:
     ctx = resolve_group(args)
     if ctx.table is None:
         raise InputError("decompose needs a character table")
-    if args.degree < 0:
-        raise InputError("--degree must be nonnegative")
+    _degree(args.degree)
     chi = ctx.character(args.char)
     mt = multiplicity_table(chi, ctx.table, _op_of(args), args.degree)
     doc = OutputDocument(
@@ -500,7 +529,8 @@ def cmd_genfun(args) -> tuple[OutputDocument, int]:
     op = _op_of(args)
     if args.series is not None:
         coeffs = genfun_series(
-            chi, ctx.table, j, op, args.series, cross_check=args.check_consistency
+            chi, ctx.table, j, op, _degree(args.series, "--series"),
+            cross_check=args.check_consistency,
         )
         doc = OutputDocument(
             "series",
@@ -549,6 +579,7 @@ def _poly_str(coeffs) -> str:
 
 
 def cmd_closedform(args) -> tuple[OutputDocument, int]:
+    _degree(args.degree)
     ctx = resolve_group(args)
     if ctx.table is None:
         raise InputError("closedform needs a character table")
@@ -607,71 +638,33 @@ def _closed_route_decompositions(lines, table, degree, lambda_polys, sym_series)
     # assemble S^n / exterior decompositions from the per-class closed forms
     cd = table.classes
     for n in range(1, degree + 1):
-        ext_fn = ClassFunction(
-            cd,
-            [
-                poly[n] if n < len(poly) else 0
-                for poly in lambda_polys
-            ],
-        )
+        ext_fn = ClassFunction(cd, [poly[n] if n < len(poly) else 0 for poly in lambda_polys])
         sym_fn = ClassFunction(cd, [series[n] for series in sym_series])
-        lines.append(
-            {
-                "item": f"ext^{n} decomposition",
-                "value": _mult_str(table, decompose(ext_fn, table)),
-            }
-        )
-        lines.append(
-            {
-                "item": f"S^{n} decomposition",
-                "value": _mult_str(table, decompose(sym_fn, table)),
-            }
-        )
+        for tag, fn in (("ext", ext_fn), ("S", sym_fn)):
+            value = _mult_str(table, decompose(fn, table))
+            lines.append({"item": f"{tag}^{n} decomposition", "value": value})
 
 
 def _burnside_lines(lines, table, forms, degree):
     cd = table.classes
     lines.append({"item": "rule", "value": "divisor product form for a periodic character"})
     chi = forms.character()
-    lines.append(
-        {"item": "character", "value": _mult_str(table, decompose(chi, table))}
-    )
+    lines.append({"item": "character", "value": _mult_str(table, decompose(chi, table))})
     for c in range(cd.class_count):
         h = forms.coset_orders[c]
         e = forms.m * forms.spec.quotient_order // h
         base = "1+t" if h == 1 else (f"1+t^{h}" if h % 2 else f"1-t^{h}")
-        lines.append(
-            {
-                "item": f"lambda_t at {cd.names[c]}",
-                "value": f"({base})^{e} = " + _poly_str(forms.lambda_poly(c)),
-            }
-        )
-    _closed_route_decompositions(
-        lines,
-        table,
-        degree,
-        [forms.lambda_poly(c) for c in range(cd.class_count)],
-        [forms.sym_series(c, degree) for c in range(cd.class_count)],
-    )
-    qo = forms.spec.quotient_order
-    for n in range(1, degree + 1):
-        if gcd(n, qo) == 1:
-            for op, tag in ((SYM, "S"), (EXT, "ext")):
-                short = forms.shortcut(n, op)
-                lines.append(
-                    {
-                        "item": f"coprime-degree rule {tag}^{n}",
-                        "value": _mult_str(table, decompose(short, table)),
-                    }
-                )
-    return lines
+        value = f"({base})^{e} = " + _poly_str(forms.lambda_poly(c))
+        lines.append({"item": f"lambda_t at {cd.names[c]}", "value": value})
+    polys = [forms.lambda_poly(c) for c in range(cd.class_count)]
+    sym_series = [forms.sym_series(c, degree) for c in range(cd.class_count)]
+    _closed_route_decompositions(lines, table, degree, polys, sym_series)
+    _coprime_rule_lines(lines, table, forms, forms.spec.quotient_order, degree)
 
 
 def _central_lines(lines, table, forms, degree):
     cd = table.classes
-    lines.append(
-        {"item": "rule", "value": "central one-dimensional character extended by zero"}
-    )
+    lines.append({"item": "rule", "value": "central one-dimensional character extended by zero"})
     polys = []
     all_classes_ok = True
     for c in range(cd.class_count):
@@ -682,29 +675,19 @@ def _central_lines(lines, table, forms, degree):
             all_classes_ok = False
             continue
         polys.append(poly)
-        lines.append(
-            {"item": f"lambda_t at {cd.names[c]}", "value": _cyc_poly_str(poly)}
-        )
+        lines.append({"item": f"lambda_t at {cd.names[c]}", "value": _cyc_poly_str(poly)})
     if all_classes_ok:
-        _closed_route_decompositions(
-            lines,
-            table,
-            degree,
-            polys,
-            [forms.sym_series(c, degree) for c in range(cd.class_count)],
-        )
-    qo = forms.spec.subgroup.quotient_order
+        sym_series = [forms.sym_series(c, degree) for c in range(cd.class_count)]
+        _closed_route_decompositions(lines, table, degree, polys, sym_series)
+    _coprime_rule_lines(lines, table, forms, forms.spec.subgroup.quotient_order, degree)
+
+
+def _coprime_rule_lines(lines, table, forms, quotient_order, degree):
     for n in range(1, degree + 1):
-        if gcd(n, qo) == 1:
+        if gcd(n, quotient_order) == 1:
             for op, tag in ((SYM, "S"), (EXT, "ext")):
-                short = forms.shortcut(n, op)
-                lines.append(
-                    {
-                        "item": f"coprime-degree rule {tag}^{n}",
-                        "value": _mult_str(table, decompose(short, table)),
-                    }
-                )
-    return lines
+                value = _mult_str(table, decompose(forms.shortcut(n, op), table))
+                lines.append({"item": f"coprime-degree rule {tag}^{n}", "value": value})
 
 
 def _cyc_poly_str(coeffs) -> str:
@@ -873,6 +856,7 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
 
 
 def cmd_verify(args) -> tuple[OutputDocument, int]:
+    _degree(args.degree)
     ctx = resolve_group(args)
     checks = _verify_checks(ctx, args.degree)
     doc = OutputDocument("report", {"group": ctx.name, "checks": checks})
@@ -941,15 +925,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NotRationalError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (AssertionError, ArithmeticError) as exc:
+    except (
+        AssertionError, ArithmeticError, NonIntegralMultiplicityError, NonRationalMultiplicityError
+    ) as exc:
+        # every table here is validated, so a multiplicity that is not a
+        # nonnegative integer of a genuine character is a fault inside symext
         print("internal error: " + str(exc).replace("\n", " "), file=sys.stderr)
         return EXIT_INTERNAL
+    except (ValueError, KeyError) as exc:  # InputError and the other input checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     sys.stdout.write(doc.render(args.format))
     return code
 

@@ -23,6 +23,7 @@ from .exactnum import (
     packed_dot,
     prime_factors,
     primes_below,
+    product_order,
     slot_width,
 )
 
@@ -296,13 +297,6 @@ def adams(f: ClassFunction, n: int) -> ClassFunction:
     return ClassFunction(f.data, [f.values[pm[c]] for c in range(f.data.class_count)])
 
 
-def _product_order(a: Cyclotomic, b: Cyclotomic) -> int:
-    # the order Cyclotomic.__mul__ gives a*b: a rational factor takes the other's
-    if b.is_rational() and a.order >= b.order:
-        return a.order
-    return b.order if a.is_rational() else lcm(a.order, b.order)
-
-
 def _pair_sums(
     xrows: Sequence[Sequence[Cyclotomic]],
     yrows: Sequence[Sequence[Cyclotomic]],
@@ -327,7 +321,7 @@ def _dot(
     xs: Sequence[Cyclotomic], ys: Sequence[Cyclotomic], scales: Sequence[int] | None = None
 ) -> Cyclotomic:
     """sum_c scale_c*x_c*y_c at the order Cyclotomic arithmetic gives it."""
-    n = lcm(*map(_product_order, xs, ys))
+    n = lcm(*map(product_order, xs, ys))
     _, _, coords, den = next(_pair_sums([xs], [ys], scales, n))
     return Cyclotomic._raw(n, coords, den)
 

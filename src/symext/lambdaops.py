@@ -8,7 +8,8 @@ The power operations are evaluated pointwise on conjugacy classes:
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
 ``power_sum_check`` recomputes S^n from psi alone as an independent route.
-All divisions are by integers inside Q(zeta), hence exact.  Periodic class
+Every step of the three recurrences is one packed integer dot product
+(``_recurrence``), and all divisions are by integers, hence exact.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
 product form lambda_t = prod (1 - (-t)^a_i)^(b_i/a_i) over the divisors of
 the group order, recovered here by divisor recursion on the psi values.
@@ -17,11 +18,20 @@ the group order, recovered here by divisor recursion on the psi values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import Cyclotomic, NotRationalError, as_cyclotomic, divisors
+from .exactnum import (
+    Cyclotomic,
+    NotRationalError,
+    as_cyclotomic,
+    divisors,
+    pack,
+    pack_bounds,
+    packed_dot,
+    product_order,
+    slot_width,
+)
 from .groupdata import ClassFunction, adams
 
 
@@ -41,32 +51,89 @@ class CrossCheckError(AssertionError):
     """Two independent routes to the same values disagreed."""
 
 
-def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
-    # psi[n] for n = 1..M (psi[0] unused); returns lambda^0..lambda^M
-    lam: list[Cyclotomic] = [as_cyclotomic(1)]
-    support = [0]  # indices of the nonzero lambda^i so far
+class _Series:
+    """One side of a per-class recurrence: values of Q(zeta_n), rationals at
+    any order, packed for ``packed_dot`` as scale * D * value over their
+    common denominator D; repacked only when the slot width or D must grow.
+    ``stored`` holds each term as Cyclotomic arithmetic stores it, which
+    fixes the order of a result, and None for a value that is no term."""
+
+    def __init__(self, n: int):
+        self.n, self.vals, self.stored, self.scales = n, [], [], []
+        self.den, self.bits, self.width, self.ints = 1, 0, 0, []
+
+    def append(self, v: Cyclotomic, stored: Cyclotomic | None, scale: int = 1) -> None:
+        self.vals.append(v)
+        self.stored.append(stored)
+        self.scales.append(scale)
+        if self.den % v.den:
+            (self.den, self.bits), self.width = pack_bounds(self.vals, self.n), 0
+        else:
+            top = max(map(abs, v.num)) * (self.den // v.den)
+            self.bits = max(self.bits, top.bit_length())
+
+    def packed(self, width: int) -> list[int]:
+        if width != self.width:
+            self.width, self.ints = width, []
+        k = len(self.ints)
+        if k < len(self.vals):
+            self.ints += pack(self.vals[k:], self.n, self.den, width, self.scales[k:])
+        return self.ints
+
+
+def _given(values: Sequence[Cyclotomic], signed: bool, zeros_count: bool) -> _Series:
+    """values[1:] (values[0] is no term) lifted to their working order, each
+    distinct value once; with ``signed`` term i carries the sign (-1)^(i+1),
+    and a zero value is a term only with ``zeros_count``."""
+    n = lcm(1, *(v.order for v in values[1:] if not v.is_rational()))
+    out, lifted = _Series(n), {}
+    out.append(as_cyclotomic(0), None)
+    for i, v in enumerate(values[1:], 1):
+        if id(v) not in lifted:
+            lifted[id(v)] = v if v.is_rational() else v.at_order(n)
+        sign = (-1) ** (i + 1) if signed else 1
+        out.append(lifted[id(v)], v if v or zeros_count else None, sign)
+    return out
+
+
+def _recurrence(given: _Series, M: int, divide: bool, out_first: bool) -> list[Cyclotomic]:
+    """out_0 = 1 and out_n = sum x_i*y_(n-i) over the terms x_i, i <= n,
+    divided by n if ``divide``, with (x, y) = (out, given) if ``out_first``
+    else (given, out); with ``out_first`` the terms are the nonzero out_i.
+    Each step is one ``packed_dot`` at the working order, and its result is
+    stored at the order that the sum has in Cyclotomic arithmetic."""
+    one = as_cyclotomic(1)
+    out = _Series(given.n)
+    out.append(one, one)
+    x, y = (out, given) if out_first else (given, out)
+    terms = [i for i, v in enumerate(x.stored) if v is not None]
+    values, k = [one], 0
     for n in range(1, M + 1):
-        acc = as_cyclotomic(0)
-        for i in support:
-            term = lam[i] * psi[n - i]
-            acc = acc + term if i % 2 == 0 else acc - term
-        sign = 1 if (n + 1) % 2 == 0 else -1
-        lam.append(acc * Fraction(sign, n) if sign < 0 else acc / n)
-        if not lam[n].is_zero():
-            support.append(n)
-    return lam
+        while k < len(terms) and terms[k] <= n:
+            k += 1
+        w = max(x.width, y.width, slot_width(x.bits, y.bits, k, given.n))
+        xs, ys, step = x.packed(w), y.packed(w), terms[:k]
+        coords = packed_dot([xs[i] for i in step], [ys[n - i] for i in step], w, given.n)
+        v = Cyclotomic._raw(given.n, coords, x.den * y.den * (n if divide else 1))
+        order = lcm(1, *(product_order(x.stored[i], y.stored[n - i]) for i in step))
+        values.append(v.at_order(order))
+        out.append(v, values[n] if v or not out_first else None)
+        if out_first and v:
+            terms.append(n)
+    return values
+
+
+def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
+    # psi[n] for n = 1..M (psi[0] unused); returns lambda^0..lambda^M by
+    # n*lambda^n = sum (-1)^(n-i+1) lambda^i psi^(n-i) over the lambda^i != 0
+    given = _given(psi[: M + 1], signed=True, zeros_count=True)
+    return _recurrence(given, M, divide=True, out_first=True)
 
 
 def _scalar_syms(lam: Sequence[Cyclotomic], M: int) -> list[Cyclotomic]:
-    syms: list[Cyclotomic] = [as_cyclotomic(1)]
-    for n in range(1, M + 1):
-        acc = as_cyclotomic(0)
-        for j in range(1, n + 1):
-            if j < len(lam) and not lam[j].is_zero():
-                term = lam[j] * syms[n - j]
-                acc = acc + term if j % 2 == 1 else acc - term
-        syms.append(acc)
-    return syms
+    # S^n = sum (-1)^(j+1) lambda^j S^(n-j) over 1 <= j <= n with lambda^j != 0
+    given = _given(lam[: M + 1], signed=True, zeros_count=False)
+    return _recurrence(given, M, divide=False, out_first=False)
 
 
 @dataclass(frozen=True)
@@ -201,15 +268,12 @@ def power_sum_check(seq: LambdaSequence) -> None:
     psi -> lambda -> S.  The lambda <-> S inversion is unitriangular, so
     agreement on S certifies the lambda values as well.
     """
-    cd = seq.base.data
+    cd, M = seq.base.data, seq.degree_bound
     for c in range(cd.class_count):
         psi = [None] + [f.values[c] for f in seq.adams]
-        h = [as_cyclotomic(1)]
-        for n in range(1, seq.degree_bound + 1):
-            acc = as_cyclotomic(0)
-            for i in range(1, n + 1):
-                acc = acc + psi[i] * h[n - i]
-            h.append(acc / n)
+        given = _given(psi, signed=False, zeros_count=True)
+        h = _recurrence(given, M, divide=True, out_first=False)
+        for n in range(1, M + 1):
             if h[n] != seq.syms[n].values[c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "

@@ -1,15 +1,18 @@
 import io
 import json
 import contextlib
+from fractions import Fraction
 
 import pytest
 
 from symext.catalog import get_group
+from symext.exactnum import Cyclotomic
 from symext.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
+    MAX_DEGREE,
     OutputDocument,
     dump_group_spec,
     load_group_spec,
@@ -304,6 +307,127 @@ def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, messa
     code, out, err = run_cli(["verify", "--group", str(path)])
     assert code == EXIT_INPUT and out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def _set_field(doc, field, value):
+    doc[field] = value
+    return doc
+
+
+def _set_power(doc, c, key, value):
+    doc["classes"][c]["prime_powers"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _set_class_field(doc, 1, "size", None), "classes[1].size must be"),
+        (lambda doc: _set_class_field(doc, 1, "size", True), "classes[1].size must be"),
+        (lambda doc: _set_class_field(doc, 1, "size", 3.0), "classes[1].size must be"),
+        (lambda doc: _set_class_field(doc, 2, "rep_order", "3"), "classes[2].rep_order must be"),
+        (lambda doc: _set_class_field(doc, 1, "inverse", [0]), "classes[1].inverse must be"),
+        (lambda doc: _set_class_field(doc, 1, "inverse", False), "classes[1].inverse must be"),
+        (lambda doc: _set_class_field(doc, 2, "prime_powers", [1]),
+         "classes[2].prime_powers must be a JSON object"),
+        (lambda doc: _set_power(doc, 2, "x", 0), "classes[2].prime_powers: key 'x'"),
+        (lambda doc: _set_power(doc, 2, "2.5", 0), "classes[2].prime_powers: key '2.5'"),
+        (lambda doc: _set_power(doc, 2, "2", "2"), "classes[2].prime_powers['2'] must be"),
+        (lambda doc: _set_field(doc, "order", None), "order must be an integer"),
+        (lambda doc: _set_field(doc, "root_order", True), "root_order must be an integer"),
+        (lambda doc: _set_field(doc, "order", 6.5), "order must be an integer"),
+        (lambda doc: {**doc, "irreducibles": [{"values": [[[None, 1, 1]]] * 3}] * 3},
+         "irreducibles[0].values[0]"),
+        (lambda doc: _set_field(doc, "generators", 5), "generators must be a list"),
+        (lambda doc: _set_field(doc, "generators", [5]), "generators must be a list"),
+        (lambda doc: _set_field(doc, "normal_subgroups", [1]), "normal_subgroups must be"),
+        (lambda doc: _set_field(doc, "normal_subgroups", {"A": 2}),
+         "normal_subgroups['A'] must be a list"),
+        (lambda doc: _set_field(doc, "normal_subgroups", {"A": [0, "2"]}),
+         "normal_subgroups['A'] must be an integer"),
+        (lambda doc: _set_field(doc, "central_chars", [1]), "central_chars must be"),
+        (lambda doc: _set_field(doc, "central_chars", {"z": 5}), "central_chars['z'] must be"),
+        (lambda doc: _set_field(doc, "central_chars", {"z": {"subgroup": 0}}),
+         "central_chars['z'].subgroup must be a list"),
+        (lambda doc: _set_field(doc, "central_chars", {"z": {"subgroup": [0], "zeta": [0]}}),
+         "central_chars['z'].zeta must be"),
+        (lambda doc: _set_field(doc, "central_chars",
+                                {"z": {"subgroup": [0], "zeta": {"0": None}}}),
+         "central_chars['z'].zeta must be an integer"),
+        (lambda doc: _set_field(doc, "central_chars",
+                                {"z": {"subgroup": [0], "zeta": {"0": 0}, "multiplier": "2"}}),
+         "central_chars['z'].multiplier must be"),
+    ],
+    ids=["size-null", "size-bool", "size-float", "order-string", "inverse-list",
+         "inverse-bool", "prime-powers-list", "prime-key-word", "prime-key-float",
+         "prime-image-string", "group-order-null", "root-order-bool", "group-order-float",
+         "value-exponent-null", "generators-int", "generators-int-list",
+         "subgroups-list", "subgroup-int", "subgroup-index-string", "central-list",
+         "central-int", "central-subgroup-int", "zeta-list", "zeta-exponent-null",
+         "multiplier-string"],
+)
+def test_group_spec_of_the_wrong_type_is_an_input_error(tmp_path, mutate, message):
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps(mutate(dump_group_spec(get_group("S3")))))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--group", "S3", "--char", "chi3", "--degree", "-1"],
+        ["decompose", "--group", "S3", "--char", "chi3", "--degree", str(MAX_DEGREE + 1)],
+        ["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1", "--series", "-1"],
+        ["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1",
+         "--series", str(MAX_DEGREE + 1)],
+        ["closedform", "--group", "S3", "--spec", "regular", "--degree", "-3"],
+        ["closedform", "--group", "S3", "--spec", "regular", "--degree", str(MAX_DEGREE + 1)],
+        ["verify", "--group", "S3", "--degree", "-1"],
+        ["verify", "--group", "S3", "--degree", str(MAX_DEGREE + 1)],
+    ],
+    ids=["decompose-negative", "decompose-above", "series-negative", "series-above",
+         "closedform-negative", "closedform-above", "verify-negative", "verify-above"],
+)
+def test_degree_out_of_range_is_an_input_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == EXIT_INPUT and out == ""
+    assert f"must be in 0..{MAX_DEGREE}" in err and len(err.strip().splitlines()) == 1
+
+
+def test_degree_cap_admits_the_cap():
+    # every degree the tests, the demos and the benchmark use is below the cap
+    assert MAX_DEGREE >= 300
+    code, out, _ = run_cli(
+        ["decompose", "--group", "S3", "--char", "chi3", "--degree", str(MAX_DEGREE)]
+    )
+    assert code == EXIT_OK
+    # the symmetric powers of the 2-dimensional character of S3: S^n has
+    # dimension n + 1, so the last row adds up to 1001 with weights 1, 1, 2
+    last = [int(x) for x in out.strip().splitlines()[-1].split()]
+    assert last[0] == MAX_DEGREE and last[1] + last[2] + 2 * last[3] == MAX_DEGREE + 1
+
+
+@pytest.mark.parametrize(
+    "delta", [Fraction(1, 2), Cyclotomic.root_of_unity(3)], ids=["non-integral", "non-rational"]
+)
+def test_certification_fault_exits_3_without_traceback(monkeypatch, delta):
+    import symext.lambdaops as lambdaops
+
+    real = lambdaops._scalar_syms
+
+    def bumped(lam, M):
+        # S^M moved at every class: its multiplicities stop being integers
+        out = real(lam, M)
+        out[M] = out[M] + delta
+        return out
+
+    monkeypatch.setattr(lambdaops, "_scalar_syms", bumped)
+    code, out, err = run_cli(["decompose", "--group", "S3", "--char", "chi3", "--degree", "3"])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
+    assert "multiplicit" in err or "not rational" in err
 
 
 def test_internal_fault_exits_3_without_traceback(monkeypatch):

@@ -1,0 +1,221 @@
+"""Property tests of the packed per-class recurrences in lambdaops.
+
+``_scalar_lambdas`` (psi -> lambda), ``_scalar_syms`` (lambda -> S) and the
+power-sum route of ``power_sum_check`` take every step as one packed integer
+dot product.  They are compared here with the plain Cyclotomic-arithmetic
+loops kept below as the reference: value, ``repr`` and ``.order`` of every
+lambda^n and S^n, and the verdict (with its message) of the power-sum check.
+The class functions are characters, virtual characters, rational values with
+denominators, rational values stored at high orders, and values of mixed
+orders, so that results must move between orders exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symext.catalog import get_group
+from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
+from symext.groupdata import ClassData, ClassFunction
+from symext.lambdaops import (
+    CrossCheckError,
+    LambdaSequence,
+    _scalar_lambdas,
+    _scalar_syms,
+    power_sum_check,
+)
+
+
+def reference_lambdas(psi, M):
+    """n*lambda^n = sum (-1)^(n+1+i) lambda^i psi^(n-i) over the nonzero lambda^i."""
+    lam = [as_cyclotomic(1)]
+    support = [0]
+    for n in range(1, M + 1):
+        acc = as_cyclotomic(0)
+        for i in support:
+            term = lam[i] * psi[n - i]
+            acc = acc + term if i % 2 == 0 else acc - term
+        sign = 1 if (n + 1) % 2 == 0 else -1
+        lam.append(acc * Fraction(sign, n) if sign < 0 else acc / n)
+        if not lam[n].is_zero():
+            support.append(n)
+    return lam
+
+
+def reference_syms(lam, M):
+    """S^n = sum (-1)^(j+1) lambda^j S^(n-j) over the nonzero lambda^j, j >= 1."""
+    syms = [as_cyclotomic(1)]
+    for n in range(1, M + 1):
+        acc = as_cyclotomic(0)
+        for j in range(1, n + 1):
+            if j < len(lam) and not lam[j].is_zero():
+                term = lam[j] * syms[n - j]
+                acc = acc + term if j % 2 == 1 else acc - term
+        syms.append(acc)
+    return syms
+
+
+def reference_power_sum_check(seq):
+    """n*S^n = sum psi^i S^(n-i), compared with the lambda route."""
+    cd = seq.base.data
+    for c in range(cd.class_count):
+        psi = [None] + [f.values[c] for f in seq.adams]
+        h = [as_cyclotomic(1)]
+        for n in range(1, seq.degree_bound + 1):
+            acc = as_cyclotomic(0)
+            for i in range(1, n + 1):
+                acc = acc + psi[i] * h[n - i]
+            h.append(acc / n)
+            if h[n] != seq.syms[n].values[c]:
+                raise CrossCheckError(
+                    f"S^{n} at class {cd.names[c]}: the power-sum route gives "
+                    f"{h[n]!r}, the lambda route {seq.syms[n].values[c]!r}"
+                )
+
+
+def verdict(check, seq):
+    try:
+        check(seq)
+        return "ok"
+    except CrossCheckError as exc:
+        return str(exc)
+
+
+def same(xs, ys):
+    return len(xs) == len(ys) and all(
+        a == b and repr(a) == repr(b) and a.order == b.order for a, b in zip(xs, ys)
+    )
+
+
+def psi_at(f, c, M):
+    return [None] + [f.values[f.data.power_map(n)[c]] for n in range(1, M + 1)]
+
+
+TABLES = [("S3", None), ("D2n", 5), ("D2n", 6), ("D2n", 8), ("Q4n", 3), ("Q4n", 5), ("Hp", 3)]
+
+
+def rational_at(q, n):
+    """The rational q stored at order n, as Cyclotomic arithmetic may leave it."""
+    return Cyclotomic(n, [q] + [0] * (totient(n) - 1))
+
+
+@st.composite
+def mixed_value(draw, exponent):
+    n = draw(st.sampled_from(divisors(exponent) + [2 * exponent]))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=totient(n), max_size=totient(n)))
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    return Cyclotomic(n, [Fraction(x, den) for x in coords])
+
+
+@st.composite
+def class_function(draw):
+    """(kind, table, f) for a class function of one of six kinds."""
+    table = get_group(*draw(st.sampled_from(TABLES)))
+    cd, k = table.classes, table.classes.class_count
+    kind = draw(st.sampled_from(
+        ["character", "virtual", "rational", "rational-high-order", "mixed", "mixed-small"]
+    ))
+    if kind in ("character", "virtual"):
+        lo = 0 if kind == "character" else -2
+        coeffs = draw(st.lists(st.integers(lo, 2), min_size=k, max_size=k))
+        f = ClassFunction.constant(cd, 0)
+        for q, chi in zip(coeffs, table.irreducibles):
+            f = f + chi * q
+    elif kind == "rational":
+        f = ClassFunction(cd, draw(st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=k, max_size=k
+        )))
+    elif kind == "rational-high-order":
+        n = draw(st.sampled_from([cd.exponent, 2 * cd.exponent, 4 * cd.exponent]))
+        qs = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=k, max_size=k))
+        f = ClassFunction(cd, [rational_at(q, n) if i % 2 else q for i, q in enumerate(qs)])
+    else:
+        # values of different orders; "mixed-small" keeps most of them rational
+        values = [draw(mixed_value(cd.exponent)) for _ in range(k)]
+        if kind == "mixed-small":
+            values = [v if draw(st.booleans()) else as_cyclotomic(draw(st.integers(-2, 2)))
+                      for v in values]
+        f = ClassFunction(cd, values)
+    return kind, table, f
+
+
+@settings(deadline=None, max_examples=120)
+@given(class_function(), st.integers(0, 9))
+def test_lambdas_and_syms_match_the_cyclotomic_loops(kf, M):
+    _, _, f = kf
+    for c in range(f.data.class_count):
+        psi = psi_at(f, c, M)
+        lam = _scalar_lambdas(psi, M)
+        assert same(lam, reference_lambdas(psi, M))
+        assert same(_scalar_syms(lam, M), reference_syms(lam, M))
+        # a lambda list longer or shorter than M, as char_poly gives it
+        short = lam[: max(1, M // 2)]
+        assert same(_scalar_syms(short, M), reference_syms(short, M))
+
+
+@settings(deadline=None, max_examples=60)
+@given(class_function(), st.integers(1, 8), st.data())
+def test_power_sum_check_gives_the_verdict_of_the_cyclotomic_loop(kf, M, data):
+    _, _, f = kf
+    seq = LambdaSequence.compute(f, M)
+    assert verdict(power_sum_check, seq) == "ok" == verdict(reference_power_sum_check, seq)
+    # one S^n moved at one class, by a rational or by a root of unity
+    n = data.draw(st.integers(1, M))
+    c = data.draw(st.integers(0, f.data.class_count - 1))
+    delta = data.draw(st.sampled_from(
+        [as_cyclotomic(1), Cyclotomic.root_of_unity(f.data.exponent), rational_at(2, 12)]
+    ))
+    values = list(seq.syms[n].values)
+    values[c] = values[c] + delta
+    syms = list(seq.syms)
+    syms[n] = ClassFunction(f.data, values)
+    bad = LambdaSequence(seq.base, M, seq.adams, seq.lambdas, tuple(syms))
+    got = verdict(power_sum_check, bad)
+    assert got != "ok" and got == verdict(reference_power_sum_check, bad)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 20]), st.integers(1, 4), st.data())
+def test_at_order_moves_a_value_between_orders(m, k, data):
+    n = data.draw(st.sampled_from(divisors(m)))
+    coords = data.draw(st.lists(st.integers(-5, 5), min_size=totient(n), max_size=totient(n)))
+    v = Cyclotomic(n, coords)
+    up = v.at_order(m * k)
+    assert up == v and up.order == m * k
+    for d in divisors(m * k):
+        if d % n == 0:
+            down = up.at_order(d)
+            assert (down.order, down.num, down.den) == (d, v.lift(d).num, v.lift(d).den)
+    if not v.is_rational():
+        with pytest.raises(ValueError):
+            up.at_order(1)
+
+
+def cyclic3():
+    """Class data of the cyclic group of order 3."""
+    return ClassData(3, 3, ["1", "a", "a2"], [1, 1, 1], [1, 3, 3], [0, 2, 1],
+                     {2: [0, 2, 1], 3: [0, 0, 0]})
+
+
+def test_slot_width_boundary():
+    # psi = u, -u, u with u = (q-1)/q: the third psi -> lambda step is
+    # 1*psi^3 + lambda^1*psi^2 + lambda^2*psi^1 (signs folded in), three
+    # terms of one sign.  Packed over the denominators q^2 (lambda) and q
+    # (psi) the values have 84 and 42 bits, so the bound is 84 + 42 + 2 + 1 =
+    # 129 bits, and the slot, about 3*q^3 > 2^127, needs every one of them
+    q = 2**42 - 1
+    u = Fraction(q - 1, q)
+    psi = [None] + [as_cyclotomic(x) for x in (u, -u, u)]
+    assert same(_scalar_lambdas(psi, 3), reference_lambdas(psi, 3))
+    # on Q(zeta_3), 31-bit coordinates move every recurrence past 64-bit slots
+    x, y = 2**31 - 1, 2**30 + 1
+    f = ClassFunction(cyclic3(), [2, Cyclotomic(3, [x, x]), Cyclotomic(3, [y, -x])])
+    for c in range(3):
+        psi = psi_at(f, c, 6)
+        lam = _scalar_lambdas(psi, 6)
+        assert same(lam, reference_lambdas(psi, 6))
+        assert same(_scalar_syms(lam, 6), reference_syms(lam, 6))
+    seq = LambdaSequence.compute(f, 6)
+    assert verdict(power_sum_check, seq) == "ok" == verdict(reference_power_sum_check, seq)
