@@ -74,6 +74,10 @@ EXIT_INTERNAL = 3
 # recurrences grow about as degree^2 per class, the class sums with the size
 # of the integers; at 1000 the largest builtin regular character takes seconds.
 MAX_DEGREE = 1000
+# Largest spec-file root_order N and class count k (builtins: 100 and 55):
+# reduction rows cost O(N phi(N)), the table check O(k^3) packed products.
+MAX_ROOT_ORDER = 1000
+MAX_CLASSES = 100
 
 
 class InputError(ValueError):
@@ -285,6 +289,10 @@ def load_group_spec(path: str) -> GroupContext:
             raise InputError(f"{path}: {field} must be a list of JSON objects")
     if not classes:
         raise InputError(f"{path}: classes must not be empty")
+    if len(classes) > MAX_CLASSES:
+        raise InputError(f"{path}: at most {MAX_CLASSES} classes are supported")
+    if not 1 <= root_order <= MAX_ROOT_ORDER:
+        raise InputError(f"{path}: root_order must be in 1..{MAX_ROOT_ORDER}")
 
     def class_index(value, where: str) -> int:
         if not 0 <= _integer(value, where) < len(classes):

@@ -211,9 +211,6 @@ class OneDimForms:
     def sym_power(self, i: int) -> ClassFunction:
         return self.chi ** (i % self.order)
 
-    def lambda_powers(self) -> list[ClassFunction]:
-        return [ClassFunction.constant(self.chi.data, 1), self.chi]
-
     def genfun(self, j: int) -> RationalFunction:
         target = self.table.irreducibles[j]
         den = [1] + [0] * (self.order - 1) + [-1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -81,6 +81,14 @@ def moebius(n: int) -> int:
             return 0
         mu = -mu
     return mu
+
+
+def unit_lift(u: int, m: int, n: int) -> int:
+    """A u' = u (mod m) prime to n (CRT), for u prime to gcd(m, n): u itself
+    if it is, else u + m * (the primes of n that divide neither u nor m)."""
+    if gcd(u, n) == 1:
+        return u
+    return u + m * prod(p for p in prime_factors(n) if u % p and m % p)
 
 
 def primes_below(n: int) -> list[int]:

@@ -18,6 +18,8 @@ from .exactnum import (
     NotRationalError,
     Scalar,
     as_cyclotomic,
+    divisors,
+    moebius,
     pack,
     pack_bounds,
     packed_dot,
@@ -25,6 +27,8 @@ from .exactnum import (
     primes_below,
     product_order,
     slot_width,
+    totient,
+    unit_lift,
 )
 
 
@@ -60,6 +64,7 @@ class ClassData:
         "inverse_class",
         "prime_power_maps",
         "_power_cache",
+        "_orbits",
     )
 
     def __init__(
@@ -80,6 +85,7 @@ class ClassData:
         self.inverse_class = tuple(inverse_class)
         self.prime_power_maps = {p: tuple(m) for p, m in prime_power_maps.items()}
         self._power_cache: dict[int, tuple[int, ...]] = {}
+        self._orbits: tuple | None = None
 
     @property
     def class_count(self) -> int:
@@ -109,6 +115,46 @@ class ClassData:
             out = tuple(current)
         self._power_cache[n] = out
         return out
+
+    def rational_classes(self) -> tuple[tuple[tuple[int, int], ...], dict[int, list[int]]]:
+        """(orbit, stabilizers): orbit[c] = (r, u) with class(r^u) = c, for r
+        the first class of c's rational class (its Galois orbit) and u a unit
+        mod the exponent; stabilizers[r], keyed by the representatives in
+        order, generates the units u with r^u in r."""
+        if self._orbits is None:
+            e, k = self.exponent, self.class_count
+            orbit, stabs = [None] * k, {}
+            for r in range(k):
+                if orbit[r] is None:
+                    gens, span = stabs.setdefault(r, []), {1 % e}
+                    for u in (u for u in range(1, e + 1) if gcd(u, e) == 1):
+                        c = self.power_map(u)[r]
+                        orbit[c] = orbit[c] or (r, u)
+                        if c == r and u % e not in span:
+                            gens.append(u)
+                            span = {x * pow(u, i, e) % e for x in span for i in range(e)}
+            self._orbits = (tuple(orbit), stabs)
+        return self._orbits
+
+    def galois_image(self, v: Cyclotomic, u: int) -> Cyclotomic:
+        """sigma_u(v) for a unit u mod the exponent, by a lift of u prime to v.order."""
+        return v if v.is_rational() else v.galois(unit_lift(u, self.exponent, v.order))
+
+    def galois_orbits(self, values: Sequence[Cyclotomic]) -> tuple[tuple[int, int], ...]:
+        """The orbit table of ``rational_classes`` if f(r^u) = sigma_u(f(r)) at
+        the same order for all r, u (one image per class off the representatives,
+        and f(r) fixed by each stabilizer generator; irrational values at orders
+        dividing the exponent), else (c, 1) for every class c."""
+        orbit, stabs = self.rational_classes()
+
+        def maps(r: int, u: int, c: int) -> bool:
+            v, w = self.galois_image(values[r], u), values[c]
+            return (v.order, v.num, v.den) == (w.order, w.num, w.den)
+
+        ok = (all(v.is_rational() or self.exponent % v.order == 0 for v in values)
+              and all(maps(r, u, c) for c, (r, u) in enumerate(orbit) if r != c)
+              and all(maps(r, s, r) for r, gens in stabs.items() for s in gens))
+        return orbit if ok else tuple((c, 1) for c in range(self.class_count))
 
     def structural_problems(self) -> list[str]:
         """Violations of the class-data invariants (empty list means valid)."""
@@ -253,10 +299,6 @@ class CharacterTable:
         self.name = name
         self._packed: _PackedRows | None = None  # built by decompose
 
-    @property
-    def ambient_root_order(self) -> int:
-        return self.classes.exponent
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.values[0].to_rational()) for chi in self.irreducibles)
 
@@ -337,10 +379,10 @@ class _PackedRows:
     """A table's irreducible values at one order over one denominator, packed
     for ``decompose``; repacked only when wider slots are needed."""
 
-    __slots__ = ("order", "den", "bits", "packed")
+    __slots__ = ("order", "den", "bits", "packed", "weights")
 
     def __init__(self, table: CharacterTable, order: int):
-        self.order, self.packed = order, (0, [])
+        self.order, self.packed, self.weights = order, (0, []), None
         values = [v for chi in table.irreducibles for v in chi.values]
         self.den, self.bits = pack_bounds(values, order)
 
@@ -352,16 +394,56 @@ class _PackedRows:
             packed = self.packed = (width, rows)
         return packed
 
+    def trace_weights(self, table: CharacterTable) -> list[list[int]]:
+        """Per row j, the integers |r| |O_r| sum_a x_a T_(a+b) for every
+        representative r of a rational class O_r and b < phi(N), where x are
+        the coordinates of den * chi_j(r) and T_m = Tr(zeta_N^m) is the
+        Ramanujan sum c_N(m); empty when some row is not Galois compatible."""
+        if self.weights is None:
+            cd, n, self.weights = table.classes, self.order, []
+            (orbit, reps), phi = cd.rational_classes(), totient(n)
+            if all(cd.galois_orbits(chi.values) is orbit for chi in table.irreducibles):
+                trace = [sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
+                         for m in range(2 * phi - 1)]
+                for chi in table.irreducibles:
+                    w = []
+                    for r in reps:
+                        v = chi.values[r].at_order(n)
+                        s = cd.sizes[r] * [o for o, _ in orbit].count(r) * (self.den // v.den)
+                        w += [s * sum(x * trace[a + b] for a, x in enumerate(v.num) if x)
+                              for b in range(phi)]
+                    self.weights.append(w)
+        return self.weights
+
+
+def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int, nums, d):
+    """q_j = nums_j / (d * fden), fden the denominator of f, if sum_j q_j
+    chi_j(c) = f(c) at every class, else None; checked as sum_j nums_j R_j[c]
+    = d * pr.den * F[c] on packed integers at a width that holds both sides."""
+    k = table.classes.class_count
+    fden, fbits = pack_bounds(f.values, n)
+    w, rows = pr.widen(table, max(
+        slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
+        slot_width((d * pr.den).bit_length(), fbits, 1, 1),
+    ))
+    recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
+    if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
+        return None
+    return tuple(Fraction(x, d * fden) for x in nums)
+
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities of f against the irreducible basis, as exact rationals.
 
-    Each one is the packed class sum (1/|G|) sum_c |c| chi_j(c) f(c^-1).
-    Raises NonRationalMultiplicityError when some inner product is not
-    rational (f is then not a rational virtual character); the reconstruction
-    is verified exactly, on packed integers, before returning.
+    For Galois compatible rows the candidate is one integer dot product per
+    row over the rational classes: O_r adds |r| |O_r| Tr(chi_j(r) f(r^-1))
+    / phi(N) to |G| q_j.  The exact reconstruction sum_j q_j chi_j = f
+    certifies it (a rational combination of compatible rows is compatible,
+    and then traces are class sums).  Otherwise each one is the packed class
+    sum (1/|G|) sum_c |c| chi_j(c) f(c^-1); NonRationalMultiplicityError if
+    one is not rational, and the reconstruction is verified again.
     """
-    f._check(ClassFunction.constant(table.classes, 0))
+    f._check(table.irreducibles[0])
     cd, k = table.classes, table.classes.class_count
     pr = table._packed or _PackedRows(
         table, lcm(*(v.order for chi in table.irreducibles for v in chi.values))
@@ -371,11 +453,18 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
         pr = _PackedRows(table, n)
     table._packed = pr
     inv_f = [f.values[i] for i in cd.inverse_class]
-    fden, fbits = pack_bounds(f.values, n)
+    fden = lcm(*(v.den for v in f.values))
+    weights = pr.trace_weights(table)
+    if weights:
+        g = [x * (fden // v.den) for r in cd.rational_classes()[1]
+             for v in [inv_f[r].at_order(n)] for x in v.num]
+        nums = [sum(map(mul, row, g)) for row in weights]
+        got = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
+        if got is not None:
+            return got
     gden, gbits = pack_bounds(inv_f, n, cd.sizes)
     w, rows = pr.widen(table, slot_width(pr.bits, gbits, k, n))
     g = pack(inv_f, n, gden, w, cd.sizes)
-    d = pr.den * gden * cd.group_order
     nums = []
     for j, row in enumerate(rows):
         coords = packed_dot(row, g, w, n)
@@ -385,18 +474,10 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
                 f"inner product with {table.labels[j]} is not rational: {v!r}"
             )
         nums.append(coords[0] * fden)
-    # with q_j = nums_j / (d * fden): sum_j q_j chi_j(c) = f(c) as
-    # sum_j nums_j R_j[c] = d * pr.den * F[c], at a width that holds both sides
-    w, rows = pr.widen(table, max(
-        slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
-        slot_width((d * pr.den).bit_length(), fbits, 1, 1),
-    ))
-    recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
-    if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
-        raise NonRationalMultiplicityError(
-            "class function is outside the span of the irreducibles"
-        )
-    return tuple(Fraction(x, d * fden) for x in nums)
+    got = _certified(f, table, pr, n, nums, pr.den * gden * cd.group_order)
+    if got is None:
+        raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
+    return got
 
 
 def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -433,12 +514,9 @@ def complete_power_maps(
             raise KeyError(f"power map for prime {p} (divides exponent) must be given")
         mapped = []
         for c in range(k):
-            target = [row[c].galois(p) for row in value_rows]
-            hits = [
-                c2
-                for c2 in range(k)
-                if all(row[c2] == t for row, t in zip(value_rows, target))
-            ]
+            target = [row[c].galois(unit_lift(p, exponent, row[c].order)) for row in value_rows]
+            hits = [c2 for c2 in range(k)
+                    if all(row[c2] == t for row, t in zip(value_rows, target))]
             if len(hits) != 1:
                 raise ValueError(
                     f"{p}-power image of class {c} is not determined by the table"

@@ -165,12 +165,16 @@ class LambdaSequence:
             pm = cd.power_map(n)
             for c in range(k):
                 psi_vals[c][n] = chi.values[pm[c]]
-        lam_cols = []
-        sym_cols = []
-        for c in range(k):
-            lam = _scalar_lambdas(psi_vals[c], M)
-            lam_cols.append(lam)
-            sym_cols.append(_scalar_syms(lam, M))
+        # chi(r^u) = sigma_u(chi(r)) gives lambda^n and S^n at r^u as the
+        # images of those at r, so only the representatives are computed
+        lam_cols, sym_cols = [], []
+        for c, (r, u) in enumerate(cd.galois_orbits(chi.values)):
+            if r == c:
+                lam_cols.append(_scalar_lambdas(psi_vals[c], M))
+                sym_cols.append(_scalar_syms(lam_cols[c], M))
+            else:
+                lam_cols.append([cd.galois_image(v, u) for v in lam_cols[r]])
+                sym_cols.append([cd.galois_image(v, u) for v in sym_cols[r]])
         if expect_character:
             try:
                 d = chi.values[0].to_rational()
@@ -252,7 +256,10 @@ def char_polys(chi: ClassFunction) -> list[list[Cyclotomic]]:
             raise InvalidCharacterError(
                 f"lambda_t is not a polynomial of degree {d} at class {cd.names[c]}"
             )
-    return [char_poly(chi, c) for c in range(cd.class_count)]
+    polys: list[list[Cyclotomic]] = []
+    for c, (r, u) in enumerate(cd.galois_orbits(chi.values)):
+        polys.append(char_poly(chi, c) if r == c else [cd.galois_image(v, u) for v in polys[r]])
+    return polys
 
 
 def sym_series_at_class(chi: ClassFunction, c: int, M: int) -> list[Cyclotomic]:

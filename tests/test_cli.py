@@ -12,7 +12,9 @@ from symext.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
+    MAX_CLASSES,
     MAX_DEGREE,
+    MAX_ROOT_ORDER,
     OutputDocument,
     dump_group_spec,
     load_group_spec,
@@ -287,6 +289,35 @@ def _set_class_field(doc, c, field, value):
     return doc
 
 
+def _at_root_order(doc, k):
+    """The same spec with every value re-expressed over zeta_(k*N)."""
+    doc = json.loads(json.dumps(doc))
+    doc["root_order"] *= k
+    for irr in doc["irreducibles"]:
+        irr["values"] = [[[e * k, n, d] for e, n, d in v] for v in irr["values"]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "family, param, k",
+    [("S3", None, 5), ("S3", None, 10), ("S3", None, 7), ("D2n", 5, 3), ("D2n", 5, 7),
+     ("A5", None, 7)],
+    ids=["S3-30", "S3-60", "S3-42", "D2n5-30", "D2n5-70", "A5-210"],
+)
+def test_group_spec_at_a_multiple_of_the_exponent_verifies_alike(tmp_path, family, param, k):
+    # a prime p <= exponent that divides root_order but not the exponent
+    # needs a lift of p prime to root_order for its derived power map
+    doc = dump_group_spec(get_group(family, param))
+    outs = []
+    for m in (1, k):
+        path = tmp_path / f"root{m}.json"
+        path.write_text(json.dumps(_at_root_order(doc, m)))
+        code, out, err = run_cli(["verify", "--group", str(path)])
+        assert code == EXIT_OK and err == "" and "FAIL" not in out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -297,9 +328,14 @@ def _set_class_field(doc, c, field, value):
         (lambda doc: {**doc, "classes": []}, "classes must not be empty"),
         (lambda doc: _set_class_field(doc, 1, "size", 0), "classes[1]: size"),
         (lambda doc: _set_class_field(doc, 2, "rep_order", 0), "classes[2]: size"),
+        (lambda doc: {**doc, "classes": doc["classes"] * 34},
+         f"at most {MAX_CLASSES} classes"),
+        (lambda doc: _set_field(doc, "root_order", 0), f"root_order must be in 1..{MAX_ROOT_ORDER}"),
+        (lambda doc: _set_field(doc, "root_order", 6 * (MAX_ROOT_ORDER // 6 + 1)),
+         f"root_order must be in 1..{MAX_ROOT_ORDER}"),
     ],
     ids=["inverse-too-large", "inverse-negative", "prime-power-image", "no-classes",
-         "zero-size", "zero-order"],
+         "zero-size", "zero-order", "too-many-classes", "zero-root-order", "root-order-above-cap"],
 )
 def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, message):
     path = tmp_path / "range.json"

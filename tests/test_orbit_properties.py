@@ -1,0 +1,224 @@
+"""Property tests of the Galois-orbit path: per-class work done once per
+rational class.
+
+``LambdaSequence.compute`` and ``char_polys`` run the recurrences at one
+class per rational class and fill the others with Galois images when the
+class function is compatible (f(r^u) = sigma_u(f(r)) at the same order), and
+class by class otherwise.  ``decompose`` takes a candidate from orbit traces
+and certifies it by the exact reconstruction, falling back to the class
+sums.  Each is compared here with the class-by-class reference: value,
+``repr`` and ``.order`` of every lambda^n, S^n and char_poly coefficient, and
+the result or error message of ``decompose``.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symext.catalog import get_group
+from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
+from symext.groupdata import (
+    ClassFunction,
+    NonRationalMultiplicityError,
+    decompose,
+    inner_product,
+)
+from symext.lambdaops import (
+    InvalidCharacterError,
+    LambdaSequence,
+    _scalar_lambdas,
+    _scalar_syms,
+    char_poly,
+    char_polys,
+    power_sum_check,
+)
+
+TABLES = [("S3", None), ("D2n", 5), ("D2n", 6), ("D2n", 8), ("Q4n", 3), ("Q4n", 5), ("Hp", 3)]
+
+
+def same(xs, ys):
+    return len(xs) == len(ys) and all(
+        a == b and repr(a) == repr(b) and a.order == b.order for a, b in zip(xs, ys)
+    )
+
+
+def reference_columns(f, M):
+    """lambda and S at every class, each computed from its own psi values."""
+    lams, syms = [], []
+    for c in range(f.data.class_count):
+        psi = [None] + [f.values[f.data.power_map(n)[c]] for n in range(1, M + 1)]
+        lams.append(_scalar_lambdas(psi, M))
+        syms.append(_scalar_syms(lams[-1], M))
+    return lams, syms
+
+
+def reference_char_polys(f):
+    """The degree check at one class per maximal cyclic subgroup, then
+    ``char_poly`` at every class."""
+    cd, d = f.data, int(f.values[0].to_rational())
+    covered = set()
+    for c in sorted(range(cd.class_count), key=lambda c: -cd.rep_orders[c]):
+        if c in covered:
+            continue
+        covered.update(cd.power_map(n)[c] for n in range(1, cd.rep_orders[c] + 1))
+        top = d + cd.rep_orders[c]
+        psi = [None] + [f.values[cd.power_map(n)[c]] for n in range(1, top + 1)]
+        if any(not v.is_zero() for v in _scalar_lambdas(psi, top)[d + 1:]):
+            raise InvalidCharacterError(
+                f"lambda_t is not a polynomial of degree {d} at class {cd.names[c]}"
+            )
+    return [char_poly(f, c) for c in range(cd.class_count)]
+
+
+def reference_decompose(f, table):
+    """Inner products in Cyclotomic arithmetic, then the reconstruction."""
+    qs = []
+    for label, chi in zip(table.labels, table.irreducibles):
+        v = inner_product(chi, f)
+        if not v.is_rational():
+            raise NonRationalMultiplicityError(f"inner product with {label} is not rational: {v!r}")
+        qs.append(v.to_rational())
+    recon = ClassFunction.constant(f.data, 0)
+    for q, chi in zip(qs, table.irreducibles):
+        recon = recon + chi * q
+    if recon != f:
+        raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
+    return tuple(qs)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (InvalidCharacterError, NonRationalMultiplicityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def class_function(draw):
+    """(kind, table, f); "character", "virtual", "rational-combination" and
+    "high-order-rationals" are Galois compatible, the other kinds in general
+    not."""
+    table = get_group(*draw(st.sampled_from(TABLES)))
+    cd, k = table.classes, table.classes.class_count
+    kind = draw(st.sampled_from(
+        ["character", "virtual", "rational-combination", "high-order-rationals", "perturbed",
+         "identity-moved", "arbitrary"]
+    ))
+    if kind == "arbitrary":
+        values = []
+        for _ in range(k):
+            n = draw(st.sampled_from(divisors(cd.exponent)))
+            coords = draw(st.lists(st.integers(-2, 2), min_size=totient(n), max_size=totient(n)))
+            values.append(Cyclotomic(n, coords))
+        return kind, table, ClassFunction(cd, values)
+    lo = 0 if kind == "character" else -2
+    coeffs = draw(st.lists(st.integers(lo, 2), min_size=k, max_size=k))
+    if kind == "rational-combination":
+        coeffs = [Fraction(q, draw(st.sampled_from([1, 2, 3]))) for q in coeffs]
+    f = ClassFunction.constant(cd, 0)
+    for q, chi in zip(coeffs, table.irreducibles):
+        f = f + chi * q
+    if kind == "high-order-rationals":
+        # rational values stored at twice the exponent, so that images of
+        # irrational results at that order need a lift of the unit
+        n = 2 * cd.exponent
+        f = ClassFunction(cd, [
+            Cyclotomic(n, [v.to_rational()] + [0] * (totient(n) - 1)) if v.is_rational() else v
+            for v in f.values
+        ])
+    if kind in ("perturbed", "identity-moved"):
+        # identity-moved: f(e) leaves the fixed field of its stabilizer, all
+        # units, while every image check outside it still holds
+        values = list(f.values)
+        zeta = Cyclotomic.root_of_unity(cd.exponent)
+        if kind == "perturbed":
+            c = draw(st.integers(0, k - 1))
+            values[c] = values[c] + draw(st.sampled_from([as_cyclotomic(1), zeta]))
+        else:
+            values[0] = values[0] + zeta
+        f = ClassFunction(cd, values)
+    return kind, table, f
+
+
+@settings(deadline=None, max_examples=100)
+@given(class_function(), st.integers(0, 8))
+def test_compute_matches_the_class_by_class_loops(kf, M):
+    _, _, f = kf
+    seq = LambdaSequence.compute(f, M)
+    lams, syms = reference_columns(f, M)
+    for c in range(f.data.class_count):
+        assert same([seq.lambdas[n].values[c] for n in range(M + 1)], lams[c])
+        assert same([seq.syms[n].values[c] for n in range(M + 1)], syms[c])
+    power_sum_check(seq)
+
+
+@settings(deadline=None, max_examples=60)
+@given(class_function())
+def test_char_polys_match_the_class_by_class_loops(kf):
+    _, _, f = kf
+    if f.values[0].is_rational() and f.values[0].to_rational() in range(0, 9):
+        got, want = outcome(char_polys, f), outcome(reference_char_polys, f)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert all(same(a, b) for a, b in zip(got[1], want[1]))
+        else:
+            assert got == want
+
+
+@settings(deadline=None, max_examples=80)
+@given(class_function())
+def test_decompose_matches_the_class_sums(kf):
+    _, table, f = kf
+    assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+
+
+def test_identity_value_outside_its_stabilizers_fixed_field():
+    # f = (zeta_3, 0, ..., 0) on Hp:3 passes the image check on the orbit of
+    # C(2), but psi^3 at C(2) reads f(e), which sigma_2 moves: so the whole
+    # function must go class by class, not only the orbit of the identity
+    table = get_group("Hp", 3)
+    cd = table.classes
+    f = ClassFunction(cd, [Cyclotomic.root_of_unity(3)] + [0] * (cd.class_count - 1))
+    assert cd.galois_orbits(f.values) is not cd.rational_classes()[0]
+    seq = LambdaSequence.compute(f, 6)
+    lams, syms = reference_columns(f, 6)
+    for c in range(cd.class_count):
+        assert same([seq.lambdas[n].values[c] for n in range(7)], lams[c])
+        assert same([seq.syms[n].values[c] for n in range(7)], syms[c])
+    power_sum_check(seq)
+    assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+
+
+@pytest.mark.parametrize(
+    "family, param, classes, orbits",
+    [("D2n", 50, 28, 8), ("Q4n", 25, 28, 7), ("Hp", 5, 29, 8), ("Hp", 7, 55, 10),
+     ("A5", None, 5, 4), ("S4", None, 5, 5)],
+)
+def test_rational_classes_of_the_builtins(family, param, classes, orbits):
+    table = get_group(family, param)
+    cd = table.classes
+    orbit, stabs = cd.rational_classes()
+    assert cd.class_count == classes and sorted(stabs) == [c for c, (r, _) in enumerate(orbit) if r == c]
+    assert len(stabs) == orbits
+    for c, (r, u) in enumerate(orbit):
+        assert r <= c and gcd(u, cd.exponent) == 1 and cd.power_map(u)[r] == c
+    # the generators span every unit that fixes the representative
+    for r, gens in stabs.items():
+        span = {1 % cd.exponent}
+        for _ in range(cd.exponent):
+            span |= {x * s % cd.exponent for x in span for s in gens}
+        fixing = {u % cd.exponent for u in range(1, cd.exponent + 1)
+                  if gcd(u, cd.exponent) == 1 and cd.power_map(u)[r] == r}
+        assert span == fixing
+    assert all(cd.galois_orbits(chi.values) is orbit for chi in table.irreducibles)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 60), st.integers(1, 420), st.integers(1, 200))
+def test_unit_lift_is_a_unit_in_the_same_class(m, n, u):
+    if gcd(u, gcd(m, n)) == 1:
+        v = unit_lift(u, m, n)
+        assert v % m == u % m and gcd(v, n) == 1
