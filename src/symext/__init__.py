@@ -4,7 +4,8 @@ The package computes, for a finite group given by its character table, the
 multiplicities of every irreducible inside the symmetric powers S^i(V) and
 exterior powers of a representation V - as truncated tables and as exact
 rational generating functions in t - together with closed-form shortcuts
-for one-dimensional, permutation-type and central characters.
+for one-dimensional characters and for linear characters of a normal
+subgroup extended by zero (coset-action characters among them).
 """
 
 from .exactnum import Cyclotomic, NotRationalError, Rational, binom
@@ -41,7 +42,6 @@ from .genfun import (
     series_of_rational,
 )
 from .closedforms import (
-    BurnsideForms,
     CentralCharSpec,
     CentralForms,
     NormalSubgroupSpec,
@@ -54,7 +54,6 @@ from .closedforms import (
     coset_order,
     expand_product_form,
     one_dim_forms,
-    perm_quotient_character,
     quotient_pullback,
     subgroup_spec,
 )

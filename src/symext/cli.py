@@ -16,16 +16,19 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import catalog
-from .catalog import PermModel, get_perm_model, parse_group_selector
+from .catalog import NoModelError, PermModel, get_perm_model, parse_group_selector
 from .closedforms import (
     CentralCharSpec,
+    CentralForms,
     InvalidCentralCharError,
     InvalidSubgroupError,
+    NonIntegerExponentError,
     NormalSubgroupSpec,
     burnside_regular_forms,
     central_char_spec,
@@ -40,6 +43,7 @@ from .genfun import (
     EXT,
     SYM,
     MultiplicityTable,
+    format_poly,
     genfun_rational,
     genfun_series,
     multiplicity_table,
@@ -63,7 +67,13 @@ from .lambdaops import (
     power_sum_check,
     product_form,
 )
-from .permgroup import Permutation, class_data, enumerate_group, standard_characters
+from .permgroup import (
+    CapExceededError,
+    Permutation,
+    class_data,
+    enumerate_group,
+    standard_characters,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -175,7 +185,6 @@ class GroupContext:
     name: str
     table: CharacterTable | None = None
     model: PermModel | None = None
-    regular: ClassFunction | None = None
     natural: ClassFunction | None = None
     subgroups: dict[str, NormalSubgroupSpec] = field(default_factory=dict)
     central: dict[str, CentralCharSpec] = field(default_factory=dict)
@@ -211,13 +220,8 @@ def _builtin_context(family: str, param: int | None) -> GroupContext:
     table = catalog.get_group(family, param)
     ctx = GroupContext(name=table.name or family, table=table)
     cd = table.classes
-    ctx.regular = regular_character(cd)
-    try:
-        model = get_perm_model(family, param)
-    except Exception:
-        model = None
-    if model is not None:
-        _set_model(ctx, model)
+    with suppress(NoModelError):
+        _set_model(ctx, get_perm_model(family, param))
     for name, idx in catalog.named_subgroups(family, param).items():
         ctx.subgroups[name] = subgroup_spec(cd, idx)
     ctx.central = catalog.central_characters(family, param)
@@ -344,7 +348,7 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(
             f"{path}: table validation failed:\n  " + "\n  ".join(problems)
         )
-    ctx = GroupContext(name=name, table=table, regular=regular_character(cd))
+    ctx = GroupContext(name=name, table=table)
     gens = raw.get("generators")
     if gens:
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
@@ -435,7 +439,10 @@ def _enumerate_generators(cycles: list[str]):
         raise InputError("no generators given")
     degree = max(p.degree for p in perms)
     perms = [Permutation(list(p.images) + list(range(p.degree, degree))) for p in perms]
-    return enumerate_group(perms)
+    try:
+        return enumerate_group(perms)
+    except CapExceededError as exc:
+        raise InputError(f"generators: {exc}") from exc
 
 
 def _set_model(ctx: GroupContext, model: PermModel) -> None:
@@ -465,7 +472,7 @@ def resolve_group(args) -> GroupContext:
         data = class_data(group)
         ctx = GroupContext(name=f"<generated order {len(group)}>")
         ctx.model = PermModel(group, data, tuple(range(data.class_count)))
-        ctx.regular, ctx.natural = standard_characters(group, data)
+        _, ctx.natural = standard_characters(group, data)
         return ctx
     if not selector:
         raise InputError("a group is required (--group or --generators)")
@@ -580,12 +587,6 @@ def _mult_str(table: CharacterTable, coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _poly_str(coeffs) -> str:
-    from .genfun import format_poly
-
-    return format_poly(list(coeffs))
-
-
 def cmd_closedform(args) -> tuple[OutputDocument, int]:
     _degree(args.degree)
     ctx = resolve_group(args)
@@ -600,7 +601,7 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
         m = int(sel[1]) if len(sel) > 1 else 1
         spec = ctx.subgroups.get("trivial") or subgroup_spec(cd, (0,))
         forms = burnside_regular_forms(cd, spec, m)
-        _burnside_lines(lines, table, forms, args.degree)
+        _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "quotient":
         if len(sel) < 2 or sel[1] not in ctx.subgroups:
             raise InputError(
@@ -609,14 +610,14 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
             )
         m = int(sel[2]) if len(sel) > 2 else 1
         forms = burnside_regular_forms(cd, ctx.subgroups[sel[1]], m)
-        _burnside_lines(lines, table, forms, args.degree)
+        _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "central":
         if len(sel) < 2 or sel[1] not in ctx.central:
             raise InputError(
                 "central:<name> with name one of: " + ", ".join(sorted(ctx.central))
             )
         forms = central_forms(cd, ctx.central[sel[1]])
-        _central_lines(lines, table, forms, args.degree)
+        _closed_form_lines(lines, table, forms, args.degree, quotient=False)
     elif kind == "onedim":
         if len(sel) < 2:
             raise InputError("onedim:<character label>")
@@ -642,55 +643,42 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
     return doc, EXIT_OK
 
 
-def _closed_route_decompositions(lines, table, degree, lambda_polys, sym_series):
-    # assemble S^n / exterior decompositions from the per-class closed forms
+def _closed_form_lines(lines, table, forms: CentralForms, degree, quotient: bool):
+    # m*Pi for the coset action on G/N (quotient) or m*zeta_0: lambda_t per
+    # class, the decompositions assembled from the per-class closed forms
+    # (when every class has one), then the coprime-degree rule
     cd = table.classes
-    for n in range(1, degree + 1):
-        ext_fn = ClassFunction(cd, [poly[n] if n < len(poly) else 0 for poly in lambda_polys])
-        sym_fn = ClassFunction(cd, [series[n] for series in sym_series])
-        for tag, fn in (("ext", ext_fn), ("S", sym_fn)):
-            value = _mult_str(table, decompose(fn, table))
-            lines.append({"item": f"{tag}^{n} decomposition", "value": value})
-
-
-def _burnside_lines(lines, table, forms, degree):
-    cd = table.classes
-    lines.append({"item": "rule", "value": "divisor product form for a periodic character"})
-    chi = forms.character()
-    lines.append({"item": "character", "value": _mult_str(table, decompose(chi, table))})
-    for c in range(cd.class_count):
-        h = forms.coset_orders[c]
-        e = forms.m * forms.spec.quotient_order // h
-        base = "1+t" if h == 1 else (f"1+t^{h}" if h % 2 else f"1-t^{h}")
-        value = f"({base})^{e} = " + _poly_str(forms.lambda_poly(c))
-        lines.append({"item": f"lambda_t at {cd.names[c]}", "value": value})
-    polys = [forms.lambda_poly(c) for c in range(cd.class_count)]
-    sym_series = [forms.sym_series(c, degree) for c in range(cd.class_count)]
-    _closed_route_decompositions(lines, table, degree, polys, sym_series)
-    _coprime_rule_lines(lines, table, forms, forms.spec.quotient_order, degree)
-
-
-def _central_lines(lines, table, forms, degree):
-    cd = table.classes
-    lines.append({"item": "rule", "value": "central one-dimensional character extended by zero"})
+    if quotient:
+        lines.append({"item": "rule", "value": "divisor product form for a periodic character"})
+        chi = forms.character()
+        lines.append({"item": "character", "value": _mult_str(table, decompose(chi, table))})
+    else:
+        rule = "central one-dimensional character extended by zero"
+        lines.append({"item": "rule", "value": rule})
     polys = []
-    all_classes_ok = True
     for c in range(cd.class_count):
         try:
             poly = forms.lambda_poly(c)
-        except Exception as exc:
+        except NonIntegerExponentError as exc:
             lines.append({"item": f"lambda_t at {cd.names[c]}", "value": f"({exc})"})
-            all_classes_ok = False
             continue
         polys.append(poly)
-        lines.append({"item": f"lambda_t at {cd.names[c]}", "value": _cyc_poly_str(poly)})
-    if all_classes_ok:
+        if quotient:
+            h = forms.coset_orders[c]
+            base = "1+t" if h == 1 else (f"1+t^{h}" if h % 2 else f"1-t^{h}")
+            value = f"({base})^{forms.spec.multiplier // h} = " + format_poly(poly)
+        else:
+            value = _cyc_poly_str(poly)
+        lines.append({"item": f"lambda_t at {cd.names[c]}", "value": value})
+    if len(polys) == cd.class_count:
         sym_series = [forms.sym_series(c, degree) for c in range(cd.class_count)]
-        _closed_route_decompositions(lines, table, degree, polys, sym_series)
-    _coprime_rule_lines(lines, table, forms, forms.spec.subgroup.quotient_order, degree)
-
-
-def _coprime_rule_lines(lines, table, forms, quotient_order, degree):
+        for n in range(1, degree + 1):
+            ext_fn = ClassFunction(cd, [p[n] if n < len(p) else 0 for p in polys])
+            sym_fn = ClassFunction(cd, [series[n] for series in sym_series])
+            for tag, fn in (("ext", ext_fn), ("S", sym_fn)):
+                value = _mult_str(table, decompose(fn, table))
+                lines.append({"item": f"{tag}^{n} decomposition", "value": value})
+    quotient_order = forms.spec.subgroup.quotient_order
     for n in range(1, degree + 1):
         if gcd(n, quotient_order) == 1:
             for op, tag in ((SYM, "S"), (EXT, "ext")):
@@ -793,46 +781,9 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     record("one-dimensional-forms", ok)
     for name, spec in sorted(ctx.subgroups.items()):
         forms = burnside_regular_forms(cd, spec, 1)
-        chi = forms.character()
-        seq = LambdaSequence.compute(chi, min(degree, 2 * spec.quotient_order), True)
-        ok = True
-        for c in range(cd.class_count):
-            poly = char_poly(chi, c)
-            closed = forms.lambda_poly(c)
-            if len(poly) != len(closed) or any(
-                poly[i] != closed[i] for i in range(len(poly))
-            ):
-                ok = False
-        for n in range(1, spec.quotient_order + 6):
-            if gcd(n, spec.quotient_order) != 1:
-                continue
-            if n <= seq.degree_bound:
-                if seq.syms[n] != forms.shortcut(n, SYM):
-                    ok = False
-                if seq.lambdas[n] != forms.shortcut(n, EXT):
-                    ok = False
-        record(f"quotient-permutation-forms:{name}", ok)
+        record(f"quotient-permutation-forms:{name}", *_closed_form_check(forms, degree))
     for name, spec in sorted(ctx.central.items()):
-        forms = central_forms(cd, spec)
-        chi = forms.character()
-        bound = min(degree, 2 * spec.multiplier)
-        seq = LambdaSequence.compute(chi, bound, expect_character=False)
-        ok = True
-        for c in range(cd.class_count):
-            poly = char_poly(chi, c)
-            closed = forms.lambda_poly(c)
-            if len(poly) != len(closed) or any(
-                poly[i] != closed[i] for i in range(len(poly))
-            ):
-                ok = False
-        for n in range(1, spec.subgroup.quotient_order + 2):
-            if gcd(n, spec.subgroup.quotient_order) != 1 or n > bound:
-                continue
-            if seq.syms[n] != forms.shortcut(n, SYM):
-                ok = False
-            if seq.lambdas[n] != forms.shortcut(n, EXT):
-                ok = False
-        record(f"central-forms:{name}", ok)
+        record(f"central-forms:{name}", *_closed_form_check(central_forms(cd, spec), degree))
     for name, (qtable, qmap) in sorted(ctx.transfers.items()):
         try:
             qt = quotient_pullback(ctx.table, qtable, qmap)
@@ -861,6 +812,31 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         )
         record("permutation-model-classes", ok)
     return checks
+
+
+def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
+    """m*zeta_0 against the recurrences: lambda_t at every class with a closed
+    form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
+    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m)."""
+    cd, spec = forms.cd, forms.spec
+    chi = forms.character()
+    bound = min(degree, 2 * spec.multiplier)
+    seq = LambdaSequence.compute(chi, bound)
+    closed = [c for c in range(cd.class_count) if spec.multiplier % forms.coset_orders[c] == 0]
+    ok = True
+    for c in closed:
+        if char_poly(chi, c) != forms.lambda_poly(c) or any(
+            seq.lambdas[n].values[c] for n in range(spec.multiplier + 1, bound + 1)
+        ):
+            ok = False
+    qo = spec.subgroup.quotient_order
+    for n in range(1, min(qo + 5, bound) + 1):
+        if gcd(n, qo) == 1 and (
+            seq.syms[n] != forms.shortcut(n, SYM) or seq.lambdas[n] != forms.shortcut(n, EXT)
+        ):
+            ok = False
+    missing = [cd.names[c] for c in range(cd.class_count) if c not in closed]
+    return ok, f"no closed form at {', '.join(missing)}" if missing else ""
 
 
 def cmd_verify(args) -> tuple[OutputDocument, int]:
@@ -933,16 +909,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.func(args)
-    except (
-        AssertionError, ArithmeticError, NonIntegralMultiplicityError, NonRationalMultiplicityError
-    ) as exc:
+    except Exception as exc:
+        # ValueError and KeyError are InputError and the other input checks;
         # every table here is validated, so a multiplicity that is not a
-        # nonnegative integer of a genuine character is a fault inside symext
+        # nonnegative integer of a genuine character is a fault inside
+        # symext, as is any other exception
+        multiplicity = (NonIntegralMultiplicityError, NonRationalMultiplicityError)
+        if isinstance(exc, (ValueError, KeyError)) and not isinstance(exc, multiplicity):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print("internal error: " + str(exc).replace("\n", " "), file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError) as exc:  # InputError and the other input checks
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     sys.stdout.write(doc.render(args.format))
     return code
 

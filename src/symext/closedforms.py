@@ -1,11 +1,12 @@
 """Shortcut evaluations that bypass the general recurrences.
 
-Covered here: one-dimensional characters (S^i = chi^i), permutation
-characters of a quotient action G/N (divisor product forms plus the
-coprime-degree multiple-of-Pi rule), one-dimensional central characters
-extended by zero, generalized binomial series, and transfer of the whole
-computation through a quotient group.  Each form is checked against the
-general engine in the test suite; here they are just computed.
+Covered here: one-dimensional characters (S^i = chi^i), one family for a
+linear character zeta of a normal subgroup N, times m, extended by zero
+(per-class product forms plus the coprime-degree rule; the permutation
+character of the coset action on G/N is the case zeta = 1, m = |G/N|),
+generalized binomial series, and transfer of the whole computation through a
+quotient group.  Each form is checked against the general engine in the test
+suite; here they are just computed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class NotOneDimensionalError(ValueError):
 
 
 class NonIntegerExponentError(ValueError):
-    """Per-class central form needs O_N(g) to divide the multiplier."""
+    """The per-class closed form of m*zeta_0 needs O_N(g) to divide m."""
 
 
 class MapInconsistentError(ValueError):
@@ -58,10 +59,10 @@ def binomial_series(
         raise ValueError("signs must be +1 or -1")
     power = Fraction(r) * exponent_sign
     out = [Fraction(0)] * terms
-    i = 0
-    while i * a < terms:
-        out[i * a] = binom(power, i) * (base_sign**i)
-        i += 1
+    coeff = Fraction(1)  # binom(power, i) * base_sign^i
+    for i in range((terms - 1) // a + 1):
+        out[i * a] = coeff
+        coeff = coeff * (power - i) / (i + 1) * base_sign
     return out
 
 
@@ -128,69 +129,6 @@ def coset_order(cd: ClassData, spec: NormalSubgroupSpec, c: int) -> int:
     raise InvalidSubgroupError("no power of the class lands in the subgroup")
 
 
-def perm_quotient_character(
-    cd: ClassData, spec: NormalSubgroupSpec, m: int = 1
-) -> ClassFunction:
-    """m copies of the G/N coset-action character: m|G/N| on N, 0 outside."""
-    if m < 1:
-        raise ValueError("multiplier must be >= 1")
-    return ClassFunction(
-        cd,
-        [
-            m * spec.quotient_order if c in spec.class_indices else 0
-            for c in range(cd.class_count)
-        ],
-    )
-
-
-@dataclass(frozen=True)
-class BurnsideForms:
-    """Per-class product forms for m copies of the G/N permutation character."""
-
-    cd: ClassData
-    spec: NormalSubgroupSpec
-    m: int
-    coset_orders: tuple[int, ...]
-
-    def character(self) -> ClassFunction:
-        return perm_quotient_character(self.cd, self.spec, self.m)
-
-    def lambda_poly(self, c: int) -> list[Fraction]:
-        """lambda_t at class c: the polynomial (1-(-t)^h)^(m|G/N|/h), h = O_N."""
-        h = self.coset_orders[c]
-        e = self.m * self.spec.quotient_order // h
-        # (-t)^h = (-1)^h t^h
-        return binomial_series(e, a=h, terms=h * e + 1, base_sign=-((-1) ** h))
-
-    def sym_series(self, c: int, M: int) -> list[Fraction]:
-        """S_t at class c to degree M: the series of (1-t^h)^(-m|G/N|/h)."""
-        h = self.coset_orders[c]
-        e = self.m * self.spec.quotient_order // h
-        return binomial_series(e, a=h, terms=M + 1, base_sign=-1, exponent_sign=-1)
-
-    def shortcut(self, n: int, op: str) -> ClassFunction:
-        """S^n or the n-th exterior power as an exact multiple of Pi.
-
-        Valid whenever gcd(n, |G/N|) = 1: the multiple is
-        binom(m|G/N|+n-1, n)/|G/N| for sym and binom(m|G/N|, n)/|G/N| for ext.
-        """
-        qo = self.spec.quotient_order
-        if gcd(n, qo) != 1:
-            raise ValueError(f"shortcut needs gcd(n, {qo}) = 1")
-        top = self.m * qo
-        factor = binom(top + n - 1, n) if op == "sym" else binom(top, n)
-        return perm_quotient_character(self.cd, self.spec, 1) * (factor / qo)
-
-
-def burnside_regular_forms(
-    cd: ClassData, spec: NormalSubgroupSpec, m: int = 1
-) -> BurnsideForms:
-    if m < 1:
-        raise ValueError("multiplier must be >= 1")
-    orders = tuple(coset_order(cd, spec, c) for c in range(cd.class_count))
-    return BurnsideForms(cd, spec, m, orders)
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional characters
 
@@ -199,23 +137,28 @@ def burnside_regular_forms(
 class OneDimForms:
     """Everything about powers of a one-dimensional character chi.
 
-    ``order`` is the multiplicative order q of chi; S^i(chi) = chi^i and the
-    generating function toward chi_j is t^i/(1-t^q) for the unique exponent
-    i < q with chi^i = chi_j (zero if chi_j is not a power of chi).
+    ``powers`` holds chi^0 .. chi^(q-1), q the multiplicative order of chi;
+    S^i(chi) = chi^i and the generating function toward chi_j is t^i/(1-t^q)
+    for the unique exponent i < q with chi^i = chi_j (zero if chi_j is not a
+    power of chi).
     """
 
     chi: ClassFunction
     table: CharacterTable
-    order: int
+    powers: tuple[ClassFunction, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.powers)
 
     def sym_power(self, i: int) -> ClassFunction:
-        return self.chi ** (i % self.order)
+        return self.powers[i % self.order]
 
     def genfun(self, j: int) -> RationalFunction:
         target = self.table.irreducibles[j]
         den = [1] + [0] * (self.order - 1) + [-1]
-        for i in range(self.order):
-            if self.chi**i == target:
+        for i, power in enumerate(self.powers):
+            if power == target:
                 return RationalFunction.make([0] * i + [1], den)
         return RationalFunction.make([0])
 
@@ -227,27 +170,27 @@ def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
     if sorted(mults) != [0] * (len(mults) - 1) + [1]:
         raise NotOneDimensionalError("chi is not an irreducible character")
     trivial = ClassFunction.constant(chi.data, 1)
-    q = 1
+    powers = [trivial]
     power = chi
     while power != trivial:
+        powers.append(power)
         power = power * chi
-        q += 1
-        if q > chi.data.group_order:
+        if len(powers) > chi.data.group_order:
             raise NotOneDimensionalError("chi has no finite multiplicative order")
-    return OneDimForms(chi, table, q)
+    return OneDimForms(chi, table, tuple(powers))
 
 
 # ---------------------------------------------------------------------------
-# central one-dimensional characters extended by zero
+# a linear character of a normal subgroup, times m, extended by zero
 
 
 @dataclass(frozen=True)
 class CentralCharSpec:
-    """A root-of-unity assignment zeta on the classes of a normal subgroup.
+    """A root-of-unity assignment zeta on the classes of a normal subgroup N.
 
-    ``zeta`` maps each class index inside the subgroup to its value; the
-    extension by zero m*zeta_0 is the class function the forms below
-    describe.
+    ``zeta`` maps each class index inside N to its value, and is
+    multiplicative along the power maps; the extension by zero m*zeta_0 is
+    the class function the forms below describe.  N need not be central.
     """
 
     subgroup: NormalSubgroupSpec
@@ -281,21 +224,19 @@ def central_char_spec(
 
 @dataclass(frozen=True)
 class CentralForms:
-    """Per-class forms for m*zeta_0 with zeta one-dimensional on central N."""
+    """Per-class forms for m*zeta_0: zeta linear on a normal N, extended by zero.
+
+    With h = O_N(g), the order of gN in G/N, psi^(hk)(m zeta_0)(g) =
+    m zeta(g^h)^k and psi^n vanishes at g for h not dividing n, so
+    lambda_t(g) = (1 - zeta(g^h)(-t)^h)^(m/h), a polynomial when h divides m.
+    """
 
     cd: ClassData
     spec: CentralCharSpec
     coset_orders: tuple[int, ...]
 
     def character(self) -> ClassFunction:
-        z = self.spec.zeta
-        return ClassFunction(
-            self.cd,
-            [
-                z[c] * self.spec.multiplier if c in self.spec.subgroup.class_indices else 0
-                for c in range(self.cd.class_count)
-            ],
-        )
+        return self.zeta0_power(1) * self.spec.multiplier
 
     def zeta0_power(self, n: int) -> ClassFunction:
         z = self.spec.zeta
@@ -307,34 +248,37 @@ class CentralForms:
             ],
         )
 
-    def _root_at(self, c: int) -> tuple[int, Cyclotomic]:
+    def _root_at(self, c: int) -> tuple[int, int, Cyclotomic]:
+        # h = O_N(g), the exponent m/h and zeta(g^h)
         h = self.coset_orders[c]
         m = self.spec.multiplier
         if m % h:
             raise NonIntegerExponentError(
                 f"O_N = {h} does not divide the multiplier {m} at {self.cd.names[c]}"
             )
-        return h, self.spec.zeta[self.cd.power_map(h)[c]]
+        return h, m // h, self.spec.zeta[self.cd.power_map(h)[c]]
 
     def lambda_poly(self, c: int) -> list[Cyclotomic]:
         """lambda_t at class c: (1 - zeta(g^h)(-t)^h)^(m/h) with h = O_N(g)."""
-        h, root = self._root_at(c)
-        e = self.spec.multiplier // h
+        h, e, root = self._root_at(c)
         base = root * (-((-1) ** h))  # coefficient of t^h inside the base
         out = [as_cyclotomic(0)] * (h * e + 1)
+        coeff, power = 1, as_cyclotomic(1)  # binom(e, i) and base^i
         for i in range(e + 1):
-            out[i * h] = as_cyclotomic(binom(e, i)) * base**i
+            out[i * h] = power * coeff
+            coeff = coeff * (e - i) // (i + 1)
+            power = power * base
         return out
 
     def sym_series(self, c: int, M: int) -> list[Cyclotomic]:
         """S_t at class c to degree M: the series of (1 - zeta(g^h)t^h)^(-m/h)."""
-        h, root = self._root_at(c)
-        e = self.spec.multiplier // h
+        h, e, root = self._root_at(c)
         out = [as_cyclotomic(0)] * (M + 1)
-        i = 0
-        while i * h <= M:
-            out[i * h] = as_cyclotomic(binom(e + i - 1, i)) * root**i
-            i += 1
+        coeff, power = 1, as_cyclotomic(1)  # binom(e+i-1, i) and root^i
+        for i in range(M // h + 1):
+            out[i * h] = power * coeff
+            coeff = coeff * (e + i) // (i + 1)
+            power = power * root
         return out
 
     def shortcut(self, n: int, op: str) -> ClassFunction:
@@ -353,6 +297,19 @@ class CentralForms:
 def central_forms(cd: ClassData, spec: CentralCharSpec) -> CentralForms:
     orders = tuple(coset_order(cd, spec.subgroup, c) for c in range(cd.class_count))
     return CentralForms(cd, spec, orders)
+
+
+def burnside_regular_forms(
+    cd: ClassData, spec: NormalSubgroupSpec, m: int = 1
+) -> CentralForms:
+    """The forms of m copies of the G/N coset-action character Pi.
+
+    m*Pi is m|G/N| on N and 0 outside: the trivial character of N, times
+    m|G/N|, extended by zero.  Its lambda_t is (1-(-t)^h)^(m|G/N|/h), and the
+    coprime-degree rule gives S^n(m Pi) as binom(m|G/N|+n-1, n)/|G/N| times Pi.
+    """
+    trivial = dict.fromkeys(spec.class_indices, as_cyclotomic(1))
+    return central_forms(cd, central_char_spec(cd, spec, trivial, m * spec.quotient_order))
 
 
 # ---------------------------------------------------------------------------

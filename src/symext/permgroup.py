@@ -125,13 +125,20 @@ class Permutation:
 class GeneratedGroup:
     """The closure of a generating set, with a position lookup per element."""
 
-    __slots__ = ("degree", "generators", "elements", "element_index")
+    __slots__ = ("degree", "generators", "elements", "element_index", "_classes")
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = list(elements)
         self.element_index = {g: i for i, g in enumerate(self.elements)}
+        self._classes = None
+
+    def conjugacy_classes(self) -> list[list[int]]:
+        """Conjugacy classes in the order of :func:`_sorted_classes`, found once."""
+        if self._classes is None:
+            self._classes = _sorted_classes(self)
+        return self._classes
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -216,7 +223,7 @@ def _sorted_classes(group: GeneratedGroup) -> list[list[int]]:
 def class_data(group: GeneratedGroup, name_prefix: str = "C") -> ClassData:
     """Partition the group into conjugacy classes and package the skeleton."""
     index = group.element_index
-    classes = _sorted_classes(group)
+    classes = group.conjugacy_classes()
     assert group.elements[classes[0][0]] == Permutation.identity(group.degree)
 
     k = len(classes)
@@ -247,10 +254,9 @@ def class_data(group: GeneratedGroup, name_prefix: str = "C") -> ClassData:
 def class_representatives(group: GeneratedGroup, data: ClassData) -> list[Permutation]:
     """One representative per class of ``data``, in class order.
 
-    ``data`` must have come from :func:`class_data` on the same group; the
-    representatives are recomputed with the same deterministic ordering.
+    ``data`` must have come from :func:`class_data` on the same group.
     """
-    classes = _sorted_classes(group)
+    classes = group.conjugacy_classes()
     if [len(c) for c in classes] != list(data.sizes):
         raise ValueError("class data does not match this group")
     return [group.elements[cls[0]] for cls in classes]

@@ -1,11 +1,16 @@
+import argparse
+import contextlib
+import dataclasses
 import io
 import json
-import contextlib
 from fractions import Fraction
 
 import pytest
 
-from symext.catalog import get_group
+from symext import cli, permgroup
+from symext.catalog import NoModelError, get_group
+from symext.closedforms import CentralForms, burnside_regular_forms, subgroup_spec
+from symext.lambdaops import LambdaSequence
 from symext.exactnum import Cyclotomic
 from symext.cli import (
     EXIT_INPUT,
@@ -519,3 +524,84 @@ def test_natural_character_through_cli():
     )
     assert code == EXIT_OK
     assert out.strip().splitlines()[1].split() == ["0", "1", "0", "0", "0", "0"]
+
+
+def test_verify_names_the_classes_without_a_closed_form(tmp_path):
+    # zeta = 1 on A3, multiplier 1: at a transposition O_N = 2 does not divide
+    # 1 and lambda_t is (1-t^2)^(1/2); the row checks the other classes and
+    # the coprime-degree rule, and names C2
+    doc = dump_group_spec(get_group("S3"))
+    doc["normal_subgroups"] = {"A3": [0, 2]}
+    doc["central_chars"] = {
+        "z": {"subgroup": "A3", "zeta": {"0": 0, "2": 0}, "multiplier": 1}
+    }
+    path = tmp_path / "s3z.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["closedform", "--group", str(path), "--spec", "central:z"])
+    assert code == EXIT_OK and "does not divide the multiplier 1 at C2" in out
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_OK and err == "" and "FAIL" not in out
+    row = out.splitlines()[-1].split(maxsplit=2)
+    assert row == ["central-forms:z", "ok", "no closed form at C2"]
+
+
+@pytest.mark.parametrize("tamper", ["lambda_poly", "shortcut", "degree-bound"])
+def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
+    s3 = get_group("S3")
+    forms = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, (0, 2)))
+    assert cli._closed_form_check(forms, 10) == (True, "")
+    if tamper == "degree-bound":
+        # lambda^M replaced by chi: for S3/A3, M = 4 exceeds the degree 2 of Pi,
+        # and the coprime-degree rule skips n = 4
+        real = LambdaSequence.compute
+
+        def tampered(chi, M, expect_character=False):
+            seq = real(chi, M, expect_character)
+            return dataclasses.replace(seq, lambdas=seq.lambdas[:-1] + (chi,))
+
+        monkeypatch.setattr(LambdaSequence, "compute", tampered)
+    else:
+        real = getattr(CentralForms, tamper)
+        wrong = {"lambda_poly": lambda p: p[:-1] + [p[-1] + 1], "shortcut": lambda f: f * 2}
+        monkeypatch.setattr(
+            CentralForms, tamper, lambda self, *a: wrong[tamper](real(self, *a))
+        )
+    assert cli._closed_form_check(forms, 10)[0] is False
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_generators_over_the_cap_are_an_input_error(tmp_path, where):
+    gens = ["(0 1)", "(0 1 2 3 4 5 6 7)"]  # S8, over the enumeration cap
+    argv = ["verify", "--generators", ";".join(gens)]
+    if where == "spec":
+        path = tmp_path / "s8.json"
+        path.write_text(json.dumps(dump_group_spec(get_group("S3"), generators=gens)))
+        argv = ["verify", "--group", str(path)]
+    code, out, err = run_cli(argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == ["error: generators: group order exceeds cap 20000"]
+
+
+@pytest.mark.parametrize("fault", [NoModelError, RuntimeError])
+def test_only_a_missing_model_is_skipped(monkeypatch, fault):
+    def broken(family, param=None):
+        raise fault("no model here")
+
+    monkeypatch.setattr(cli, "get_perm_model", broken)
+    code, out, err = run_cli(["verify", "--group", "S3"])
+    if fault is NoModelError:
+        assert code == EXIT_OK and err == ""
+        assert "natural-character-periodic" not in out
+        assert "permutation-model-classes" not in out
+    else:
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.splitlines() == ["internal error: no model here"]
+
+
+def test_a_model_build_finds_the_classes_once(monkeypatch):
+    calls = []
+    real = permgroup._sorted_classes
+    monkeypatch.setattr(permgroup, "_sorted_classes", lambda g: calls.append(g) or real(g))
+    ctx = cli.resolve_group(argparse.Namespace(group="S4", generators=None))
+    assert ctx.natural is not None and ctx.model is not None
+    assert len(calls) == 1

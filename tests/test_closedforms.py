@@ -18,7 +18,6 @@ from symext.closedforms import (
     coset_order,
     expand_product_form,
     one_dim_forms,
-    perm_quotient_character,
     quotient_pullback,
     subgroup_spec,
 )
@@ -101,13 +100,12 @@ def test_coset_order():
 
 def test_perm_quotient_character_examples():
     s3 = get_group("S3")
-    assert perm_quotient_character(s3.classes, subgroup_spec(s3.classes, (0,))).values[
-        0
-    ] == 6
-    pi_a3 = perm_quotient_character(s3.classes, subgroup_spec(s3.classes, (0, 2)))
+    regular = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, (0,))).character()
+    assert regular.values[0] == 6
+    pi_a3 = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, (0, 2))).character()
     assert [v.to_rational() for v in pi_a3.values] == [2, 0, 2]
     s4 = get_group("S4")
-    pi_v = perm_quotient_character(s4.classes, subgroup_spec(s4.classes, (0, 4)))
+    pi_v = burnside_regular_forms(s4.classes, subgroup_spec(s4.classes, (0, 4))).character()
     assert [v.to_rational() for v in pi_v.values] == [6, 0, 0, 0, 6]
 
 
@@ -154,7 +152,7 @@ def test_product_form_expansion_matches_char_poly():
         cases.append(regular_character(tab.classes))
         for idx in [(0,)] if fam != "S4" else [(0,), (0, 4)]:
             cases.append(
-                perm_quotient_character(tab.classes, subgroup_spec(tab.classes, idx))
+                burnside_regular_forms(tab.classes, subgroup_spec(tab.classes, idx)).character()
             )
     for chi in cases:
         pf = product_form(chi)

@@ -1,0 +1,65 @@
+"""Golden outputs: sha256 digests of the stdout and exit code of ``closedform``
+(every builtin spec kind, degree 6) and ``verify`` on a fixed set of groups.
+
+The digests in golden_digests.json were recorded from an earlier version of
+the program; a refactor must keep every one.  To re-record after an intended
+change of output:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from symext.catalog import central_characters, get_group, named_subgroups, parse_group_selector
+from symext.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+GROUPS = ["S3", "A4", "S4", "G21", "A5", "D2n:6", "D2n:7", "Q4n:3", "Q4n:4", "Hp:3", "Hp:5"]
+
+
+def golden_cases() -> list[str]:
+    """Every closedform spec the catalog attaches to GROUPS, then verify on each."""
+    cases = []
+    for group in GROUPS:
+        family, param = parse_group_selector(group)
+        table = get_group(family, param)
+        specs = ["regular", "regular:2"]
+        specs += [f"quotient:{name}" for name in sorted(named_subgroups(family, param))]
+        specs += [f"central:{name}" for name in sorted(central_characters(family, param))]
+        specs += [f"onedim:{lbl}" for lbl, d in zip(table.labels, table.degrees()) if d == 1]
+        cases += [f"closedform --group {group} --spec {s} --degree 6" for s in specs]
+    return cases + [f"verify --group {group}" for group in GROUPS]
+
+
+def digest(case: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(case.split())
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def test_golden_case_list_is_complete():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(golden_cases())
+
+
+@pytest.mark.parametrize("case", golden_cases())
+def test_golden_output(case):
+    assert digest(case) == json.loads(DIGESTS.read_text())[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    DIGESTS.write_text(
+        json.dumps({case: digest(case) for case in golden_cases()}, indent=1, sort_keys=True)
+        + "\n"
+    )
