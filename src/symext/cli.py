@@ -259,12 +259,28 @@ def _parse_cyclo(value, root_order: int, where: str) -> Cyclotomic:
         isinstance(t, list) and len(t) == 3 for t in value
     ):
         raise InputError(f"{where}: a value is a list of [exponent, num, den] triples")
+    terms = [[_integer(x, where) for x in t] for t in value]
     try:
-        return Cyclotomic.from_terms(
-            root_order, [(int(e), Fraction(int(n), int(d))) for e, n, d in value]
-        )
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return Cyclotomic.from_terms(root_order, [(e, Fraction(n, d)) for e, n, d in terms])
+    except ZeroDivisionError as exc:
         raise InputError(f"{where}: {exc}") from exc
+
+
+def _multiplier(m: int, where: str) -> int:
+    # lambda_t of m*zeta_0 has degree m at the identity
+    if not 1 <= m <= MAX_DEGREE:
+        raise InputError(f"{where}: the multiplier {m} is not in 1..{MAX_DEGREE}")
+    return m
+
+
+def _copies(sel: list[str], i: int, sub: NormalSubgroupSpec, text: str) -> int:
+    """The m of regular[:m] or quotient:<N>[:m] (default 1); m*|G/N| is the
+    multiplier of the closed form."""
+    m = sel[i] if len(sel) > i else "1"
+    if not (m.isascii() and m.isdigit()):
+        raise InputError(f"{text}: m must be a positive integer")
+    _multiplier(int(m) * sub.quotient_order, text)
+    return int(m)
 
 
 def load_group_spec(path: str) -> GroupContext:
@@ -346,7 +362,7 @@ def load_group_spec(path: str) -> GroupContext:
     problems = validate_table(table)
     if problems:
         raise InputError(
-            f"{path}: table validation failed:\n  " + "\n  ".join(problems)
+            f"{path}: table validation failed: " + "; ".join(problems)
         )
     ctx = GroupContext(name=name, table=table)
     gens = raw.get("generators")
@@ -378,7 +394,9 @@ def load_group_spec(path: str) -> GroupContext:
             int(c): Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
             for c, e in _object(cc.get("zeta", {}), f"{where}.zeta").items()
         }
-        multiplier = _integer(cc.get("multiplier", 1), f"{where}.multiplier")
+        multiplier = _multiplier(
+            _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"
+        )
         try:
             ctx.central[cname] = central_char_spec(cd, spec, zeta, multiplier)
         except InvalidCentralCharError as exc:
@@ -598,9 +616,8 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
     lines: list[dict] = []
     kind = sel[0]
     if kind == "regular":
-        m = int(sel[1]) if len(sel) > 1 else 1
         spec = ctx.subgroups.get("trivial") or subgroup_spec(cd, (0,))
-        forms = burnside_regular_forms(cd, spec, m)
+        forms = burnside_regular_forms(cd, spec, _copies(sel, 1, spec, args.spec))
         _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "quotient":
         if len(sel) < 2 or sel[1] not in ctx.subgroups:
@@ -608,8 +625,8 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
                 "quotient:<subgroup>[:m] with subgroup one of: "
                 + ", ".join(sorted(ctx.subgroups))
             )
-        m = int(sel[2]) if len(sel) > 2 else 1
-        forms = burnside_regular_forms(cd, ctx.subgroups[sel[1]], m)
+        spec = ctx.subgroups[sel[1]]
+        forms = burnside_regular_forms(cd, spec, _copies(sel, 2, spec, args.spec))
         _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "central":
         if len(sel) < 2 or sel[1] not in ctx.central:
@@ -851,8 +868,14 @@ def cmd_verify(args) -> tuple[OutputDocument, int]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line with exit 2, like every other input error
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symext",
         description="Exact symmetric/exterior power decompositions of group characters",
     )

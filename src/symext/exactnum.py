@@ -363,34 +363,6 @@ class Cyclotomic:
         acc = fold(((i * k, x) for i, x in enumerate(self.num)), new_order)
         return Cyclotomic._raw(new_order, acc, self.den)
 
-    def at_order(self, m: int) -> "Cyclotomic":
-        """The same value in Q(zeta_m); ValueError if it does not lie there."""
-        if m == self.order:
-            return self
-        if self.is_rational():
-            return Cyclotomic._raw(m, [self.num[0]] + [0] * (_phi_of(m) - 1), self.den)
-        v = self if m % self.order == 0 else self._descend(gcd(m, self.order))
-        return v.lift(m)
-
-    def _descend(self, m: int) -> "Cyclotomic":
-        # solve sum_i c_i z^(i*k) = self for the coordinates c_i at the
-        # divisor m = order/k, by Gauss-Jordan elimination over Q
-        k, size = self.order // m, _phi_of(m)
-        rows = [[Fraction(0)] * size + [Fraction(x, self.den)] for x in self.num]
-        for i in range(size):
-            for j, r in _power_rows(self.order)[i * k]:
-                rows[j][i] = Fraction(r)
-        for i in range(size):
-            p = next(r for r in range(i, len(rows)) if rows[r][i])
-            rows[i], rows[p] = rows[p], rows[i]
-            for r in range(len(rows)):
-                if r != i and rows[r][i]:
-                    f = rows[r][i] / rows[i][i]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
-        if any(row[-1] for row in rows[size:]):
-            raise ValueError(f"{self} does not lie in Q(zeta_{m})")
-        return Cyclotomic(m, [row[-1] / row[i] for i, row in enumerate(rows[:size])])
-
     @staticmethod
     def _common(a: "Cyclotomic", b: "Cyclotomic") -> tuple["Cyclotomic", "Cyclotomic"]:
         if a.order == b.order:

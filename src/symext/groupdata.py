@@ -408,7 +408,7 @@ class _PackedRows:
                 for chi in table.irreducibles:
                     w = []
                     for r in reps:
-                        v = chi.values[r].at_order(n)
+                        v = chi.values[r].lift(n)
                         s = cd.sizes[r] * [o for o, _ in orbit].count(r) * (self.den // v.den)
                         w += [s * sum(x * trace[a + b] for a, x in enumerate(v.num) if x)
                               for b in range(phi)]
@@ -457,7 +457,7 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
     weights = pr.trace_weights(table)
     if weights:
         g = [x * (fden // v.den) for r in cd.rational_classes()[1]
-             for v in [inv_f[r].at_order(n)] for x in v.num]
+             for v in [inv_f[r].lift(n)] for x in v.num]
         nums = [sum(map(mul, row, g)) for row in weights]
         got = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
         if got is not None:

@@ -29,7 +29,6 @@ from .exactnum import (
     pack,
     pack_bounds,
     packed_dot,
-    product_order,
     slot_width,
 )
 from .groupdata import ClassFunction, adams
@@ -55,16 +54,16 @@ class _Series:
     """One side of a per-class recurrence: values of Q(zeta_n), rationals at
     any order, packed for ``packed_dot`` as scale * D * value over their
     common denominator D; repacked only when the slot width or D must grow.
-    ``stored`` holds each term as Cyclotomic arithmetic stores it, which
-    fixes the order of a result, and None for a value that is no term."""
+    ``terms`` lists the indices of the values that are terms of a step."""
 
     def __init__(self, n: int):
-        self.n, self.vals, self.stored, self.scales = n, [], [], []
+        self.n, self.vals, self.scales, self.terms = n, [], [], []
         self.den, self.bits, self.width, self.ints = 1, 0, 0, []
 
-    def append(self, v: Cyclotomic, stored: Cyclotomic | None, scale: int = 1) -> None:
+    def append(self, v: Cyclotomic, scale: int = 1, term: bool = True) -> None:
+        if term:
+            self.terms.append(len(self.vals))
         self.vals.append(v)
-        self.stored.append(stored)
         self.scales.append(scale)
         if self.den % v.den:
             (self.den, self.bits), self.width = pack_bounds(self.vals, self.n), 0
@@ -82,17 +81,17 @@ class _Series:
 
 
 def _given(values: Sequence[Cyclotomic], signed: bool, zeros_count: bool) -> _Series:
-    """values[1:] (values[0] is no term) lifted to their working order, each
-    distinct value once; with ``signed`` term i carries the sign (-1)^(i+1),
-    and a zero value is a term only with ``zeros_count``."""
+    """values[1:] (values[0] is no term) lifted to their working order, the
+    lcm of the orders of the irrational values, each distinct value once;
+    with ``signed`` term i carries the sign (-1)^(i+1), and a zero value is a
+    term only with ``zeros_count``."""
     n = lcm(1, *(v.order for v in values[1:] if not v.is_rational()))
     out, lifted = _Series(n), {}
-    out.append(as_cyclotomic(0), None)
+    out.append(as_cyclotomic(0), term=False)
     for i, v in enumerate(values[1:], 1):
         if id(v) not in lifted:
-            lifted[id(v)] = v if v.is_rational() else v.at_order(n)
-        sign = (-1) ** (i + 1) if signed else 1
-        out.append(lifted[id(v)], v if v or zeros_count else None, sign)
+            lifted[id(v)] = v if v.is_rational() else v.lift(n)
+        out.append(lifted[id(v)], (-1) ** (i + 1) if signed else 1, bool(v) or zeros_count)
     return out
 
 
@@ -101,26 +100,20 @@ def _recurrence(given: _Series, M: int, divide: bool, out_first: bool) -> list[C
     divided by n if ``divide``, with (x, y) = (out, given) if ``out_first``
     else (given, out); with ``out_first`` the terms are the nonzero out_i.
     Each step is one ``packed_dot`` at the working order, and its result is
-    stored at the order that the sum has in Cyclotomic arithmetic."""
-    one = as_cyclotomic(1)
+    stored there, or at order 1 when it is rational."""
     out = _Series(given.n)
-    out.append(one, one)
+    out.append(as_cyclotomic(1))
     x, y = (out, given) if out_first else (given, out)
-    terms = [i for i, v in enumerate(x.stored) if v is not None]
-    values, k = [one], 0
+    k = 0
     for n in range(1, M + 1):
-        while k < len(terms) and terms[k] <= n:
+        while k < len(x.terms) and x.terms[k] <= n:
             k += 1
         w = max(x.width, y.width, slot_width(x.bits, y.bits, k, given.n))
-        xs, ys, step = x.packed(w), y.packed(w), terms[:k]
+        xs, ys, step = x.packed(w), y.packed(w), x.terms[:k]
         coords = packed_dot([xs[i] for i in step], [ys[n - i] for i in step], w, given.n)
         v = Cyclotomic._raw(given.n, coords, x.den * y.den * (n if divide else 1))
-        order = lcm(1, *(product_order(x.stored[i], y.stored[n - i]) for i in step))
-        values.append(v.at_order(order))
-        out.append(v, values[n] if v or not out_first else None)
-        if out_first and v:
-            terms.append(n)
-    return values
+        out.append(Cyclotomic._raw(1, v.num[:1], v.den) if v.is_rational() else v, term=bool(v))
+    return out.vals
 
 
 def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:

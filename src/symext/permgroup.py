@@ -16,6 +16,9 @@ from .groupdata import ClassData, ClassFunction
 from .exactnum import primes_below
 
 DEFAULT_CAP = 20000
+# Points of a cycle string lie in 0..MAX_POINTS-1 (the largest builtin model
+# acts on 343): a permutation stores one image per point.
+MAX_POINTS = 1000
 
 
 class CapExceededError(RuntimeError):
@@ -44,6 +47,8 @@ class Permutation:
         seen: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
             pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+            if not all(0 <= p < MAX_POINTS for p in pts):
+                raise ValueError(f"points must be in 0..{MAX_POINTS - 1}: {body!r}")
             if len(set(pts)) != len(pts):
                 raise ValueError(f"repeated point in cycle {body!r}")
             if seen & set(pts):

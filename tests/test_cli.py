@@ -338,9 +338,14 @@ def test_group_spec_at_a_multiple_of_the_exponent_verifies_alike(tmp_path, famil
         (lambda doc: _set_field(doc, "root_order", 0), f"root_order must be in 1..{MAX_ROOT_ORDER}"),
         (lambda doc: _set_field(doc, "root_order", 6 * (MAX_ROOT_ORDER // 6 + 1)),
          f"root_order must be in 1..{MAX_ROOT_ORDER}"),
+        (lambda doc: _set_multiplier(doc, MAX_DEGREE + 1),
+         f"multiplier: the multiplier {MAX_DEGREE + 1} is not in 1..{MAX_DEGREE}"),
+        (lambda doc: _set_multiplier(doc, 0),
+         f"multiplier: the multiplier 0 is not in 1..{MAX_DEGREE}"),
     ],
     ids=["inverse-too-large", "inverse-negative", "prime-power-image", "no-classes",
-         "zero-size", "zero-order", "too-many-classes", "zero-root-order", "root-order-above-cap"],
+         "zero-size", "zero-order", "too-many-classes", "zero-root-order", "root-order-above-cap",
+         "multiplier-above-cap", "multiplier-zero"],
 )
 def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, message):
     path = tmp_path / "range.json"
@@ -352,6 +357,16 @@ def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, messa
 
 def _set_field(doc, field, value):
     doc[field] = value
+    return doc
+
+
+def _set_multiplier(doc, m):
+    doc["central_chars"] = {"z": {"subgroup": [0, 2], "zeta": {"0": 0, "2": 0}, "multiplier": m}}
+    return doc
+
+
+def _set_value(doc, j, c, value):
+    doc["irreducibles"][j]["values"][c] = value
     return doc
 
 
@@ -379,6 +394,10 @@ def _set_power(doc, c, key, value):
         (lambda doc: _set_field(doc, "order", 6.5), "order must be an integer"),
         (lambda doc: {**doc, "irreducibles": [{"values": [[[None, 1, 1]]] * 3}] * 3},
          "irreducibles[0].values[0]"),
+        (lambda doc: _set_value(doc, 2, 0, [[0, 2.7, 1]]), "irreducibles[2].values[0] must be"),
+        (lambda doc: _set_value(doc, 2, 0, [[0, "2", 1]]), "irreducibles[2].values[0] must be"),
+        (lambda doc: _set_value(doc, 0, 1, [[0, True, True]]), "irreducibles[0].values[1] must be"),
+        (lambda doc: _set_value(doc, 0, 1, [[0.0, 1, 1]]), "irreducibles[0].values[1] must be"),
         (lambda doc: _set_field(doc, "generators", 5), "generators must be a list"),
         (lambda doc: _set_field(doc, "generators", [5]), "generators must be a list"),
         (lambda doc: _set_field(doc, "normal_subgroups", [1]), "normal_subgroups must be"),
@@ -402,7 +421,8 @@ def _set_power(doc, c, key, value):
     ids=["size-null", "size-bool", "size-float", "order-string", "inverse-list",
          "inverse-bool", "prime-powers-list", "prime-key-word", "prime-key-float",
          "prime-image-string", "group-order-null", "root-order-bool", "group-order-float",
-         "value-exponent-null", "generators-int", "generators-int-list",
+         "value-exponent-null", "value-numerator-float", "value-numerator-string",
+         "value-triple-bools", "value-exponent-float", "generators-int", "generators-int-list",
          "subgroups-list", "subgroup-int", "subgroup-index-string", "central-list",
          "central-int", "central-subgroup-int", "zeta-list", "zeta-exponent-null",
          "multiplier-string"],
@@ -605,3 +625,66 @@ def test_a_model_build_finds_the_classes_once(monkeypatch):
     ctx = cli.resolve_group(argparse.Namespace(group="S4", generators=None))
     assert ctx.natural is not None and ctx.model is not None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "gens",
+    ["(0 -1)", "(0 1 2);(0 -1)", f"(0 {permgroup.MAX_POINTS})"],
+    ids=["negative", "negative-beside-a-cycle", "above-the-cap"],
+)
+@pytest.mark.parametrize("group", [None, "S3"])
+def test_points_outside_the_cap_are_an_input_error(gens, group):
+    argv = ["verify", "--generators", gens] + (["--group", group] if group else [])
+    code, out, err = run_cli(argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [
+        f"error: points must be in 0..{permgroup.MAX_POINTS - 1}: {gens.split(';')[-1][1:-1]!r}"
+    ]
+
+
+def test_the_point_cap_admits_the_cap():
+    code, _, err = run_cli(["verify", "--generators", f"(0 {permgroup.MAX_POINTS - 1})"])
+    assert code == EXIT_OK and err == ""
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("regular:167", f"the multiplier 1002 is not in 1..{MAX_DEGREE}"),
+     ("quotient:A3:501", f"the multiplier 1002 is not in 1..{MAX_DEGREE}"),
+     ("regular:0", f"the multiplier 0 is not in 1..{MAX_DEGREE}"),
+     ("regular:x", "m must be a positive integer"),
+     ("regular:-1", "m must be a positive integer"),
+     ("quotient:A3:2.5", "m must be a positive integer"),
+     ("regular:", "m must be a positive integer")],
+)
+def test_closed_form_multiplier_outside_the_cap_is_an_input_error(spec, message):
+    code, out, err = run_cli(["closedform", "--group", "S3", "--spec", spec, "--degree", "2"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: {spec}: {message}"]
+
+
+def test_closed_form_multiplier_cap_admits_the_cap():
+    # m*|G/N| = 500*2 on S3/A3
+    code, out, err = run_cli(
+        ["closedform", "--group", "S3", "--spec", "quotient:A3:500", "--degree", "1"]
+    )
+    assert code == EXIT_OK and err == ""
+    assert "(1-t^2)^500 = " in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decompose", "--group", "S3"], "the following arguments are required: --char"),
+        (["decompose", "--group", "S3", "--char", "chi1", "--op", "both"],
+         "argument --op: invalid choice"),
+        (["verify", "--degree", "x"], "argument --degree: invalid int value: 'x'"),
+    ],
+    ids=["missing-flag", "bad-choice", "bad-integer"],
+)
+def test_flag_syntax_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")

@@ -1,5 +1,7 @@
 """Golden outputs: sha256 digests of the stdout and exit code of ``closedform``
-(every builtin spec kind, degree 6) and ``verify`` on a fixed set of groups.
+(every builtin spec kind, degree 6), ``decompose`` and ``genfun --series`` to
+degree 12 (the regular character and every irreducible) and ``verify`` on a
+fixed set of groups, and of every script under demos/.
 
 The digests in golden_digests.json were recorded from an earlier version of
 the program; a refactor must keep every one.  To re-record after an intended
@@ -14,6 +16,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,12 +27,14 @@ from symext.catalog import central_characters, get_group, named_subgroups, parse
 from symext.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ["S3", "A4", "S4", "G21", "A5", "D2n:6", "D2n:7", "Q4n:3", "Q4n:4", "Hp:3", "Hp:5"]
 
 
 def golden_cases() -> list[str]:
-    """Every closedform spec the catalog attaches to GROUPS, then verify on each."""
-    cases = []
+    """Every closedform spec the catalog attaches to GROUPS, the series of the
+    regular character and of every irreducible, verify on each, the demos."""
+    cases, series = [], []
     for group in GROUPS:
         family, param = parse_group_selector(group)
         table = get_group(family, param)
@@ -37,14 +43,27 @@ def golden_cases() -> list[str]:
         specs += [f"central:{name}" for name in sorted(central_characters(family, param))]
         specs += [f"onedim:{lbl}" for lbl, d in zip(table.labels, table.degrees()) if d == 1]
         cases += [f"closedform --group {group} --spec {s} --degree 6" for s in specs]
-    return cases + [f"verify --group {group}" for group in GROUPS]
+        for char in ["regular", *table.labels]:
+            series += [f"decompose --group {group} --char {char} --op {op} --degree 12"
+                       for op in ("sym", "ext")]
+            series.append(
+                f"genfun --group {group} --char {char} --irr {table.labels[-1]} --series 12"
+            )
+    demos = [f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py"))]
+    return cases + series + [f"verify --group {group}" for group in GROUPS] + demos
 
 
 def digest(case: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(case.split())
-    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+    if case.startswith("demos/"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run([sys.executable, case], cwd=ROOT, env=env, capture_output=True)
+        code, text = run.returncode, run.stdout.decode()
+    else:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(case.split())
+        text = out.getvalue()
+    return f"{code} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
 def test_golden_case_list_is_complete():

@@ -8,7 +8,10 @@ class by class otherwise.  ``decompose`` takes a candidate from orbit traces
 and certifies it by the exact reconstruction, falling back to the class
 sums.  Each is compared here with the class-by-class reference: value,
 ``repr`` and ``.order`` of every lambda^n, S^n and char_poly coefficient, and
-the result or error message of ``decompose``.
+the result or error message of ``decompose``.  The orders agree because a
+recurrence stores each value at order 1 if it is rational, else at the lcm
+of the orders of the irrational psi values at its class, and compatibility
+asks f(r^u) to have the order of f(r).
 """
 
 from fractions import Fraction
