@@ -37,6 +37,7 @@ from .genfun import (
     MultiplicityTable,
     RationalFunction,
     genfun_rational,
+    genfun_rationals,
     genfun_series,
     multiplicity_table,
     series_of_rational,

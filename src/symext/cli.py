@@ -16,9 +16,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import catalog
@@ -45,6 +45,7 @@ from .genfun import (
     MultiplicityTable,
     format_poly,
     genfun_rational,
+    genfun_rationals,
     genfun_series,
     multiplicity_table,
 )
@@ -72,6 +73,7 @@ from .permgroup import (
     Permutation,
     class_data,
     enumerate_group,
+    parse_digits,
     standard_characters,
 )
 
@@ -182,13 +184,34 @@ def _frac_str(q) -> str:
 
 @dataclass
 class GroupContext:
+    """A resolved group.  A builtin (family, param) builds its permutation model,
+    natural character and central characters on first read; a spec file or
+    --generators sets the model and central characters at load, validated."""
+
     name: str
     table: CharacterTable | None = None
-    model: PermModel | None = None
-    natural: ClassFunction | None = None
+    builtin: tuple[str, int | None] | None = None
     subgroups: dict[str, NormalSubgroupSpec] = field(default_factory=dict)
-    central: dict[str, CentralCharSpec] = field(default_factory=dict)
     transfers: dict = field(default_factory=dict)
+
+    @cached_property
+    def model(self) -> PermModel | None:
+        try:
+            return get_perm_model(*self.builtin) if self.builtin else None
+        except NoModelError:
+            return None
+
+    @cached_property
+    def natural(self) -> ClassFunction | None:
+        # the fixed-point character, transported onto the table's class order
+        if self.model is None:
+            return None
+        _, natural = standard_characters(self.model.group, self.model.data)
+        return ClassFunction(self.classes, [natural.values[i] for i in self.model.matching])
+
+    @cached_property
+    def central(self) -> dict[str, CentralCharSpec]:
+        return catalog.central_characters(*self.builtin) if self.builtin else {}
 
     @property
     def classes(self) -> ClassData:
@@ -218,13 +241,9 @@ class GroupContext:
 
 def _builtin_context(family: str, param: int | None) -> GroupContext:
     table = catalog.get_group(family, param)
-    ctx = GroupContext(name=table.name or family, table=table)
-    cd = table.classes
-    with suppress(NoModelError):
-        _set_model(ctx, get_perm_model(family, param))
+    ctx = GroupContext(name=table.name or family, table=table, builtin=(family, param))
     for name, idx in catalog.named_subgroups(family, param).items():
-        ctx.subgroups[name] = subgroup_spec(cd, idx)
-    ctx.central = catalog.central_characters(family, param)
+        ctx.subgroups[name] = subgroup_spec(table.classes, idx)
     ctx.transfers = catalog.quotient_transfers(family, param)
     return ctx
 
@@ -276,11 +295,11 @@ def _multiplier(m: int, where: str) -> int:
 def _copies(sel: list[str], i: int, sub: NormalSubgroupSpec, text: str) -> int:
     """The m of regular[:m] or quotient:<N>[:m] (default 1); m*|G/N| is the
     multiplier of the closed form."""
-    m = sel[i] if len(sel) > i else "1"
-    if not (m.isascii() and m.isdigit()):
+    m = parse_digits(sel[i] if len(sel) > i else "1", "--spec m")
+    if m is None:
         raise InputError(f"{text}: m must be a positive integer")
-    _multiplier(int(m) * sub.quotient_order, text)
-    return int(m)
+    _multiplier(m * sub.quotient_order, text)
+    return m
 
 
 def load_group_spec(path: str) -> GroupContext:
@@ -333,10 +352,11 @@ def load_group_spec(path: str) -> GroupContext:
         if sizes[-1] < 1 or rep_orders[-1] < 1:
             raise InputError(f"{where}: size and rep_order must be positive")
         for p_raw, image in _object(cls.get("prime_powers", {}), f"{where}.prime_powers").items():
-            if not (p_raw.isascii() and p_raw.isdigit()):
+            p = parse_digits(p_raw, f"{where}.prime_powers key")
+            if p is None:
                 raise InputError(f"{where}.prime_powers: key {p_raw!r} is not an integer")
             image = class_index(image, f"{where}.prime_powers[{p_raw!r}]")
-            prime_maps.setdefault(int(p_raw), [0] * len(classes))[i] = image
+            prime_maps.setdefault(p, [0] * len(classes))[i] = image
     exponent = lcm(*rep_orders)
     if root_order % exponent:
         raise InputError(
@@ -390,10 +410,12 @@ def load_group_spec(path: str) -> GroupContext:
                 spec = subgroup_spec(cd, _indices(sub, f"{where}.subgroup"))
             except InvalidSubgroupError as exc:
                 raise InputError(f"{where}: {exc}") from exc
-        zeta = {
-            int(c): Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
-            for c, e in _object(cc.get("zeta", {}), f"{where}.zeta").items()
-        }
+        zeta = {}
+        for c_raw, e in _object(cc.get("zeta", {}), f"{where}.zeta").items():
+            c = parse_digits(c_raw, f"{where}.zeta key")
+            if c is None:
+                raise InputError(f"{where}.zeta: key {c_raw!r} is not a class index")
+            zeta[c] = Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
         multiplier = _multiplier(
             _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"
         )
@@ -463,23 +485,13 @@ def _enumerate_generators(cycles: list[str]):
         raise InputError(f"generators: {exc}") from exc
 
 
-def _set_model(ctx: GroupContext, model: PermModel) -> None:
-    # the natural character is transported onto the table's class order
-    ctx.model = model
-    _, natural = standard_characters(model.group, model.data)
-    cd = ctx.table.classes
-    ctx.natural = ClassFunction(
-        cd, [natural.values[model.matching[c]] for c in range(cd.class_count)]
-    )
-
-
 def _attach_model(ctx: GroupContext, group, mismatch: str) -> None:
     """Attach the permutation group ``group`` as the model of ctx's table."""
     derived = class_data(group)
     matching = catalog.match_class_data(ctx.table.classes, derived)
     if matching is None:
         raise InputError(mismatch)
-    _set_model(ctx, PermModel(group, derived, matching))
+    ctx.model = PermModel(group, derived, matching)
 
 
 def resolve_group(args) -> GroupContext:
@@ -490,7 +502,6 @@ def resolve_group(args) -> GroupContext:
         data = class_data(group)
         ctx = GroupContext(name=f"<generated order {len(group)}>")
         ctx.model = PermModel(group, data, tuple(range(data.class_count)))
-        _, ctx.natural = standard_characters(group, data)
         return ctx
     if not selector:
         raise InputError("a group is required (--group or --generators)")
@@ -791,10 +802,9 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         for i in range(13):
             if seq.syms[i] != forms.sym_power(i):
                 ok = False
-        for jj in range(table.classes.class_count):
-            rf = genfun_rational(chi, table, jj, SYM)
-            if rf != forms.genfun(jj):
-                ok = False
+        js = range(table.classes.class_count)
+        if genfun_rationals(chi, table, js, SYM) != [forms.genfun(jj) for jj in js]:
+            ok = False
     record("one-dimensional-forms", ok)
     for name, spec in sorted(ctx.subgroups.items()):
         forms = burnside_regular_forms(cd, spec, 1)

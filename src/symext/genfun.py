@@ -90,7 +90,8 @@ def poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
         if c:
             q[i - (len(den) - 1)] = c
             for j, dj in enumerate(den):
-                num[i - (len(den) - 1) + j] = num[i - (len(den) - 1) + j] - c * dj
+                if dj:
+                    num[i - (len(den) - 1) + j] = num[i - (len(den) - 1) + j] - c * dj
     return _trim(q), _trim(num)
 
 
@@ -323,51 +324,47 @@ def genfun_series(
 def genfun_rational(
     chi: ClassFunction, table: CharacterTable, j: int, op: str
 ) -> RationalFunction:
-    """The multiplicity generating function for chi_j in closed rational form.
+    """``genfun_rationals`` for the one irreducible chi_j."""
+    return genfun_rationals(chi, table, (j,), op)[0]
+
+
+def genfun_rationals(
+    chi: ClassFunction, table: CharacterTable, js: Sequence[int], op: str
+) -> list[RationalFunction]:
+    """The multiplicity generating functions for chi_j, j in ``js``, in closed
+    rational form.
 
     For the symmetric side, 1/|G| sum over classes of
     size*chi_j(c)/lambda_{-t}(chi)(c^-1) is brought over the product of the
     distinct per-class denominators; both resulting polynomials have rational
     coefficients because the class sum is Galois-stable, and every
-    coefficient is certified before the exact gcd reduction over Q.  The
-    exterior side is the finite polynomial of exterior multiplicities.  A
-    virtual chi whose lambda_t does not stop at chi(e) raises
-    InvalidCharacterError (see ``char_polys``); ``genfun_series`` handles it.
+    coefficient is certified before the exact gcd reduction over Q.  Only the
+    class weights and their sum depend on j; the denominators and their
+    quotients of the common one are built once.  The exterior side is the
+    finite polynomial of exterior multiplicities.  A virtual chi whose
+    lambda_t does not stop at chi(e) raises InvalidCharacterError (see
+    ``char_polys``); ``genfun_series`` handles it.
     """
     _op_check(op)
     cd = table.classes
-    chi_j = table.irreducibles[j]
     polys = char_polys(chi)
     if op == EXT:
         lambdas = [ClassFunction(cd, [p[i] for p in polys]) for i in range(len(polys[0]))]
-        return RationalFunction.make([decompose(f, table)[j] for f in lambdas], [1])
+        rows = [decompose(f, table) for f in lambdas]
+        return [RationalFunction.make([row[j] for row in rows], [1]) for j in js]
     # group classes by their denominator polynomial lambda_{-t}(chi)(c^-1)
-    groups: list[tuple[list[Cyclotomic], Cyclotomic]] = []
+    dpolys: list[list[Cyclotomic]] = []
+    group_of = []
     for c in range(cd.class_count):
         lam = polys[cd.inverse_class[c]]
         dpoly = [v if i % 2 == 0 else -v for i, v in enumerate(lam)]
-        weight = chi_j.values[c] * cd.sizes[c]
-        for g, (existing, w) in enumerate(groups):
-            if len(existing) == len(dpoly) and all(
-                a == b for a, b in zip(existing, dpoly)
-            ):
-                groups[g] = (existing, w + weight)
-                break
-        else:
-            groups.append((dpoly, weight))
+        if dpoly not in dpolys:
+            dpolys.append(dpoly)
+        group_of.append(dpolys.index(dpoly))
     den: list = [as_cyclotomic(1)]
-    for dpoly, _ in groups:
+    for dpoly in dpolys:
         den = poly_mul(den, dpoly)
-    num: list = []
-    for i, (dpoly, weight) in enumerate(groups):
-        if weight.is_zero():
-            continue
-        partial = [weight]
-        for i2, (dpoly2, _) in enumerate(groups):
-            if i2 != i:
-                partial = poly_mul(partial, dpoly2)
-        num = poly_add(num, partial)
-    num = poly_scale(num, Fraction(1, cd.group_order))
+    partials: dict[int, list] = {}  # g -> den / dpolys[g], the other denominators
 
     def certify(poly: Sequence[Cyclotomic]) -> list[Fraction]:
         out = []
@@ -380,4 +377,18 @@ def genfun_rational(
                 ) from None
         return out
 
-    return RationalFunction.make(certify(num), certify(den))
+    rational_den = certify(den)
+    out = []
+    for j in js:
+        weights = [0] * len(dpolys)
+        for c, g in enumerate(group_of):
+            weights[g] = weights[g] + table.irreducibles[j].values[c] * cd.sizes[c]
+        num: list = []
+        for g, weight in enumerate(weights):
+            if weight:
+                if g not in partials:
+                    partials[g] = poly_divmod(den, dpolys[g])[0]
+                num = poly_add(num, poly_scale(partials[g], weight))
+        num = poly_scale(num, Fraction(1, cd.group_order))
+        out.append(RationalFunction.make(certify(num), rational_den))
+    return out

@@ -19,10 +19,21 @@ DEFAULT_CAP = 20000
 # Points of a cycle string lie in 0..MAX_POINTS-1 (the largest builtin model
 # acts on 343): a permutation stores one image per point.
 MAX_POINTS = 1000
+MAX_DIGITS = 18  # of an input integer: far above every bound checked after the read
 
 
 class CapExceededError(RuntimeError):
     """The generated group is larger than the enumeration cap."""
+
+
+def parse_digits(text: str, where: str) -> int | None:
+    """int(text) if text is ASCII digits and None if not; a one-line ValueError
+    naming ``where``, before int() runs, if it has more than MAX_DIGITS digits."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"{where} has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 class Permutation:
@@ -46,8 +57,8 @@ class Permutation:
         cycles = []
         seen: set[int] = set()
         for body in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-            if not all(0 <= p < MAX_POINTS for p in pts):
+            pts = [parse_digits(t, "a cycle point") for t in re.split(r"[,\s]+", body) if t]
+            if not all(p is not None and p < MAX_POINTS for p in pts):
                 raise ValueError(f"points must be in 0..{MAX_POINTS - 1}: {body!r}")
             if len(set(pts)) != len(pts):
                 raise ValueError(f"repeated point in cycle {body!r}")

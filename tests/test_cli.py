@@ -688,3 +688,103 @@ def test_flag_syntax_errors_are_one_line(capsys, argv, message):
     assert exc.value.code == EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
+def _calls(monkeypatch, module, name) -> list:
+    real = getattr(module, name)
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, models, centrals",
+    [
+        (["genfun", "--group", "S3", "--char", "regular", "--irr", "chi1"], 0, 0),
+        (["decompose", "--group", "S4", "--char", "regular", "--degree", "3"], 0, 0),
+        (["decompose", "--group", "Hp:3", "--char", "tau_1", "--degree", "3"], 0, 0),
+        (["closedform", "--group", "S3", "--spec", "regular", "--degree", "3"], 0, 0),
+        (["closedform", "--group", "Hp:3", "--spec", "central:zeta_1", "--degree", "3"], 0, 1),
+        (["verify", "--group", "Hp:3", "--degree", "4"], 1, 1),
+        (["decompose", "--group", "S4", "--char", "natural", "--degree", "2"], 1, 0),
+        (["verify", "--group", "S4", "--generators", "(0 1);(0 1 2 3)"], 0, 1),
+    ],
+    ids=["genfun", "decompose-regular", "decompose-chi", "closedform-regular",
+         "closedform-central", "verify", "natural", "generators-beside-a-table"],
+)
+def test_only_a_request_that_reads_the_model_builds_it(monkeypatch, argv, models, centrals):
+    from symext import catalog
+
+    model_calls = _calls(monkeypatch, cli, "get_perm_model")
+    central_calls = _calls(monkeypatch, catalog, "central_characters")
+    code, out, err = run_cli(argv)
+    assert code == EXIT_OK and err == ""
+    assert (len(model_calls), len(central_calls)) == (models, centrals)
+
+
+@pytest.mark.parametrize(
+    "fault, code, message",
+    [(NoModelError, EXIT_INPUT, "error: no permutation model, so no natural character"),
+     (RuntimeError, EXIT_INTERNAL, "internal error: model build failed")],
+)
+def test_a_model_fault_reaches_only_the_requests_that_read_the_model(
+    monkeypatch, fault, code, message
+):
+    def broken(family, param=None):
+        raise fault("model build failed")
+
+    monkeypatch.setattr(cli, "get_perm_model", broken)
+    got, out, err = run_cli(["genfun", "--group", "S3", "--char", "regular", "--irr", "chi1"])
+    assert got == EXIT_OK and err == "" and out
+    got, out, err = run_cli(["decompose", "--group", "S3", "--char", "natural"])
+    assert got == code and out == ""
+    assert err.splitlines() == [message]
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closedform", "--group", "S3", "--spec", f"regular:{LONG}"],
+         f"--spec m has more than {permgroup.MAX_DIGITS} digits"),
+        (["verify", "--generators", f"(0 {LONG})"],
+         f"a cycle point has more than {permgroup.MAX_DIGITS} digits"),
+    ],
+    ids=["multiplier", "cycle-point"],
+)
+def test_an_over_long_integer_flag_is_one_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_the_digit_cap_admits_the_cap():
+    m = "0" * (permgroup.MAX_DIGITS - 1) + "2"
+    code, out, err = run_cli(["closedform", "--group", "S3", "--spec", f"regular:{m}"])
+    assert code == EXIT_OK and err == "" and "(1+t)^12 = " in out
+
+
+def _set_zeta_key(doc, key):
+    doc["central_chars"] = {"z": {"subgroup": [0, 2], "zeta": {"0": 0, key: 0}}}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _set_power(doc, 2, LONG, 0),
+         f"classes[2].prime_powers key has more than {permgroup.MAX_DIGITS} digits"),
+        (lambda doc: _set_zeta_key(doc, "x"), "central_chars['z'].zeta: key 'x' is not a class index"),
+        (lambda doc: _set_zeta_key(doc, LONG),
+         f"central_chars['z'].zeta key has more than {permgroup.MAX_DIGITS} digits"),
+    ],
+    ids=["prime-key", "zeta-key-word", "zeta-key-long"],
+)
+def test_a_spec_file_key_that_is_no_integer_is_one_line(tmp_path, mutate, message):
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(mutate(dump_group_spec(get_group("S3")))))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: {path}: {message}"]

@@ -13,6 +13,7 @@ from symext.genfun import (
     RationalFunction,
     format_poly,
     genfun_rational,
+    genfun_rationals,
     genfun_series,
     multiplicity_table,
     poly_gcd,
@@ -192,6 +193,18 @@ def test_round_trip_rational_vs_series():
         for j in range(tab.classes.class_count):
             rf = genfun_rational(chi, tab, j, SYM)
             assert rf.series(25) == genfun_series(chi, tab, j, SYM, 25)
+
+
+def test_rational_forms_of_several_irreducibles_in_one_call():
+    # the j-independent work is shared; each form must still match its series
+    for fam, param, lbl in [("S4", None, "chi4"), ("D2n", 6, "tau1"), ("Hp", 3, "tau_1")]:
+        tab = get_group(fam, param)
+        chi = tab.character(lbl)
+        js = [*range(tab.classes.class_count)][::-1]
+        for op in (SYM, EXT):
+            series = [rf.series(20) for rf in genfun_rationals(chi, tab, js, op)]
+            assert series == [genfun_series(chi, tab, j, op, 20) for j in js]
+    assert genfun_rationals(chi, tab, [], SYM) == []
 
 
 def test_dimension_sum_rule():

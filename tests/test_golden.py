@@ -1,7 +1,9 @@
 """Golden outputs: sha256 digests of the stdout and exit code of ``closedform``
 (every builtin spec kind, degree 6), ``decompose`` and ``genfun --series`` to
-degree 12 (the regular character and every irreducible) and ``verify`` on a
-fixed set of groups, and of every script under demos/.
+degree 12 (the regular character and every irreducible; ``decompose`` also of
+the natural character) and ``verify`` on a fixed set of groups, of the rational
+``genfun`` of every linear character against every irreducible on RATIONAL,
+and of every script under demos/.
 
 The digests in golden_digests.json were recorded from an earlier version of
 the program; a refactor must keep every one.  To re-record after an intended
@@ -29,12 +31,14 @@ from symext.cli import main
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ["S3", "A4", "S4", "G21", "A5", "D2n:6", "D2n:7", "Q4n:3", "Q4n:4", "Hp:3", "Hp:5"]
+RATIONAL = ["S3", "S4", "D2n:6", "Hp:3"]
 
 
 def golden_cases() -> list[str]:
     """Every closedform spec the catalog attaches to GROUPS, the series of the
-    regular character and of every irreducible, verify on each, the demos."""
-    cases, series = [], []
+    regular and natural characters and of every irreducible, verify on each,
+    the rational forms of linear characters on RATIONAL, the demos."""
+    cases, series, rational = [], [], []
     for group in GROUPS:
         family, param = parse_group_selector(group)
         table = get_group(family, param)
@@ -49,8 +53,15 @@ def golden_cases() -> list[str]:
             series.append(
                 f"genfun --group {group} --char {char} --irr {table.labels[-1]} --series 12"
             )
+        series += [f"decompose --group {group} --char natural --op {op} --degree 12"
+                   for op in ("sym", "ext")]
+        if group in RATIONAL:
+            rational += [f"genfun --group {group} --char {lin} --irr {irr} --op sym"
+                         for lin, d in zip(table.labels, table.degrees()) if d == 1
+                         for irr in table.labels]
     demos = [f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py"))]
-    return cases + series + [f"verify --group {group}" for group in GROUPS] + demos
+    verify = [f"verify --group {group}" for group in GROUPS]
+    return cases + series + rational + verify + demos
 
 
 def digest(case: str) -> str:
