@@ -26,7 +26,6 @@ from .lambdaops import (
     LambdaSequence,
     ProductForm,
     char_poly,
-    char_polys,
     exterior_powers,
     is_periodic,
     product_form,

@@ -311,6 +311,8 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(f"cannot read group spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit, bad UTF-8
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError(f"{path}: the top level must be a JSON object")
     if raw.get("format_version") != 1:

@@ -127,7 +127,7 @@ def _phi_of(n: int) -> int:
     return t
 
 
-def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
+def poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     # den is monic; division of integer polynomials stays integral
     num = list(num)
     dd = len(den) - 1
@@ -160,7 +160,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             # (x^n - 1) / prod of Phi_d over proper divisors d of n
             acc = [-1] + [0] * (n - 1) + [1]
             for d in divisors(n)[:-1]:
-                acc = _poly_div_exact(acc, cyclotomic_polynomial(d))
+                acc = poly_div_exact(acc, cyclotomic_polynomial(d))
             poly = tuple(acc)
         _phi_cache[n] = poly
         return poly

@@ -4,11 +4,9 @@ For a character chi the multiplicity of the j-th irreducible in S^i(chi)
 (resp. the i-th exterior power) is the inner product of chi_j with the
 per-class values of LambdaSequence.  It is organized as rows of a certified
 truncated table, as one column of series coefficients, and as the exact
-rational function whose series lists that column.  The rational form is
-assembled from the per-class polynomials lambda_{-t}(chi): summing
-size*chi_j(c)/|G| over full conjugacy classes is Galois-stable, so the
-numerator and denominator provably have rational coefficients; that fact is
-certified at runtime rather than assumed.
+rational function whose series lists that column.  The rational form is the
+column times one integer denominator read off the eigenvalues of each class
+(Molien's formula), reduced by the cyclotomic factors it shares.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import Cyclotomic, NotRationalError, as_cyclotomic
+from .exactnum import NotRationalError, cyclotomic_polynomial, fold, poly_div_exact
 from .groupdata import (
     CharacterTable,
     ClassFunction,
@@ -27,8 +25,13 @@ from .groupdata import (
     inner_product,
     integral_multiplicities,
 )
-# CrossCheckError is re-exported: genfun_series(cross_check=True) raises it
-from .lambdaops import CrossCheckError, LambdaSequence, char_polys, power_sum_check
+from .lambdaops import (
+    CrossCheckError,
+    InvalidCharacterError,
+    LambdaSequence,
+    integral_degree,
+    power_sum_check,
+)
 
 SYM = "sym"
 EXT = "ext"
@@ -49,7 +52,7 @@ def _trim(coeffs: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# generic dense polynomials (used over Fraction and over Cyclotomic)
+# dense polynomials over Z and Q
 
 
 def poly_add(a: Sequence, b: Sequence) -> list:
@@ -84,7 +87,7 @@ def poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
     q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1] if isinstance(den[-1], Fraction) else den[-1].inverse()
+    inv_lead = 1 / Fraction(den[-1])
     for i in range(len(num) - 1, len(den) - 2, -1):
         c = num[i] * inv_lead
         if c:
@@ -334,61 +337,85 @@ def genfun_rationals(
     """The multiplicity generating functions for chi_j, j in ``js``, in closed
     rational form.
 
-    For the symmetric side, 1/|G| sum over classes of
-    size*chi_j(c)/lambda_{-t}(chi)(c^-1) is brought over the product of the
-    distinct per-class denominators; both resulting polynomials have rational
-    coefficients because the class sum is Galois-stable, and every
-    coefficient is certified before the exact gcd reduction over Q.  Only the
-    class weights and their sum depend on j; the denominators and their
-    quotients of the common one are built once.  The exterior side is the
-    finite polynomial of exterior multiplicities.  A virtual chi whose
-    lambda_t does not stop at chi(e) raises InvalidCharacterError (see
-    ``char_polys``); ``genfun_series`` handles it.
+    By Molien's formula the symmetric side is (1/|G|) sum over classes of
+    size*chi_j(c)/det(1 - t c^-1), and every det(1 - t c) divides
+    D = prod Phi_k over ``_molien_factors``.  So N = D*F, F the multiplicity
+    column, has degree at most deg D - chi(e); it is read off the first deg D
+    terms of F, and the terms of degree deg D - chi(e) + 1 .. deg D - 1 must
+    vanish (CrossCheckError).  The exterior side is the polynomial of
+    exterior multiplicities.  A chi that is no character of some cyclic
+    subgroup raises InvalidCharacterError; ``genfun_series`` handles it.
     """
     _op_check(op)
-    cd = table.classes
-    polys = char_polys(chi)
+    d = integral_degree(chi)
+    factors = _molien_factors(chi)
     if op == EXT:
-        lambdas = [ClassFunction(cd, [p[i] for p in polys]) for i in range(len(polys[0]))]
-        rows = [decompose(f, table) for f in lambdas]
-        return [RationalFunction.make([row[j] for row in rows], [1]) for j in js]
-    # group classes by their denominator polynomial lambda_{-t}(chi)(c^-1)
-    dpolys: list[list[Cyclotomic]] = []
-    group_of = []
-    for c in range(cd.class_count):
-        lam = polys[cd.inverse_class[c]]
-        dpoly = [v if i % 2 == 0 else -v for i, v in enumerate(lam)]
-        if dpoly not in dpolys:
-            dpolys.append(dpoly)
-        group_of.append(dpolys.index(dpoly))
-    den: list = [as_cyclotomic(1)]
-    for dpoly in dpolys:
-        den = poly_mul(den, dpoly)
-    partials: dict[int, list] = {}  # g -> den / dpolys[g], the other denominators
-
-    def certify(poly: Sequence[Cyclotomic]) -> list[Fraction]:
-        out = []
-        for n, v in enumerate(poly):
-            try:
-                out.append(as_cyclotomic(v).to_rational())
-            except NotRationalError:
-                raise NotRationalCoefficientsError(
-                    f"class-summed coefficient of t^{n} is not rational: {v!r}"
-                ) from None
-        return out
-
-    rational_den = certify(den)
+        rows = [decompose(f, table) for f in LambdaSequence.compute(chi, d).lambdas]
+        return [RationalFunction(tuple(_trim([r[j] for r in rows])), (Fraction(1),)) for j in js]
+    den = [1]
+    for k in factors:
+        den = poly_mul(den, cyclotomic_polynomial(k))
+    top = len(den) - 1
+    rows = [decompose(f, table) for f in LambdaSequence.compute(chi, top - min(d, 1)).syms]
+    scale = lcm(*(q.denominator for row in rows for q in row))
     out = []
     for j in js:
-        weights = [0] * len(dpolys)
-        for c, g in enumerate(group_of):
-            weights[g] = weights[g] + table.irreducibles[j].values[c] * cd.sizes[c]
-        num: list = []
-        for g, weight in enumerate(weights):
-            if weight:
-                if g not in partials:
-                    partials[g] = poly_divmod(den, dpolys[g])[0]
-                num = poly_add(num, poly_scale(partials[g], weight))
-        num = poly_scale(num, Fraction(1, cd.group_order))
-        out.append(RationalFunction.make(certify(num), rational_den))
+        num = poly_mul(den, [int(row[j] * scale) for row in rows])[: len(rows)]
+        if any(num[top - d + 1 :]):
+            raise CrossCheckError(
+                f"{table.labels[j]}: the numerator over the Molien denominator "
+                f"has degree above {top - d}"
+            )
+        out.append(_over_molien(num, factors, scale))
     return out
+
+
+def _molien_factors(chi: ClassFunction) -> list[int]:
+    """k once for each factor of D = prod_k Phi_k^e_k, where e_k is the largest
+    multiplicity of one primitive k-th root of unity among the eigenvalues of
+    a class.
+
+    At a class c of order o the multiplicity of zeta_o^a is
+    (1/o) sum_s chi(c^s) zeta_o^(-as), summed in Z[z]/(z^n - 1) and folded
+    once.  Each must be a nonnegative integer, which holds iff chi restricted
+    to <c> is a character; else InvalidCharacterError.  A class c^u, u a
+    unit, generates the same subgroup and only permutes the multiplicities
+    among roots of one order, so one class per rational class is read.
+    """
+    cd = chi.data
+    exps: dict[int, int] = {}
+    for c in cd.rational_classes()[1]:
+        o = cd.rep_orders[c]
+        vals = [chi.values[cd.power_map(s)[c]] for s in range(o)]
+        n, den = lcm(o, *(v.order for v in vals)), lcm(*(v.den for v in vals))
+        terms = [[(i * (n // v.order), x * (den // v.den)) for i, x in enumerate(v.num) if x]
+                 for v in vals]
+        for a in range(o):
+            acc = [0] * n
+            for s, ts in enumerate(terms):
+                for e, x in ts:
+                    acc[(e - a * s * (n // o)) % n] += x
+            coords = fold(enumerate(acc), n)
+            m, rem = divmod(coords[0], o * den)
+            if rem or m < 0 or any(coords[1:]):
+                raise InvalidCharacterError(
+                    f"chi is no character of the cyclic subgroup of class {cd.names[c]}"
+                )
+            exps[o // gcd(a, o)] = max(exps.get(o // gcd(a, o), 0), m)
+    return [k for k, e in exps.items() for _ in range(e)]
+
+
+def _over_molien(num: list[int], factors: list[int], scale: int) -> RationalFunction:
+    """num / (scale * prod Phi_k over ``factors``) in lowest terms: the Phi_k
+    are irreducible, so dividing out each one that divides num leaves none in
+    common; den(0) = +-1 is then made 1."""
+    num, den = _trim(list(num)), [1]
+    for k in factors:
+        try:
+            num = poly_div_exact(num, cyclotomic_polynomial(k))
+        except ArithmeticError:
+            den = poly_mul(den, cyclotomic_polynomial(k))
+    s = den[0]
+    return RationalFunction(
+        tuple(Fraction(x, s * scale) for x in num), tuple(Fraction(x, s) for x in den)
+    )

@@ -203,7 +203,7 @@ def symmetric_powers(chi: ClassFunction, M: int, expect_character: bool = False)
     return list(LambdaSequence.compute(chi, M, expect_character).syms)
 
 
-def _integral_degree(chi: ClassFunction) -> int:
+def integral_degree(chi: ClassFunction) -> int:
     try:
         d = chi.values[0].to_rational()
     except NotRationalError:
@@ -216,43 +216,11 @@ def _integral_degree(chi: ClassFunction) -> int:
 def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
     """Coefficients of lambda_t(chi) at class c, a polynomial of degree chi(e).
 
-    The recurrence is truncated at chi(e), which is exact for characters;
-    ``char_polys`` certifies it for a class function that may be virtual.
+    The recurrence is truncated at chi(e), which is exact for characters.
     """
-    d = _integral_degree(chi)
+    d = integral_degree(chi)
     psi = [None] + [chi.values[chi.data.power_map(n)[c]] for n in range(1, d + 1)]
     return _scalar_lambdas(psi, d)
-
-
-def char_polys(chi: ClassFunction) -> list[list[Cyclotomic]]:
-    """``char_poly`` at every class, certified to be all of lambda_t(chi).
-
-    For a virtual character lambda_t(chi)(c) need not stop at d = chi(e);
-    then InvalidCharacterError is raised.  lambda^n(c) = 0 for
-    d < n <= d + o(c) suffices: the truncation P satisfies Newton's identity
-    t*P' = P*p, p = sum (-1)^(n+1) psi^n t^n, up to t^(d+o(c)), and as psi^n(c)
-    has period o(c) in n, both sides times 1-(-t)^o(c) are polynomials of
-    degree <= d + o(c), hence equal.  lambda_t(chi)(c) is a polynomial iff chi
-    restricted to <c> is a character, which then holds on every subgroup of
-    <c>, so one class per maximal cyclic subgroup is checked.
-    """
-    d = _integral_degree(chi)
-    cd = chi.data
-    covered: set[int] = set()
-    for c in sorted(range(cd.class_count), key=lambda c: -cd.rep_orders[c]):
-        if c in covered:
-            continue
-        covered.update(cd.power_map(n)[c] for n in range(1, cd.rep_orders[c] + 1))
-        top = d + cd.rep_orders[c]
-        psi = [None] + [chi.values[cd.power_map(n)[c]] for n in range(1, top + 1)]
-        if any(not v.is_zero() for v in _scalar_lambdas(psi, top)[d + 1 :]):
-            raise InvalidCharacterError(
-                f"lambda_t is not a polynomial of degree {d} at class {cd.names[c]}"
-            )
-    polys: list[list[Cyclotomic]] = []
-    for c, (r, u) in enumerate(cd.galois_orbits(chi.values)):
-        polys.append(char_poly(chi, c) if r == c else [cd.galois_image(v, u) for v in polys[r]])
-    return polys
 
 
 def sym_series_at_class(chi: ClassFunction, c: int, M: int) -> list[Cyclotomic]:

@@ -10,6 +10,7 @@ import pytest
 from symext import cli, permgroup
 from symext.catalog import NoModelError, get_group
 from symext.closedforms import CentralForms, burnside_regular_forms, subgroup_spec
+from symext.groupdata import ClassFunction
 from symext.lambdaops import LambdaSequence
 from symext.exactnum import Cyclotomic
 from symext.cli import (
@@ -470,6 +471,25 @@ def test_degree_cap_admits_the_cap():
     assert last[0] == MAX_DEGREE and last[1] + last[2] + 2 * last[3] == MAX_DEGREE + 1
 
 
+def test_the_numerator_degree_certificate_exits_3(monkeypatch):
+    # S3 chi3 has a Molien denominator of degree 5, so its symmetric form
+    # reads S^0..S^4; S^4 plus the trivial character gives a numerator of
+    # degree 4 > 5 - chi3(e)
+    real = LambdaSequence.compute.__func__
+
+    def bumped(cls, chi, M, expect_character=False):
+        seq = real(cls, chi, M, expect_character)
+        top = seq.syms[M] + ClassFunction.constant(chi.data, 1)
+        return dataclasses.replace(seq, syms=seq.syms[:M] + (top,))
+
+    monkeypatch.setattr(LambdaSequence, "compute", classmethod(bumped))
+    code, out, err = run_cli(["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1"])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.splitlines() == [
+        "internal error: chi1: the numerator over the Molien denominator has degree above 3"
+    ]
+
+
 @pytest.mark.parametrize(
     "delta", [Fraction(1, 2), Cyclotomic.root_of_unity(3)], ids=["non-integral", "non-rational"]
 )
@@ -788,3 +808,13 @@ def test_a_spec_file_key_that_is_no_integer_is_one_line(tmp_path, mutate, messag
     code, out, err = run_cli(["verify", "--group", str(path)])
     assert code == EXIT_INPUT and out == ""
     assert err.splitlines() == [f"error: {path}: {message}"]
+
+
+def test_an_over_long_integer_in_a_spec_file_is_one_line(tmp_path):
+    # json.load raises a plain ValueError past Python's integer digit limit
+    doc = dump_group_spec(get_group("S3"))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace(f'"order": {doc["order"]}', f'"order": {LONG}'))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")

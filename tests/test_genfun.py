@@ -144,9 +144,9 @@ def test_genfun_rational_examples():
 
 
 def test_genfun_rational_rejects_virtual_characters():
-    # lambda_t of a virtual character need not stop at chi(identity), and a
-    # form built from the truncated per-class polynomials would disagree with
-    # these series, so genfun_rational must refuse them
+    # a virtual character that is no character of some cyclic subgroup has
+    # a negative eigenvalue multiplicity there, and no form over the Molien
+    # denominator, so genfun_rational must refuse it (genfun_series does not)
     s3 = get_group("S3")
     chi1, chi2, chi3 = (s3.character(f"chi{i}") for i in (1, 2, 3))
     for virt, series in (
@@ -165,9 +165,24 @@ def test_genfun_rational_rejects_virtual_characters():
         genfun_rational(virt, d12, 0, SYM)
 
 
+def test_genfun_rational_of_a_character_of_every_cyclic_subgroup():
+    # chi1 - chi2 + chi3 = (2, 2, -1) is no character of S3, but it is one
+    # of every cyclic subgroup, so its forms exist
+    s3 = get_group("S3")
+    chi1, chi2, chi3 = (s3.character(f"chi{i}") for i in (1, 2, 3))
+    virt = chi1 - chi2 + chi3
+    assert genfun_rationals(virt, s3, range(3), SYM) == [
+        RF([1, 0, 1], [3, 1]), RF([0, -1], [3, 1]), RF([0, 1], [3, 1])
+    ]
+    assert str(genfun_rational(virt, s3, 1, SYM)) == "-t / (1-t^3)(1-t)"
+    assert genfun_rationals(virt, s3, range(3), EXT) == [
+        RF([1, 1, 1], []), RF([0, -1], []), RF([0, 1], [])
+    ]
+
+
 def test_genfun_rational_of_large_degree_regular_character():
-    # the S4 regular character: degree-24 per-class polynomials, a gcd of
-    # a degree-72 numerator with a degree-96 denominator
+    # the S4 regular character: a Molien denominator of degree 64, and
+    # columns of 64 terms
     s4 = get_group("S4")
     pi = regular_character(s4.classes)
     table = multiplicity_table(pi, s4, SYM, 30)

@@ -3,7 +3,9 @@
 degree 12 (the regular character and every irreducible; ``decompose`` also of
 the natural character) and ``verify`` on a fixed set of groups, of the rational
 ``genfun`` of every linear character against every irreducible on RATIONAL,
-and of every script under demos/.
+of the rational ``genfun`` (both ops) of the regular character and of every
+irreducible of degree >= 2 against every irreducible on FORMS, and of every
+script under demos/.
 
 The digests in golden_digests.json were recorded from an earlier version of
 the program; a refactor must keep every one.  To re-record after an intended
@@ -32,12 +34,14 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ["S3", "A4", "S4", "G21", "A5", "D2n:6", "D2n:7", "Q4n:3", "Q4n:4", "Hp:3", "Hp:5"]
 RATIONAL = ["S3", "S4", "D2n:6", "Hp:3"]
+FORMS = ["S3", "A4", "S4", "G21", "A5", "D2n:6", "Q4n:3", "Hp:3"]
 
 
 def golden_cases() -> list[str]:
     """Every closedform spec the catalog attaches to GROUPS, the series of the
     regular and natural characters and of every irreducible, verify on each,
-    the rational forms of linear characters on RATIONAL, the demos."""
+    the rational forms of linear characters on RATIONAL and of the regular
+    character and the irreducibles of degree >= 2 on FORMS, the demos."""
     cases, series, rational = [], [], []
     for group in GROUPS:
         family, param = parse_group_selector(group)
@@ -59,6 +63,10 @@ def golden_cases() -> list[str]:
             rational += [f"genfun --group {group} --char {lin} --irr {irr} --op sym"
                          for lin, d in zip(table.labels, table.degrees()) if d == 1
                          for irr in table.labels]
+        if group in FORMS:
+            chars = ["regular"] + [lbl for lbl, d in zip(table.labels, table.degrees()) if d >= 2]
+            rational += [f"genfun --group {group} --char {char} --irr {irr} --op {op}"
+                         for char in chars for irr in table.labels for op in ("sym", "ext")]
     demos = [f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py"))]
     verify = [f"verify --group {group}" for group in GROUPS]
     return cases + series + rational + verify + demos

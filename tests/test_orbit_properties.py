@@ -1,28 +1,31 @@
 """Property tests of the Galois-orbit path: per-class work done once per
 rational class.
 
-``LambdaSequence.compute`` and ``char_polys`` run the recurrences at one
-class per rational class and fill the others with Galois images when the
-class function is compatible (f(r^u) = sigma_u(f(r)) at the same order), and
-class by class otherwise.  ``decompose`` takes a candidate from orbit traces
-and certifies it by the exact reconstruction, falling back to the class
-sums.  Each is compared here with the class-by-class reference: value,
-``repr`` and ``.order`` of every lambda^n, S^n and char_poly coefficient, and
-the result or error message of ``decompose``.  The orders agree because a
-recurrence stores each value at order 1 if it is rational, else at the lcm
-of the orders of the irrational psi values at its class, and compatibility
-asks f(r^u) to have the order of f(r).
+``LambdaSequence.compute`` runs the recurrences at one class per rational
+class and fills the others with Galois images when the class function is
+compatible (f(r^u) = sigma_u(f(r)) at the same order), and class by class
+otherwise.  ``decompose`` takes a candidate from orbit traces and certifies
+it by the exact reconstruction, falling back to the class sums.  Each is
+compared here with the class-by-class reference: value, ``repr`` and
+``.order`` of every lambda^n and S^n, and the result or error message of
+``decompose``.  The orders agree because a recurrence stores each value at
+order 1 if it is rational, else at the lcm of the orders of the irrational
+psi values at its class, and compatibility asks f(r^u) to have the order of
+f(r).  ``genfun_rationals`` reads the eigenvalue multiplicities at one class
+per rational class; it must reject exactly the class functions whose
+lambda_t is not a polynomial of degree f(e) at every class.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
+from symext.genfun import EXT, SYM, genfun_rationals, genfun_series
 from symext.groupdata import (
     ClassFunction,
     NonRationalMultiplicityError,
@@ -35,7 +38,6 @@ from symext.lambdaops import (
     _scalar_lambdas,
     _scalar_syms,
     char_poly,
-    char_polys,
     power_sum_check,
 )
 
@@ -158,17 +160,29 @@ def test_compute_matches_the_class_by_class_loops(kf, M):
     power_sum_check(seq)
 
 
+S3, D10 = get_group("S3", None), get_group("D2n", 5)
+
+
 @settings(deadline=None, max_examples=60)
 @given(class_function())
-def test_char_polys_match_the_class_by_class_loops(kf):
-    _, _, f = kf
+@example(("character", S3, ClassFunction.constant(S3.classes, 0)))
+@example(("rational-combination", S3, (S3.irreducibles[0] + S3.irreducibles[1]) * Fraction(1, 2)))
+@example(("arbitrary", D10, ClassFunction(D10.classes, [2, 2, 2, Cyclotomic.root_of_unity(5)])))
+def test_genfun_rationals_reject_what_the_lambda_vanishing_oracle_rejects(kf):
+    # every form that is not rejected expands to the series of its column
+    _, table, f = kf
     if f.values[0].is_rational() and f.values[0].to_rational() in range(0, 9):
-        got, want = outcome(char_polys, f), outcome(reference_char_polys, f)
-        assert got[0] == want[0]
-        if got[0] == "ok":
-            assert all(same(a, b) for a, b in zip(got[1], want[1]))
-        else:
-            assert got == want
+        js = range(len(table.labels))
+        rejected = outcome(reference_char_polys, f)[0] == "InvalidCharacterError"
+        for op in (SYM, EXT):
+            if rejected:
+                with pytest.raises(InvalidCharacterError):
+                    genfun_rationals(f, table, js, op)
+            else:
+                forms = genfun_rationals(f, table, js, op)
+                assert [rf.series(15) for rf in forms] == [
+                    genfun_series(f, table, j, op, 15) for j in js
+                ]
 
 
 @settings(deadline=None, max_examples=80)
