@@ -29,7 +29,6 @@ from .lambdaops import (
     exterior_powers,
     is_periodic,
     product_form,
-    sym_series_at_class,
     symmetric_powers,
 )
 from .genfun import (

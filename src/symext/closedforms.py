@@ -156,11 +156,12 @@ class OneDimForms:
 
     def genfun(self, j: int) -> RationalFunction:
         target = self.table.irreducibles[j]
-        den = [1] + [0] * (self.order - 1) + [-1]
+        one, zero = Fraction(1), Fraction(0)
+        den = (one,) + (zero,) * (self.order - 1) + (-one,)
         for i, power in enumerate(self.powers):
-            if power == target:
-                return RationalFunction.make([0] * i + [1], den)
-        return RationalFunction.make([0])
+            if power == target:  # t^i/(1-t^q), already in lowest terms
+                return RationalFunction((zero,) * i + (one,), den)
+        return RationalFunction((), (one,))
 
 
 def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:

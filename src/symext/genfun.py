@@ -55,16 +55,6 @@ def _trim(coeffs: list) -> list:
 # dense polynomials over Z and Q
 
 
-def poly_add(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x + y)
-    return _trim(out)
-
-
 def poly_mul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
@@ -77,101 +67,23 @@ def poly_mul(a: Sequence, b: Sequence) -> list:
     return _trim(out)
 
 
-def poly_scale(a: Sequence, s) -> list:
-    return _trim([x * s for x in a])
-
-
-def poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    den = _trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / Fraction(den[-1])
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] * inv_lead
-        if c:
-            q[i - (len(den) - 1)] = c
-            for j, dj in enumerate(den):
-                if dj:
-                    num[i - (len(den) - 1) + j] = num[i - (len(den) - 1) + j] - c * dj
-    return _trim(q), _trim(num)
-
-
-def _primitive(p: Sequence) -> list[int]:
-    p = _trim([Fraction(c) for c in p])
-    den = lcm(*(c.denominator for c in p))
-    p = [c.numerator * (den // c.denominator) for c in p]
-    g = gcd(*p) or 1
-    return [x // g for x in p]
-
-
-def poly_gcd(a: Sequence, b: Sequence) -> list:
-    """Monic gcd over Q: the primitive pseudo-remainder sequence in Z[t]
-    (Collins 1967; Brown 1971), made monic once at the end."""
-    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
-    while b:
-        while len(a) >= len(b):  # a <- (lead(b)*a - lead(a)*t^k*b) / g
-            g, k = gcd(a[-1], b[-1]), len(a) - len(b)
-            sa, sb = b[-1] // g, a[-1] // g
-            a = _trim([sa * x - (sb * b[i - k] if i >= k else 0) for i, x in enumerate(a)])
-        a, b = b, _primitive(a)
-    return [Fraction(x, a[-1]) for x in a]
-
-
-
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """num/den over Q in canonical form: gcd(num,den)=1 and den(0)=1."""
+    """num/den over Q in canonical form: gcd(num,den)=1 and den(0)=1.
+
+    A value with no arithmetic: ``genfun_rationals`` (``_over_molien`` on the
+    symmetric side, a polynomial on the exterior side) and
+    ``OneDimForms.genfun`` build it in lowest terms, and nothing reduces it.
+    """
 
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
 
-    @staticmethod
-    def make(num: Sequence, den: Sequence = (1,)) -> "RationalFunction":
-        num = _trim([Fraction(c) for c in num])
-        den = _trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return RationalFunction((), (Fraction(1),))
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        if den[0] == 0:
-            raise ZeroDivisionError("denominator vanishes at t=0")
-        s = 1 / den[0]
-        return RationalFunction(tuple(poly_scale(num, s)), tuple(poly_scale(den, s)))
-
-    @staticmethod
-    def from_products(
-        num_factors: Sequence[Sequence], den_factors: Sequence[Sequence]
-    ) -> "RationalFunction":
-        num: list = [Fraction(1)]
-        for f in num_factors:
-            num = poly_mul(num, [Fraction(c) for c in f])
-        den: list = [Fraction(1)]
-        for f in den_factors:
-            den = poly_mul(den, [Fraction(c) for c in f])
-        return RationalFunction.make(num, den)
-
     def is_polynomial(self) -> bool:
         return self.den == (Fraction(1),)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
 
     def series(self, M: int) -> list[Fraction]:
         return series_of_rational(self, M)
@@ -340,8 +252,8 @@ def genfun_rationals(
     By Molien's formula the symmetric side is (1/|G|) sum over classes of
     size*chi_j(c)/det(1 - t c^-1), and every det(1 - t c) divides
     D = prod Phi_k over ``_molien_factors``.  So N = D*F, F the multiplicity
-    column, has degree at most deg D - chi(e); it is read off the first deg D
-    terms of F, and the terms of degree deg D - chi(e) + 1 .. deg D - 1 must
+    column, has degree at most deg D - chi(e); it is read off the terms of F
+    to degree deg D, and the terms of degree deg D - chi(e) + 1 .. deg D must
     vanish (CrossCheckError).  The exterior side is the polynomial of
     exterior multiplicities.  A chi that is no character of some cyclic
     subgroup raises InvalidCharacterError; ``genfun_series`` handles it.
@@ -356,7 +268,7 @@ def genfun_rationals(
     for k in factors:
         den = poly_mul(den, cyclotomic_polynomial(k))
     top = len(den) - 1
-    rows = [decompose(f, table) for f in LambdaSequence.compute(chi, top - min(d, 1)).syms]
+    rows = [decompose(f, table) for f in LambdaSequence.compute(chi, top).syms]
     scale = lcm(*(q.denominator for row in rows for q in row))
     out = []
     for j in js:

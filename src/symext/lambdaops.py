@@ -223,11 +223,6 @@ def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
     return _scalar_lambdas(psi, d)
 
 
-def sym_series_at_class(chi: ClassFunction, c: int, M: int) -> list[Cyclotomic]:
-    """Coefficients 0..M of S_t(chi) at class c, i.e. of 1/lambda_{-t}(chi)(c)."""
-    return _scalar_syms(char_poly(chi, c), M)
-
-
 def power_sum_check(seq: LambdaSequence) -> None:
     """Recompute every S^n of ``seq`` from its psi values and compare exactly.
 

@@ -3,13 +3,15 @@
 Nothing here reuses the package's lambda/sym recurrences: exterior-power
 values come from sums of principal minors and symmetric-power values from
 power traces of explicit matrices, so the tests that compare against these
-really are dual-route.
+really are dual-route.  Expected rational forms are reduced by Euclid's
+algorithm over Fraction, which the package does not use.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 import random
 
+from symext.genfun import RationalFunction, poly_mul
 from symext.groupdata import ClassFunction
 
 
@@ -118,3 +120,46 @@ def random_virtual(table, rng: random.Random, span: int = 2) -> ClassFunction:
         if q:
             out = out + chi * q
     return out
+
+
+def strip(p):
+    p = [Fraction(c) for c in p]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def euclid_gcd(a, b):
+    """Monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
+    a, b = strip(a), strip(b)
+    while b:
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            c, k = a[-1] / b[-1], len(a) - len(b)
+            a = strip([x - c * b[i - k] if i >= k else x for i, x in enumerate(a)])
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+def long_divmod(num, den):
+    """Quotient and remainder of num by den, by long division over Fraction."""
+    num, den = strip(num), strip(den)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        q[i] = c
+        for j, dj in enumerate(den):
+            num[i + j] -= c * dj
+    return strip(q), strip(num)
+
+
+def ratfun(num, den_factors=()):
+    """num / prod(den_factors) as the package's canonical RationalFunction:
+    reduced by ``euclid_gcd``, with den(0) = 1."""
+    num, den = strip(num), [Fraction(1)]
+    for f in den_factors:
+        den = poly_mul(den, strip(f))
+    if not num:
+        return RationalFunction((), (Fraction(1),))
+    g = euclid_gcd(num, den)
+    num, den = long_divmod(num, g)[0], long_divmod(den, g)[0]
+    return RationalFunction(tuple(c / den[0] for c in num), tuple(c / den[0] for c in den))

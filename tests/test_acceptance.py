@@ -27,7 +27,6 @@ from symext.genfun import (
     EXT,
     SYM,
     MultiplicityTable,
-    RationalFunction,
     genfun_rational,
     multiplicity_table,
 )
@@ -52,6 +51,7 @@ from oracle_utils import (
     mat_pow,
     principal_minor_sum,
     random_virtual,
+    ratfun,
     trace,
 )
 
@@ -99,9 +99,7 @@ def onemt(a):
 
 
 def RF(num, dens, extra=()):
-    return RationalFunction.from_products(
-        [num], [onemt(a) for a in dens] + list(extra)
-    )
+    return ratfun(num, [onemt(a) for a in dens] + list(extra))
 
 
 def decomposed(table, f):

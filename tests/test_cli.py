@@ -182,6 +182,8 @@ def test_verify_dual_route_catches_a_wrong_sym_value(monkeypatch):
     assert code == EXIT_VERIFY
     line = next(ln for ln in out.splitlines() if ln.startswith("dual-route-coefficients"))
     assert line.split()[1] == "FAIL"
+    # the rational forms read S^(deg D) too, and their certificate fails as a row
+    assert ["one-dimensional-forms", "FAIL"] in [ln.split() for ln in out.splitlines()]
 
 
 def test_output_determinism_and_machine_round_trip():
@@ -191,10 +193,10 @@ def test_output_determinism_and_machine_round_trip():
     code2, out2, _ = run_cli(args)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2  # byte-identical
-    doc = OutputDocument.parse_machine(out1)
-    assert doc.kind == "table"
-    assert doc.payload["rows"][0] == [1, 0, 0, 0]
-    assert OutputDocument.parse_machine(doc.to_machine()) == doc
+    raw = json.loads(out1)
+    assert raw["kind"] == "table"
+    assert raw["payload"]["rows"][0] == [1, 0, 0, 0]
+    assert OutputDocument(raw["kind"], raw["payload"]).to_machine() + "\n" == out1
 
 
 def test_csv_format():

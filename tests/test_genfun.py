@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symext import genfun
 from symext.catalog import get_group
 from symext.exactnum import binom
 from symext.genfun import (
@@ -10,13 +11,11 @@ from symext.genfun import (
     SYM,
     CrossCheckError,
     MultiplicityTable,
-    RationalFunction,
     format_poly,
     genfun_rational,
     genfun_rationals,
     genfun_series,
     multiplicity_table,
-    poly_gcd,
     poly_mul,
     series_of_rational,
 )
@@ -25,9 +24,9 @@ from symext.groupdata import (
     decompose,
     regular_character,
 )
-from symext.lambdaops import InvalidCharacterError, LambdaSequence, sym_series_at_class
+from symext.lambdaops import InvalidCharacterError, LambdaSequence
 
-from oracle_utils import random_virtual
+from oracle_utils import random_virtual, ratfun
 
 
 def onemt(a):
@@ -35,36 +34,13 @@ def onemt(a):
 
 
 def RF(num, dens):
-    return RationalFunction.from_products([num], [onemt(a) for a in dens])
-
-
-def test_rational_function_arithmetic():
-    one_over = RationalFunction.make([1], onemt(1))
-    t_over = RationalFunction.make([0, 1], onemt(1))
-    s = one_over + t_over
-    assert s == RationalFunction.make([1, 1], [1, -1])
-    prod = RF([1], [2, 3]) * RationalFunction.make(onemt(2), [1])
-    assert prod == RationalFunction.make([1], onemt(3))
-    a = RationalFunction.make([0, 0, 0, 1], poly_mul(onemt(2), onemt(3)))
-    b = RationalFunction.make([0, 1, 1], poly_mul(onemt(2), onemt(3)))
-    assert a + b == RationalFunction.make([0, 1, 1, 1], poly_mul(onemt(2), onemt(3)))
-
-
-def test_rational_function_canonical_form():
-    rf = RationalFunction.make([0, 2, 2], [2, 0, -2])  # (2t+2t^2)/(2-2t^2)
-    assert rf.den[0] == 1
-    assert rf == RationalFunction.make([0, 1], [1, -1])
-    assert poly_gcd(list(rf.num), list(rf.den)) == [Fraction(1)]
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction.make([1], [0, 1])  # pole at t=0
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction.make([1], [])
+    return ratfun(num, [onemt(a) for a in dens])
 
 
 def test_series_of_rational_examples():
     assert series_of_rational(RF([1], [2, 3]), 10) == [1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2]
     assert series_of_rational(RF([1], [1]), 4) == [1, 1, 1, 1, 1]
-    sixth = RationalFunction.make(poly_mul(poly_mul([1, 1], [1, 1]), poly_mul(poly_mul([1, 1], [1, 1]), poly_mul([1, 1], [1, 1]))), [1])
+    sixth = ratfun(poly_mul(poly_mul([1, 1], [1, 1]), poly_mul(poly_mul([1, 1], [1, 1]), poly_mul([1, 1], [1, 1]))))
     assert series_of_rational(sixth, 6) == [1, 6, 15, 20, 15, 6, 1]
 
 
@@ -180,6 +156,18 @@ def test_genfun_rational_of_a_character_of_every_cyclic_subgroup():
     ]
 
 
+def test_a_denominator_short_of_one_factor_fails_the_certificate(monkeypatch):
+    # S3 chi2 has eigenvalue -1 at a transposition; without Phi_2 the column
+    # 1, 0, 1, 0, ... is not N/(1 - t), and the coefficient of t^deg D shows it
+    s3 = get_group("S3")
+    molien_factors = genfun._molien_factors
+    monkeypatch.setattr(
+        genfun, "_molien_factors", lambda chi: [k for k in molien_factors(chi) if k != 2]
+    )
+    with pytest.raises(CrossCheckError):
+        genfun_rational(s3.character("chi2"), s3, 0, SYM)
+
+
 def test_genfun_rational_of_large_degree_regular_character():
     # the S4 regular character: a Molien denominator of degree 64, and
     # columns of 64 terms
@@ -196,9 +184,9 @@ def test_genfun_rational_ext_is_polynomial():
     for j in range(5):
         rf = genfun_rational(chi3, s4, j, EXT)
         assert rf.is_polynomial()
-    assert genfun_rational(chi3, s4, 1, EXT) == RationalFunction.make([0, 0, 0, 1], [1])
+    assert genfun_rational(chi3, s4, 1, EXT) == ratfun([0, 0, 0, 1])
     # a column with no exterior multiplicity at all: the zero polynomial
-    assert genfun_rational(chi3, s4, 4, EXT) == RationalFunction.make([0], [1])
+    assert genfun_rational(chi3, s4, 4, EXT) == ratfun([0])
 
 
 def test_round_trip_rational_vs_series():
@@ -252,11 +240,13 @@ def test_reducible_character_factorization():
             for _ in range(m):
                 chi = irr if chi is None else chi + irr
         M = 8
+        syms = LambdaSequence.compute(chi, M).syms
+        factors = [LambdaSequence.compute(irr, M).syms for irr in tab.irreducibles]
         for c in range(tab.classes.class_count):
-            total = sym_series_at_class(chi, c, M)
+            total = [f.values[c] for f in syms]
             prod = [Fraction(1)] + [Fraction(0)] * M
-            for m, irr in zip(mults, tab.irreducibles):
-                factor = sym_series_at_class(irr, c, M)
+            for m, irr_syms in zip(mults, factors):
+                factor = [f.values[c] for f in irr_syms]
                 for _ in range(m):
                     new = [sum((prod[i] * factor[n - i] for i in range(n + 1)),
                                start=prod[0] * 0) for n in range(M + 1)]
@@ -280,11 +270,11 @@ def test_factored_denominator_display():
     assert factors == [(3, 1), (2, 1)]
     assert leftover == [1]
     assert str(rf) == "1 / (1-t^3)(1-t^2)"
-    poly = RationalFunction.make([1, 2, 1], [1])
+    poly = ratfun([1, 2, 1])
     assert str(poly) == "1 + 2*t + t^2"
     assert format_poly([0, Fraction(1, 2)]) == "1/2*t"
     # repeated factors collapse into the exponent
-    rf2 = RationalFunction.from_products([[1]], [onemt(2), onemt(2), onemt(3)])
+    rf2 = ratfun([1], [onemt(2), onemt(2), onemt(3)])
     factors, leftover = rf2.factored_denominator()
     assert factors == [(3, 1), (2, 2)]
     assert leftover == [1]

@@ -1,34 +1,22 @@
-"""Property tests of the fraction-free rational-function helpers in genfun.
+"""Property tests of the canonical rational forms in genfun.
 
-Each helper is compared with a plain reference kept here: Euclid over
-Fraction for ``poly_gcd``, and trial division by 1 - t^a with the generic
-``poly_divmod`` for ``factored_denominator``.
+``genfun_rationals`` must return every form in lowest terms with den(0) = 1,
+checked with Euclid over Fraction (``oracle_utils.euclid_gcd``).  The display
+factoring ``factored_denominator`` is compared with trial division by 1 - t^a
+using generic long division over Fraction.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext.genfun import RationalFunction, poly_divmod, poly_gcd, poly_mul
+from symext.catalog import get_group
+from symext.genfun import EXT, SYM, RationalFunction, genfun_rationals, poly_mul
+from symext.groupdata import regular_character
 
-
-def strip(p):
-    p = [Fraction(c) for c in p]
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def euclid_gcd(a, b):
-    """Monic gcd over Q by Euclid's algorithm on Fraction coefficients."""
-    a, b = strip(a), strip(b)
-    while b:
-        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
-            c, k = a[-1] / b[-1], len(a) - len(b)
-            a = strip([x - c * b[i - k] if i >= k else x for i, x in enumerate(a)])
-        a, b = b, a
-    return [c / a[-1] for c in a]
+from oracle_utils import euclid_gcd, long_divmod, strip
 
 
 def divide_out_one_minus_t_powers(den):
@@ -41,7 +29,7 @@ def divide_out_one_minus_t_powers(den):
         if len(base) > len(rem):
             a -= 1
             continue
-        q, r = poly_divmod(rem, base)
+        q, r = long_divmod(rem, base)
         if r:
             a -= 1
             continue
@@ -53,19 +41,18 @@ def divide_out_one_minus_t_powers(den):
     return factors, strip(rem)
 
 
+@pytest.mark.parametrize("fam, param", [("S3", None), ("S4", None), ("D2n", 6), ("Hp", 3)])
+def test_genfun_rationals_are_in_lowest_terms(fam, param):
+    tab = get_group(fam, param)
+    js = range(tab.classes.class_count)
+    for chi in (regular_character(tab.classes), *tab.irreducibles):
+        for op in (SYM, EXT):
+            for rf in genfun_rationals(chi, tab, js, op):
+                assert rf.den[0] == 1
+                assert euclid_gcd(rf.num, rf.den) == [1]
+
+
 coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-poly = st.lists(coeff, max_size=7)
-
-
-@settings(deadline=None)
-@given(poly, poly, poly)
-def test_poly_gcd_matches_fraction_euclid(common, a, b):
-    # a planted common factor; zero, constant and non-monic inputs all occur
-    x, y = poly_mul(common, a), poly_mul(common, b)
-    want = euclid_gcd(x, y)
-    assert poly_gcd(x, y) == want
-    assert poly_gcd(y, x) == want
-    assert poly_gcd(a + [0], b) == euclid_gcd(a, b)  # untrimmed input
 
 
 @settings(deadline=None)
@@ -78,7 +65,7 @@ def test_factored_denominator_matches_generic_division(powers, extra):
     for a in powers:
         den = poly_mul(den, [1] + [0] * (a - 1) + [-1])
     den = poly_mul(den, [Fraction(1)] + extra)
-    rf = RationalFunction.make([1], den)
+    rf = RationalFunction((Fraction(1),), tuple(den))
     factors, leftover = rf.factored_denominator()
     assert (factors, leftover) == divide_out_one_minus_t_powers(rf.den)
     rebuilt = leftover

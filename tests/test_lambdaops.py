@@ -20,7 +20,6 @@ from symext.lambdaops import (
     power_sum_check,
     power_sum_from_elementary,
     product_form,
-    sym_series_at_class,
     symmetric_powers,
 )
 
@@ -155,12 +154,13 @@ def test_char_poly_examples():
 def test_sym_series_at_class_examples():
     s3 = get_group("S3")
     chi3 = s3.character("chi3")
-    assert sym_series_at_class(chi3, 0, 3) == [1, 2, 3, 4]
-    assert sym_series_at_class(chi3, 2, 6) == [1, -1, 0, 1, -1, 0, 1]
+    M = 8
+    syms = LambdaSequence.compute(chi3, M).syms
+    assert [f.values[0] for f in syms[:4]] == [1, 2, 3, 4]
+    assert [f.values[2] for f in syms[:7]] == [1, -1, 0, 1, -1, 0, 1]
     # multiplying back by lambda_{-t} gives 1 through the truncation order
     for c in range(3):
-        M = 8
-        b = sym_series_at_class(chi3, c, M)
+        b = [f.values[c] for f in syms]
         lam = char_poly(chi3, c)
         a = [lam[i] if i % 2 == 0 else -lam[i] for i in range(len(lam))]
         for n in range(M + 1):
