@@ -546,12 +546,11 @@ def _resolve_irr(ctx: GroupContext, selector: str) -> int:
     labels = ctx.table.labels
     if selector in labels:
         return labels.index(selector)
-    try:
-        j = int(selector)
-    except ValueError:
+    j = parse_digits(selector, "--irr")
+    if j is None:
         raise InputError(
             f"unknown irreducible {selector!r}; available: " + ", ".join(labels)
-        ) from None
+        )
     if not 1 <= j <= len(labels):
         raise InputError(f"irreducible index must be in 1..{len(labels)}")
     return j - 1
@@ -619,6 +618,12 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
     sel = args.spec.split(":")
     lines: list[dict] = []
     kind = sel[0]
+    max_fields = {"regular": 2, "quotient": 3, "central": 2, "onedim": 2}
+    if len(sel) > max_fields.get(kind, 0):
+        raise InputError(
+            f"{args.spec}: spec selector must be regular[:m], quotient:<name>[:m], "
+            "central:<name> or onedim:<label>"
+        )
     if kind == "regular":
         spec = ctx.subgroups.get("trivial") or subgroup_spec(cd, (0,))
         forms = burnside_regular_forms(cd, spec, _copies(sel, 1, spec, args.spec))
@@ -653,11 +658,6 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
             rf = forms.genfun(j)
             if rf.num:
                 lines.append({"item": f"<{lbl}, S_t>", "value": str(rf)})
-    else:
-        raise InputError(
-            "spec selector must be regular[:m], quotient:<name>[:m], "
-            "central:<name> or onedim:<label>"
-        )
     doc = OutputDocument(
         "closedform", {"group": ctx.name, "spec": args.spec, "lines": lines}
     )
@@ -733,8 +733,8 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
 
     cd = ctx.classes
     if ctx.table is not None:
-        problems = validate_table(ctx.table)
-        record("table-identities", not problems, "; ".join(problems[:4]))
+        # validated at load: get_group (exit 3) and load_group_spec (exit 2) raise
+        record("table-identities", True)
     else:
         problems = cd.structural_problems()
         record("class-data-structure", not problems, "; ".join(problems[:4]))
@@ -752,14 +752,8 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     record("regular-character-periodic", is_periodic(reg))
     # product form reconstructs the per-class polynomials of the regular character
     pf = product_form(reg)
-    ok = True
-    for c in range(cd.class_count):
-        poly = char_poly(reg, c)
-        recon = expand_product_form(pf, c, len(poly) - 1)
-        if len(recon) < len(poly):
-            recon += [Cyclotomic.from_rational(0)] * (len(poly) - len(recon))
-        if any(poly[i] != recon[i] for i in range(len(poly))):
-            ok = False
+    polys = [char_poly(reg, c) for c in range(cd.class_count)]
+    ok = all(expand_product_form(pf, c, len(p) - 1) == p for c, p in enumerate(polys))
     record("regular-product-form", ok)
     if ctx.natural is not None:
         record("natural-character-periodic", is_periodic(ctx.natural))
@@ -840,17 +834,17 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
 def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
     """m*zeta_0 against the recurrences: lambda_t at every class with a closed
     form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
-    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m)."""
+    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m), all off one
+    LambdaSequence to max(m, min(degree, 2m))."""
     cd, spec = forms.cd, forms.spec
-    chi = forms.character()
-    bound = min(degree, 2 * spec.multiplier)
-    seq = LambdaSequence.compute(chi, bound)
-    closed = [c for c in range(cd.class_count) if spec.multiplier % forms.coset_orders[c] == 0]
+    m = spec.multiplier
+    bound = min(degree, 2 * m)
+    seq = LambdaSequence.compute(forms.character(), max(m, bound))
+    closed = [c for c in range(cd.class_count) if m % forms.coset_orders[c] == 0]
     ok = True
     for c in closed:
-        if char_poly(chi, c) != forms.lambda_poly(c) or any(
-            seq.lambdas[n].values[c] for n in range(spec.multiplier + 1, bound + 1)
-        ):
+        lam = [f.values[c] for f in seq.lambdas]
+        if lam[: m + 1] != forms.lambda_poly(c) or any(lam[m + 1 : bound + 1]):
             ok = False
     qo = spec.subgroup.quotient_order
     for n in range(1, min(qo + 5, bound) + 1):

@@ -3,14 +3,16 @@
 Covered here: one-dimensional characters (S^i = chi^i), one family for a
 linear character zeta of a normal subgroup N, times m, extended by zero
 (per-class product forms plus the coprime-degree rule; the permutation
-character of the coset action on G/N is the case zeta = 1, m = |G/N|),
-generalized binomial series, and transfer of the whole computation through a
-quotient group.  Each form is checked against the general engine in the test
-suite; here they are just computed.
+character of the coset action on G/N is the case zeta = 1, m = |G/N|), and
+transfer of the whole computation through a quotient group.  Every per-class
+closed form is a product of binomial series (1 + x*t^a)^r, rational r, all
+expanded by ``binomial_series``.  Each form is checked against the general
+engine in the test suite; here they are just computed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -49,34 +51,33 @@ class MapInconsistentError(ValueError):
 # binomial series
 
 
-def binomial_series(
-    r, a: int = 1, terms: int = 11, base_sign: int = 1, exponent_sign: int = 1
-) -> list[Fraction]:
-    """Coefficients 0..terms-1 of (1 + base_sign*t^a)^(exponent_sign*r) over Q."""
+def binomial_series(r, x, a: int, degree: int) -> list[Cyclotomic]:
+    """Coefficients 0..degree of (1 + x*t^a)^r: binom(r, i)*x^i at t^(ia) and
+    zero elsewhere, for rational r and x an int, Fraction or Cyclotomic.
+    Every closed form in this module expands through here."""
     if a < 1:
         raise ValueError("a must be a positive integer")
-    if base_sign not in (1, -1) or exponent_sign not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    power = Fraction(r) * exponent_sign
-    out = [Fraction(0)] * terms
-    coeff = Fraction(1)  # binom(power, i) * base_sign^i
-    for i in range((terms - 1) // a + 1):
-        out[i * a] = coeff
-        coeff = coeff * (power - i) / (i + 1) * base_sign
+    r, x, div = Fraction(r), as_cyclotomic(x), operator.truediv
+    if r.denominator == 1:  # exact integer steps, far cheaper than Fraction ones
+        r, div = r.numerator, operator.floordiv
+    out = [as_cyclotomic(0)] * (degree + 1)
+    coeff, power = 1, as_cyclotomic(1)  # binom(r, i) and x^i
+    for i in range(degree // a + 1):
+        out[i * a] = power * coeff
+        coeff = div(coeff * (r - i), i + 1)
+        power = power * x
     return out
 
 
 def expand_product_form(pf, c: int, degree: int) -> list[Cyclotomic]:
     """Series expansion to ``degree`` of prod (1-(-t)^a)^(b_a(c)/a).
 
-    The exponents b_a(c)/a may be arbitrary rationals; each factor expands
-    through the generalized binomial series.
+    The exponents b_a(c)/a may be arbitrary rationals; each factor
+    (1 - (-t)^a)^(b/a) = (1 - (-1)^a t^a)^(b/a) is a binomial series.
     """
     result = [as_cyclotomic(1)] + [as_cyclotomic(0)] * degree
     for a, b in pf.exponent_at(c):
-        exp = b.to_rational() / a
-        # (1 - (-t)^a)^(b/a) = (1 + (-1)^(a+1) t^a)^(b/a)
-        factor = binomial_series(exp, a=a, terms=degree + 1, base_sign=-((-1) ** a))
+        factor = binomial_series(b.to_rational() / a, -((-1) ** a), a, degree)
         new = [as_cyclotomic(0)] * (degree + 1)
         for i in range(degree + 1):
             if result[i].is_zero():
@@ -262,25 +263,12 @@ class CentralForms:
     def lambda_poly(self, c: int) -> list[Cyclotomic]:
         """lambda_t at class c: (1 - zeta(g^h)(-t)^h)^(m/h) with h = O_N(g)."""
         h, e, root = self._root_at(c)
-        base = root * (-((-1) ** h))  # coefficient of t^h inside the base
-        out = [as_cyclotomic(0)] * (h * e + 1)
-        coeff, power = 1, as_cyclotomic(1)  # binom(e, i) and base^i
-        for i in range(e + 1):
-            out[i * h] = power * coeff
-            coeff = coeff * (e - i) // (i + 1)
-            power = power * base
-        return out
+        return binomial_series(e, root * -((-1) ** h), h, h * e)
 
     def sym_series(self, c: int, M: int) -> list[Cyclotomic]:
         """S_t at class c to degree M: the series of (1 - zeta(g^h)t^h)^(-m/h)."""
         h, e, root = self._root_at(c)
-        out = [as_cyclotomic(0)] * (M + 1)
-        coeff, power = 1, as_cyclotomic(1)  # binom(e+i-1, i) and root^i
-        for i in range(M // h + 1):
-            out[i * h] = power * coeff
-            coeff = coeff * (e + i) // (i + 1)
-            power = power * root
-        return out
+        return binomial_series(-e, -root, h, M)
 
     def shortcut(self, n: int, op: str) -> ClassFunction:
         """S^n(m zeta_0) = binom(m+n-1, n) zeta_0^n (ext: binom(m, n) zeta_0^n).

@@ -3,7 +3,9 @@
 Nothing here reuses the package's lambda/sym recurrences: exterior-power
 values come from sums of principal minors and symmetric-power values from
 power traces of explicit matrices, so the tests that compare against these
-really are dual-route.  Expected rational forms are reduced by Euclid's
+really are dual-route.  The symmetric-function identities (power sums and
+complete homogeneous values from elementary ones) are plain ``Cyclotomic``
+loops.  Expected rational forms are reduced by Euclid's
 algorithm over Fraction, which the package does not use.
 """
 
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 import random
 
+from symext.exactnum import as_cyclotomic
 from symext.genfun import RationalFunction, poly_mul
 from symext.groupdata import ClassFunction
 
@@ -85,6 +88,38 @@ def h_from_power_sums(p, n):
         for i in range(1, m + 1):
             acc += Fraction(p[i]) * h[m - i]
         h.append(acc / m)
+    return h[n]
+
+
+def _elementary(e, n):
+    # e_0 = 1, e_1..e_len(e) from e, zero past the list, through e_n
+    zero = as_cyclotomic(0)
+    return [as_cyclotomic(1)] + [as_cyclotomic(x) for x in e] + [zero] * n
+
+
+def power_sum_from_e(e, n):
+    """p_n from elementary symmetric values e[0] = e_1, e[1] = e_2, ... by
+    Newton's identity p_m = sum_{i<m} (-1)^(i+1) e_i p_(m-i) + (-1)^(m+1) m e_m."""
+    ee = _elementary(e, n)
+    p = [None]
+    for m in range(1, n + 1):
+        acc = ee[m] * ((-1) ** (m + 1) * m)
+        for i in range(1, m):
+            acc = acc + ee[i] * p[m - i] * (-1) ** (i + 1)
+        p.append(acc)
+    return p[n]
+
+
+def complete_from_e(e, n):
+    """h_n from elementary symmetric values e[0] = e_1, ... by
+    h_m = sum_{i=1..m} (-1)^(i+1) e_i h_(m-i), h_0 = 1."""
+    ee = _elementary(e, n)
+    h = [ee[0]]
+    for m in range(1, n + 1):
+        acc = as_cyclotomic(0)
+        for i in range(1, m + 1):
+            acc = acc + ee[i] * h[m - i] * (-1) ** (i + 1)
+        h.append(acc)
     return h[n]
 
 

@@ -7,9 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from symext import cli, permgroup
-from symext.catalog import NoModelError, get_group
-from symext.closedforms import CentralForms, burnside_regular_forms, subgroup_spec
+from symext import catalog, cli, groupdata, lambdaops, permgroup
+from symext.catalog import NoModelError, central_characters, get_group
+from symext.closedforms import (
+    CentralForms,
+    burnside_regular_forms,
+    central_forms,
+    subgroup_spec,
+)
 from symext.groupdata import ClassFunction
 from symext.lambdaops import LambdaSequence
 from symext.exactnum import Cyclotomic
@@ -589,12 +594,19 @@ def test_verify_names_the_classes_without_a_closed_form(tmp_path):
 
 @pytest.mark.parametrize("tamper", ["lambda_poly", "shortcut", "degree-bound"])
 def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
+    # S3/A3 to degree 10 (m = 2), and S3/1 to degree 4 (m = 6 > degree),
+    # where lambda_t comes from the sequence extended past the degree to m
     s3 = get_group("S3")
-    forms = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, (0, 2)))
-    assert cli._closed_form_check(forms, 10) == (True, "")
+    cases = [
+        (burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, idx)), degree)
+        for idx, degree in (((0, 2), 10), ((0,), 4))
+    ]
+    for forms, degree in cases:
+        assert cli._closed_form_check(forms, degree) == (True, "")
     if tamper == "degree-bound":
         # lambda^M replaced by chi: for S3/A3, M = 4 exceeds the degree 2 of Pi,
-        # and the coprime-degree rule skips n = 4
+        # and the coprime-degree rule skips n = 4; for S3/1, M = m = 6 and
+        # lambda^6 is the top coefficient of lambda_t
         real = LambdaSequence.compute
 
         def tampered(chi, M, expect_character=False):
@@ -608,7 +620,22 @@ def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
         monkeypatch.setattr(
             CentralForms, tamper, lambda self, *a: wrong[tamper](real(self, *a))
         )
-    assert cli._closed_form_check(forms, 10)[0] is False
+    for forms, degree in cases:
+        assert cli._closed_form_check(forms, degree)[0] is False
+
+
+def test_closed_form_check_reads_lambda_t_off_its_one_sequence(monkeypatch):
+    def no_char_poly(chi, c):
+        raise AssertionError("char_poly called")
+
+    monkeypatch.setattr(cli, "char_poly", no_char_poly)
+    monkeypatch.setattr(lambdaops, "char_poly", no_char_poly)
+    s3, hp3 = get_group("S3"), get_group("Hp", 3)
+    for idx in ((0,), (0, 2)):
+        forms = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, idx))
+        assert cli._closed_form_check(forms, 10) == (True, "")
+    for spec in central_characters("Hp", 3).values():
+        assert cli._closed_form_check(central_forms(hp3.classes, spec), 6) == (True, "")
 
 
 @pytest.mark.parametrize("where", ["flag", "spec"])
@@ -717,6 +744,47 @@ def _calls(monkeypatch, module, name) -> list:
     calls = []
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     return calls
+
+
+def test_verify_reads_the_validation_done_at_load(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return groupdata.validate_table(table)
+
+    monkeypatch.setattr(catalog, "validate_table", counted)
+    monkeypatch.setattr(cli, "validate_table", counted)
+    catalog.get_group.cache_clear()
+    code, out, err = run_cli(["verify", "--group", "D2n:6"])
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[1].split() == ["table-identities", "ok"]
+    assert len(calls) == 1
+
+
+def test_a_table_that_fails_validation_never_reaches_verify(monkeypatch):
+    monkeypatch.setattr(catalog, "validate_table", lambda table: ["a planted problem"])
+    catalog.get_group.cache_clear()
+    code, out, err = run_cli(["verify", "--group", "S3"])
+    assert code == EXIT_INTERNAL and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("spec", ["regular:1:junk", "quotient:V:1:junk", "onedim:chi2:junk"])
+def test_trailing_spec_fields_are_an_input_error(spec):
+    code, out, err = run_cli(["closedform", "--group", "S4", "--spec", spec])
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {spec}: spec selector must be regular[:m], ")
+
+
+def test_an_irreducible_index_is_ascii_digits():
+    # int() reads the Arabic-Indic digit one as 1
+    code, out, err = run_cli(["genfun", "--group", "S3", "--char", "chi3", "--irr", "\u0661"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [
+        "error: unknown irreducible '\u0661'; available: chi1, chi2, chi3"
+    ]
 
 
 @pytest.mark.parametrize(

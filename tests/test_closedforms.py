@@ -38,39 +38,47 @@ def onemt(a):
 
 
 def test_binomial_series_basics():
-    assert binomial_series(2, terms=4, base_sign=-1, exponent_sign=-1) == [1, 2, 3, 4]
-    assert binomial_series(3, terms=5) == [1, 3, 3, 1, 0]
+    assert binomial_series(-2, -1, 1, 3) == [1, 2, 3, 4]  # (1-t)^(-2)
+    assert binomial_series(3, 1, 1, 4) == [1, 3, 3, 1, 0]
     # (1-t^2)^2
-    assert binomial_series(2, a=2, terms=5, base_sign=-1) == [1, 0, -2, 0, 1]
+    assert binomial_series(2, -1, 2, 4) == [1, 0, -2, 0, 1]
     with pytest.raises(ValueError):
-        binomial_series(1, a=0, terms=3)
+        binomial_series(1, 1, 0, 2)
+
+
+# x = 1 and roots of unity of orders 3, 4 and 5
+BINOMIAL_BASES = [1] + [Cyclotomic.root_of_unity(o, e) for o, e in ((3, 1), (4, 3), (5, 2))]
 
 
 def test_binomial_series_inverse_pairs():
     rng = random.Random(13)
     for _ in range(10):
         r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        up = binomial_series(r, terms=9)
-        down = binomial_series(r, terms=9, exponent_sign=-1)
-        for n in range(9):
-            conv = sum(up[i] * down[n - i] for i in range(n + 1))
-            assert conv == (1 if n == 0 else 0)
+        for x in BINOMIAL_BASES:
+            for a in (1, 2, 3):
+                up = binomial_series(r, x, a, 8)
+                down = binomial_series(-r, x, a, 8)
+                for n in range(9):
+                    conv = sum(up[i] * down[n - i] for i in range(n + 1))
+                    assert conv == (1 if n == 0 else 0)
 
 
 def test_binomial_series_integer_exponent_matches_poly_multiplication():
-    for e in range(0, 6):
-        series = binomial_series(e, a=2, terms=2 * e + 1, base_sign=-1)
-        poly = [Fraction(1)]
-        for _ in range(e):
-            poly = poly_mul(poly, [Fraction(1), Fraction(0), Fraction(-1)])
-        poly += [Fraction(0)] * (2 * e + 1 - len(poly))
-        assert series == poly
+    for x in [-1] + BINOMIAL_BASES[1:]:
+        for a in (1, 2, 3):
+            for e in range(0, 6):
+                # one degree past the polynomial: its coefficients are zero
+                series = binomial_series(e, x, a, a * e + a)
+                poly = [1]
+                for _ in range(e):
+                    poly = poly_mul(poly, [1] + [0] * (a - 1) + [x])
+                assert series == poly + [0] * a
 
 
 def test_inverse_binomial_coefficient_identity():
     # (1-t)^(-r) has coefficients binom(r+n-1, n)
     r = 5
-    series = binomial_series(r, terms=8, base_sign=-1, exponent_sign=-1)
+    series = binomial_series(-r, -1, 1, 7)
     assert series == [binom(r + n - 1, n) for n in range(8)]
 
 
