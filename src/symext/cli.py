@@ -359,7 +359,14 @@ def load_group_spec(path: str) -> GroupContext:
     labels = []
     for j, irr in enumerate(irreducibles):
         where = f"{path}: irreducibles[{j}]"
-        labels.append(str(irr.get("name", f"chi{j+1}")))
+        label = str(irr.get("name", f"chi{j+1}"))
+        if ":" in label or label in ("regular", "natural"):
+            raise InputError(
+                f"{where}: name {label!r} must not contain ':' or be regular or natural"
+            )
+        if label in labels:
+            raise InputError(f"{where}: name {label!r} repeats irreducibles[{labels.index(label)}]")
+        labels.append(label)
         vals = irr.get("values")
         if not isinstance(vals, list) or len(vals) != len(classes):
             raise InputError(f"{where}: need one value per class")
@@ -752,8 +759,10 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     record("regular-character-periodic", is_periodic(reg))
     # product form reconstructs the per-class polynomials of the regular character
     pf = product_form(reg)
-    polys = [char_poly(reg, c) for c in range(cd.class_count)]
-    ok = all(expand_product_form(pf, c, len(p) - 1) == p for c, p in enumerate(polys))
+    # reg is rational, so lambda_t is constant on a rational class
+    reps = [r for r, _ in cd.rational_classes()[0]]
+    polys = {r: char_poly(reg, r) for r in set(reps)}
+    ok = all(expand_product_form(pf, c, len(polys[r]) - 1) == polys[r] for c, r in enumerate(reps))
     record("regular-product-form", ok)
     if ctx.natural is not None:
         record("natural-character-periodic", is_periodic(ctx.natural))

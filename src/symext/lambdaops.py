@@ -7,7 +7,9 @@ The power operations are evaluated pointwise on conjugacy classes:
   n*lambda^n = sum_{i<n} (-1)^(n+1+i) lambda^i psi^(n-i),
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
-``power_sum_check`` recomputes S^n from psi alone as an independent route.
+``power_sum_check`` recomputes S^n from psi alone as an independent route,
+once per rational class, and compares every class against it (a Galois
+image of the route off the representatives).
 Every step of the three recurrences is one packed integer dot product
 (``_recurrence``), and all divisions are by integers, hence exact.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
@@ -233,17 +235,30 @@ def power_sum_check(seq: LambdaSequence) -> None:
     n*S^n = sum_{i=1..n} psi^i S^(n-i); it shares no recurrence with
     psi -> lambda -> S.  The lambda <-> S inversion is unitriangular, so
     agreement on S certifies the lambda values as well.
+
+    The route runs once per rational class (``galois_orbits`` of chi; an
+    incompatible chi makes every class its own orbit), and the stored S^n at
+    every other class c = r^u is compared with sigma_u of the route at r.
+    Every step of the route is ring operations and a division by an integer,
+    so it commutes with sigma_u, and psi at r^u is sigma_u(psi at r): the
+    image is the route at c.  A wrong image map shared with ``compute`` is
+    not seen here; ``MultiplicityTable.certify`` catches it, since its
+    reconstruction sum_j q_j chi_j is compatible and is compared with S^n at
+    every class.
     """
     cd, M = seq.base.data, seq.degree_bound
-    for c in range(cd.class_count):
-        psi = [None] + [f.values[c] for f in seq.adams]
-        given = _given(psi, signed=False, zeros_count=True)
-        h = _recurrence(given, M, divide=True, out_first=False)
+    routes = {}
+    for c, (r, u) in enumerate(cd.galois_orbits(seq.base.values)):
+        if r == c:
+            psi = [None] + [f.values[c] for f in seq.adams]
+            given = _given(psi, signed=False, zeros_count=True)
+            routes[c] = _recurrence(given, M, divide=True, out_first=False)
         for n in range(1, M + 1):
-            if h[n] != seq.syms[n].values[c]:
+            h = routes[r][n] if r == c else cd.galois_image(routes[r][n], u)
+            if h != seq.syms[n].values[c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "
-                    f"{h[n]!r}, the lambda route {seq.syms[n].values[c]!r}"
+                    f"{h!r}, the lambda route {seq.syms[n].values[c]!r}"
                 )
 
 

@@ -191,6 +191,57 @@ def test_verify_dual_route_catches_a_wrong_sym_value(monkeypatch):
     assert ["one-dimensional-forms", "FAIL"] in [ln.split() for ln in out.splitlines()]
 
 
+def _row(out, name):
+    return next(ln.split() for ln in out.splitlines() if ln.startswith(name + " "))
+
+
+@pytest.mark.parametrize("family, param", [("Q4n", 7), ("Hp", 5)])
+def test_verify_catches_a_wrong_image_that_compute_and_the_check_share(monkeypatch, family, param):
+    # images of irreducible values stay right, so galois_orbits still finds every
+    # chi compatible, but compute writes and power_sum_check reads S^n images
+    # that are the representative's value; certify's reconstruction sees it
+    table = get_group(family, param)
+    known = {(v.order, tuple(v.num), v.den) for chi in table.irreducibles for v in chi.values}
+    real = groupdata.ClassData.galois_image
+
+    def shared(self, v, u):
+        if v.is_rational() or (v.order, tuple(v.num), v.den) in known:
+            return real(self, v, u)
+        return v
+
+    monkeypatch.setattr(groupdata.ClassData, "galois_image", shared)
+    code, out, _ = run_cli(["verify", "--group", f"{family}:{param}"])
+    assert code == EXIT_VERIFY
+    row = _row(out, "dual-route-coefficients")
+    assert row[1] == "FAIL" and "power-sum route" not in " ".join(row)
+
+
+def test_verify_runs_char_poly_once_per_rational_class(monkeypatch):
+    # D2n:50: 28 classes in 8 rational classes
+    calls = []
+    real = cli.char_poly
+    monkeypatch.setattr(cli, "char_poly", lambda chi, c: calls.append(c) or real(chi, c))
+    code, _, _ = run_cli(["verify", "--group", "D2n:50"])
+    assert code == EXIT_OK
+    orbit = get_group("D2n", 50).classes.rational_classes()[0]
+    assert sorted(calls) == sorted({r for r, _ in orbit}) and len(calls) == 8
+
+
+def test_regular_product_form_compares_every_class(monkeypatch):
+    cd = get_group("D2n", 12).classes
+    c0 = next(c for c, (r, _) in enumerate(cd.rational_classes()[0]) if r != c)
+    real = cli.expand_product_form
+
+    def wrong(pf, c, degree):
+        out = real(pf, c, degree)
+        return out[:-1] + [out[-1] + 1] if c == c0 else out
+
+    monkeypatch.setattr(cli, "expand_product_form", wrong)
+    code, out, _ = run_cli(["verify", "--group", "D2n:12"])
+    assert code == EXIT_VERIFY
+    assert _row(out, "regular-product-form")[1] == "FAIL"
+
+
 def test_output_determinism_and_machine_round_trip():
     args = ["decompose", "--group", "A4", "--char", "chi4", "--op", "sym",
             "--degree", "8", "--format", "machine"]
@@ -776,6 +827,48 @@ def test_trailing_spec_fields_are_an_input_error(spec):
     assert code == EXIT_INPUT and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {spec}: spec selector must be regular[:m], ")
+
+
+def _s3_spec_named(tmp_path, names):
+    doc = dump_group_spec(get_group("S3"))
+    for irr, name in zip(doc["irreducibles"], names):
+        irr["name"] = name
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_an_irreducible_label_with_a_colon_is_an_input_error(tmp_path):
+    # closedform's onedim:<label> selector splits on ':', so it could not name it
+    path = _s3_spec_named(tmp_path, ["chi1", "sgn:1", "chi3"])
+    code, out, err = run_cli(["decompose", "--group", str(path), "--char", "sgn:1"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [
+        f"error: {path}: irreducibles[1]: "
+        "name 'sgn:1' must not contain ':' or be regular or natural"
+    ]
+
+
+def test_a_repeated_irreducible_label_is_an_input_error(tmp_path):
+    # --irr chi2 and --char chi2 would silently take the first
+    path = _s3_spec_named(tmp_path, ["chi1", "chi2", "chi2"])
+    code, out, err = run_cli(["genfun", "--group", str(path), "--char", "chi2", "--irr", "chi2"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [
+        f"error: {path}: irreducibles[2]: name 'chi2' repeats irreducibles[1]"
+    ]
+
+
+@pytest.mark.parametrize("name", ["regular", "natural"])
+def test_an_irreducible_label_naming_a_standard_character_is_an_input_error(tmp_path, name):
+    # --char regular and --char natural select the standard characters, never the label
+    path = _s3_spec_named(tmp_path, ["chi1", name, "chi3"])
+    code, out, err = run_cli(["decompose", "--group", str(path), "--char", name])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [
+        f"error: {path}: irreducibles[1]: "
+        f"name '{name}' must not contain ':' or be regular or natural"
+    ]
 
 
 def test_an_irreducible_index_is_ascii_digits():

@@ -8,7 +8,9 @@ order it is stored at (order 1 if it is rational, else the working order of
 the given values), and the verdict of the power-sum check with the degree
 and class it names.  The class functions are characters, virtual
 characters, rational values with denominators, rational values stored at
-high orders, and values of mixed orders.
+high orders, and values of mixed orders.  The power-sum check runs its route
+at one class per rational class; the deterministic tests at the end move S^n
+at every other class and count the routes it runs.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symext import lambdaops
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
 from symext.groupdata import ClassData, ClassFunction
@@ -59,10 +62,10 @@ def reference_syms(lam, M):
     return syms
 
 
-def reference_power_sum_check(seq):
-    """n*S^n = sum psi^i S^(n-i), compared with the lambda route."""
-    cd = seq.base.data
-    for c in range(cd.class_count):
+def reference_routes(seq):
+    """h^0..h^M per class by n*h^n = sum psi^i h^(n-i), from psi alone."""
+    routes = []
+    for c in range(seq.base.data.class_count):
         psi = [None] + [f.values[c] for f in seq.adams]
         h = [as_cyclotomic(1)]
         for n in range(1, seq.degree_bound + 1):
@@ -70,6 +73,16 @@ def reference_power_sum_check(seq):
             for i in range(1, n + 1):
                 acc = acc + psi[i] * h[n - i]
             h.append(acc / n)
+        routes.append(h)
+    return routes
+
+
+def reference_power_sum_check(seq, routes=None):
+    """The power-sum route at every class, compared with the lambda route;
+    ``routes`` is ``reference_routes`` of ``seq`` or of a sequence with its psi."""
+    cd = seq.base.data
+    for c, h in enumerate(routes or reference_routes(seq)):
+        for n in range(1, seq.degree_bound + 1):
             if h[n] != seq.syms[n].values[c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "
@@ -226,3 +239,60 @@ def test_slot_width_boundary():
         assert same(_scalar_syms(lam, 6), reference_syms(lam, 6), lam)
     seq = LambdaSequence.compute(f, 6)
     assert verdict(power_sum_check, seq) == "ok" == verdict(reference_power_sum_check, seq)
+
+
+def moved(seq, n, c, delta):
+    """``seq`` with S^n at class c moved by delta."""
+    values = list(seq.syms[n].values)
+    values[c] = values[c] + delta
+    syms = list(seq.syms)
+    syms[n] = ClassFunction(seq.base.data, values)
+    return LambdaSequence(seq.base, seq.degree_bound, seq.adams, seq.lambdas, tuple(syms))
+
+
+@pytest.mark.parametrize("family, param", [("D2n", 12), ("Q4n", 7), ("Hp", 5)])
+def test_power_sum_check_compares_every_non_representative_class(family, param):
+    # the route runs at the orbit representatives only; every other class is
+    # compared with a Galois image, so a move there is still caught there
+    table = get_group(family, param)
+    cd, M = table.classes, 4
+    deltas = [as_cyclotomic(1), Cyclotomic.root_of_unity(cd.exponent)]
+    for chi in table.irreducibles:
+        seq = LambdaSequence.compute(chi, M)
+        routes = reference_routes(seq)
+        reference = lambda s: reference_power_sum_check(s, routes)
+        for c, (r, _) in enumerate(cd.galois_orbits(chi.values)):
+            if r == c:
+                continue
+            for n in range(1, M + 1):
+                for delta in deltas:
+                    bad = moved(seq, n, c, delta)
+                    got = verdict(power_sum_check, bad)
+                    assert got == f"S^{n} at class {cd.names[c]}"
+                    assert got == verdict(reference, bad)
+
+
+def test_power_sum_check_of_an_incompatible_function_runs_at_every_class():
+    # on D2n:5, C2 is C1^3, and f(C2) is not sigma_3(f(C1))
+    cd = get_group("D2n", 5).classes
+    z = Cyclotomic.root_of_unity(5)
+    f = ClassFunction(cd, [2, z + z**4, z + z**4, 0])
+    assert cd.galois_orbits(f.values) == tuple((c, 1) for c in range(4))
+    seq = LambdaSequence.compute(f, 5)
+    assert verdict(power_sum_check, seq) == "ok" == verdict(reference_power_sum_check, seq)
+    for n in range(1, 6):
+        bad = moved(seq, n, 2, as_cyclotomic(1))
+        assert verdict(power_sum_check, bad) == f"S^{n} at class C2"
+        assert verdict(reference_power_sum_check, bad) == f"S^{n} at class C2"
+
+
+def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
+    # D2n:50: 28 classes in 8 rational classes, every irreducible compatible
+    table = get_group("D2n", 50)
+    real, calls = lambdaops._recurrence, []
+    monkeypatch.setattr(lambdaops, "_recurrence", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for chi in table.irreducibles:
+        seq = LambdaSequence.compute(chi, 6)
+        calls.clear()
+        power_sum_check(seq)
+        assert len(calls) == 8
