@@ -541,26 +541,29 @@ def match_class_data(a: ClassData, b: ClassData) -> tuple[int, ...] | None:
                     return False
         return True
 
-    def dfs(pos: int) -> bool:
+    # depth-first over the classes in ``order``, without recursion: a
+    # recursive closure would hold itself in a reference cycle
+    pos, tried = 0, [0] * k  # tried[pos]: candidates of order[pos] tried so far
+    while pos >= 0:
         if pos == k:
-            return full_check()
+            if full_check():
+                return tuple(mapping)
+            pos -= 1
+            continue
         i = order[pos]
         if mapping[i] is not None:
-            return dfs(pos + 1)
-        for j in cands[i]:
-            if used[j] or not consistent(i, j):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if dfs(pos + 1):
-                return True
-            mapping[i] = None
-            used[j] = False
-        return False
-
-    if not dfs(0):
-        return None
-    return tuple(mapping)
+            used[mapping[i]], mapping[i] = False, None
+        while tried[pos] < len(cands[i]):
+            j = cands[i][tried[pos]]
+            tried[pos] += 1
+            if not used[j] and consistent(i, j):
+                mapping[i], used[j] = j, True
+                break
+        if mapping[i] is None:
+            tried[pos], pos = 0, pos - 1
+        else:
+            pos += 1
+    return None
 
 
 def _regular_action_q4n(n: int) -> list[Permutation]:

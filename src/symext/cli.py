@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from . import catalog
@@ -64,6 +64,7 @@ from .groupdata import (
 from .lambdaops import (
     CrossCheckError,
     LambdaSequence,
+    SeriesShare,
     char_poly,
     is_periodic,
     power_sum_check,
@@ -774,20 +775,7 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         "regular-degree-multiplicities",
         list(qs) == [chi.values[0].to_rational() for chi in table.irreducibles],
     )
-    # dual route for every irreducible: the certified symmetric-power table,
-    # with each per-class S^n recomputed from psi by the power-sum identity
-    ok = True
-    detail = ""
-    for j, chi in enumerate(table.irreducibles):
-        try:
-            seq = LambdaSequence.compute(chi, degree, expect_character=True)
-            power_sum_check(seq)
-            MultiplicityTable.certify(seq, table, SYM)
-        except Exception as exc:
-            ok = False
-            detail = f"{table.labels[j]}: {exc}"
-            break
-    record("dual-route-coefficients", ok, detail)
+    record("dual-route-coefficients", *_dual_route_check(table, degree))
     # one-dimensional shortcut agreement
     ok = True
     for j, chi in enumerate(table.irreducibles):
@@ -840,6 +828,22 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     return checks
 
 
+def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
+    """The certified symmetric-power table of every irreducible, with each
+    per-class S^n recomputed from psi by the power-sum identity.  One share
+    for lambda/S and one for the routes serve every irreducible, and both
+    are freed on return."""
+    seqs, routes = SeriesShare(), SeriesShare()
+    for j, chi in enumerate(table.irreducibles):
+        try:
+            seq = LambdaSequence.compute(chi, degree, expect_character=True, share=seqs)
+            power_sum_check(seq, routes)
+            MultiplicityTable.certify(seq, table, SYM)
+        except Exception as exc:
+            return False, f"{table.labels[j]}: {exc}"
+    return True, ""
+
+
 def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
     """m*zeta_0 against the recurrences: lambda_t at every class with a closed
     form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
@@ -883,7 +887,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state in
+    it, and each build leaves cyclic argparse garbage."""
     parser = _Parser(
         prog="symext",
         description="Exact symmetric/exterior power decompositions of group characters",

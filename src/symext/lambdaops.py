@@ -7,9 +7,11 @@ The power operations are evaluated pointwise on conjugacy classes:
   n*lambda^n = sum_{i<n} (-1)^(n+1+i) lambda^i psi^(n-i),
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
-``power_sum_check`` recomputes S^n from psi alone as an independent route,
-once per rational class, and compares every class against it (a Galois
-image of the route off the representatives).
+``power_sum_check`` recomputes S^n from psi alone as an independent route
+and compares every class against it.  Every per-class series is a function
+of the psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, so each runs
+once per distinct sequence in a ``SeriesShare`` (a Galois image of the
+series at the representative off the representatives).
 Every step of the three recurrences is one packed integer dot product
 (``_recurrence``), and all divisions are by integers, hence exact.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
@@ -131,6 +133,39 @@ def _scalar_syms(lam: Sequence[Cyclotomic], M: int) -> list[Cyclotomic]:
     return _recurrence(given, M, divide=False, out_first=False)
 
 
+class SeriesShare:
+    """The per-class series of one request, keyed by their psi-sequence.
+
+    A series at class c depends on psi^1..psi^M at c alone, so every class
+    with one sequence, of one character or of several, reads one column of
+    ``cols``.  Each value (order, num, den) is interned to a small id in
+    ``ids``, and a key is one int: the ids in four-byte slots under a top
+    byte 1, so it also fixes M.  Make one share per request and drop it
+    after: it grows with every new sequence and is never pruned.
+    """
+
+    __slots__ = ("ids", "cols")
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.cols: dict[int, object] = {}
+
+    def keys(self, psi_cols: Sequence[Sequence[Cyclotomic]]) -> list[int]:
+        """The key of psi_cols[c][1:] for every class c, interning each
+        value object once."""
+        ids, slots, out = self.ids, {}, []
+        for col in psi_cols:
+            parts = []
+            for v in col[1:]:
+                s = slots.get(id(v))
+                if s is None:
+                    i = ids.setdefault((v.order, v.num, v.den), len(ids))
+                    s = slots[id(v)] = i.to_bytes(4, "little")
+                parts.append(s)
+            out.append(int.from_bytes(b"".join(parts) + b"\x01", "little"))
+        return out
+
+
 @dataclass(frozen=True)
 class LambdaSequence:
     """chi together with its psi/lambda/S values up to a degree bound."""
@@ -140,16 +175,22 @@ class LambdaSequence:
     adams: tuple[ClassFunction, ...]  # psi^1 .. psi^M
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
     syms: tuple[ClassFunction, ...]  # S^0 .. S^M
+    orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
 
     @classmethod
     def compute(
-        cls, chi: ClassFunction, M: int, expect_character: bool = False
+        cls,
+        chi: ClassFunction,
+        M: int,
+        expect_character: bool = False,
+        share: SeriesShare | None = None,
     ) -> "LambdaSequence":
         """Fill psi, lambda and S values pointwise per class up to degree M.
 
         With ``expect_character`` the degree bound lambda^n = 0 for
         n > chi(identity) is asserted, which catches corrupted tables; leave
         it off for virtual characters, where the bound does not apply.
+        Columns are read from and added to ``share`` (a fresh one if None).
         """
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
@@ -160,16 +201,25 @@ class LambdaSequence:
             pm = cd.power_map(n)
             for c in range(k):
                 psi_vals[c][n] = chi.values[pm[c]]
+        # a psi-sequence seen before reads its columns from the share; else
         # chi(r^u) = sigma_u(chi(r)) gives lambda^n and S^n at r^u as the
         # images of those at r, so only the representatives are computed
+        share = SeriesShare() if share is None else share
+        orbits = cd.galois_orbits(chi.values)
         lam_cols, sym_cols = [], []
-        for c, (r, u) in enumerate(cd.galois_orbits(chi.values)):
-            if r == c:
-                lam_cols.append(_scalar_lambdas(psi_vals[c], M))
-                sym_cols.append(_scalar_syms(lam_cols[c], M))
-            else:
-                lam_cols.append([cd.galois_image(v, u) for v in lam_cols[r]])
-                sym_cols.append([cd.galois_image(v, u) for v in sym_cols[r]])
+        for c, ((r, u), key) in enumerate(zip(orbits, share.keys(psi_vals))):
+            cols = share.cols.get(key)
+            if cols is None:
+                if r == c:
+                    lam = _scalar_lambdas(psi_vals[c], M)
+                    cols = lam, _scalar_syms(lam, M)
+                else:
+                    cols = tuple(
+                        [cd.galois_image(v, u) for v in col] for col in (lam_cols[r], sym_cols[r])
+                    )
+                share.cols[key] = cols
+            lam_cols.append(cols[0])
+            sym_cols.append(cols[1])
         if expect_character:
             try:
                 d = chi.values[0].to_rational()
@@ -192,6 +242,7 @@ class LambdaSequence:
             ),
             lambdas=tuple(mk(lam_cols, n) for n in range(M + 1)),
             syms=tuple(mk(sym_cols, n) for n in range(M + 1)),
+            orbits=orbits,
         )
 
 
@@ -228,7 +279,7 @@ def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
     return _scalar_lambdas(psi, d)
 
 
-def power_sum_check(seq: LambdaSequence) -> None:
+def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> None:
     """Recompute every S^n of ``seq`` from its psi values and compare exactly.
 
     The second route is Newton's power-sum identity
@@ -236,29 +287,38 @@ def power_sum_check(seq: LambdaSequence) -> None:
     psi -> lambda -> S.  The lambda <-> S inversion is unitriangular, so
     agreement on S certifies the lambda values as well.
 
-    The route runs once per rational class (``galois_orbits`` of chi; an
-    incompatible chi makes every class its own orbit), and the stored S^n at
-    every other class c = r^u is compared with sigma_u of the route at r.
-    Every step of the route is ring operations and a division by an integer,
-    so it commutes with sigma_u, and psi at r^u is sigma_u(psi at r): the
-    image is the route at c.  A wrong image map shared with ``compute`` is
-    not seen here; ``MultiplicityTable.certify`` catches it, since its
-    reconstruction sum_j q_j chi_j is compatible and is compared with S^n at
-    every class.
+    The route is a function of the psi-sequence at a class, read off
+    ``seq.adams`` and keyed in ``share`` (a fresh one if None; pass one
+    apart from ``compute``'s), so it runs at most once per distinct sequence
+    and once per rational class (``seq.orbits``; an incompatible chi makes
+    every class its own orbit).  At a class c = r^u with a new sequence the
+    route is sigma_u of the route at r.  Every step of the route is ring
+    operations and a division by an integer, so it commutes with sigma_u,
+    and psi at r^u is sigma_u(psi at r): the image is the route at c.  The
+    stored S^n is compared at every class.  A wrong image map shared with
+    ``compute`` is not seen here; ``MultiplicityTable.certify`` catches it,
+    since its reconstruction sum_j q_j chi_j is compatible and is compared
+    with S^n at every class.
     """
     cd, M = seq.base.data, seq.degree_bound
-    routes = {}
-    for c, (r, u) in enumerate(cd.galois_orbits(seq.base.values)):
-        if r == c:
-            psi = [None] + [f.values[c] for f in seq.adams]
-            given = _given(psi, signed=False, zeros_count=True)
-            routes[c] = _recurrence(given, M, divide=True, out_first=False)
+    share = SeriesShare() if share is None else share
+    psi_cols = [[None] + [f.values[c] for f in seq.adams] for c in range(cd.class_count)]
+    routes = []
+    for c, ((r, u), key) in enumerate(zip(seq.orbits, share.keys(psi_cols))):
+        route = share.cols.get(key)
+        if route is None:
+            if r == c:
+                given = _given(psi_cols[c], signed=False, zeros_count=True)
+                route = _recurrence(given, M, divide=True, out_first=False)
+            else:
+                route = [cd.galois_image(h, u) for h in routes[r]]
+            share.cols[key] = route
+        routes.append(route)
         for n in range(1, M + 1):
-            h = routes[r][n] if r == c else cd.galois_image(routes[r][n], u)
-            if h != seq.syms[n].values[c]:
+            if route[n] != seq.syms[n].values[c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "
-                    f"{h!r}, the lambda route {seq.syms[n].values[c]!r}"
+                    f"{route[n]!r}, the lambda route {seq.syms[n].values[c]!r}"
                 )
 
 

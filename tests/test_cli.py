@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 from fractions import Fraction
@@ -981,3 +982,46 @@ def test_an_over_long_integer_in_a_spec_file_is_one_line(tmp_path):
     code, out, err = run_cli(["verify", "--group", str(path)])
     assert code == EXIT_INPUT and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
+def test_successive_main_calls_with_different_subcommands_are_independent():
+    # the parser is built once per process, so no flag of one call may reach
+    # the next: the same calls in the opposite order give the same results
+    decompose = ["decompose", "--group", "S3", "--char", "chi3"]
+    calls = [decompose + ["--op", "ext", "--degree", "2", "--format", "csv"],
+             ["verify", "--group", "S3"], decompose]
+    results = [run_cli(argv) for argv in calls]
+    assert [run_cli(argv) for argv in reversed(calls)] == results[::-1]
+    # the last call has the defaults back: --op sym, --degree 10, plain
+    code, out, _ = results[2]
+    assert code == EXIT_OK and len(out.strip().splitlines()) == 12
+    assert out.splitlines()[2].split() == ["1", "0", "0", "1"]
+
+
+def test_a_verify_leaves_no_cyclic_garbage():
+    # with the collector off, a second verify must free all it made by
+    # reference counts alone: no argparse parser per call, no self-referencing
+    # search closure in the permutation model's class matching
+    run_cli(["verify", "--group", "S4"])
+    gc.collect()
+    gc.disable()
+    try:
+        code, _, _ = run_cli(["verify", "--group", "S4"])
+        assert code == EXIT_OK and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_verify_runs_each_recurrence_once_per_psi_sequence(monkeypatch):
+    # D2n:50 at degree 10: 224 (irreducible, representative) pairs, but 840
+    # recurrences when each pair ran its own; the share is per request, so a
+    # second verify in the process runs as many as the first
+    calls = []
+    real = lambdaops._recurrence
+    monkeypatch.setattr(lambdaops, "_recurrence", lambda *a, **k: calls.append(1) or real(*a, **k))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run_cli(["verify", "--group", "D2n:50"])[0] == EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 100

@@ -16,6 +16,7 @@ per rational class; it must reject exactly the class functions whose
 lambda_t is not a polynomial of degree f(e) at every class.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -33,8 +34,10 @@ from symext.groupdata import (
     inner_product,
 )
 from symext.lambdaops import (
+    CrossCheckError,
     InvalidCharacterError,
     LambdaSequence,
+    SeriesShare,
     _scalar_lambdas,
     _scalar_syms,
     char_poly,
@@ -161,6 +164,43 @@ def test_compute_matches_the_class_by_class_loops(kf, M):
 
 
 S3, D10 = get_group("S3", None), get_group("D2n", 5)
+
+
+def route_verdict(seq, share=None):
+    try:
+        power_sum_check(seq, share)
+    except CrossCheckError as exc:
+        return str(exc)
+    return "ok"
+
+
+@settings(deadline=None, max_examples=60)
+@given(class_function(), class_function(), st.lists(st.integers(0, 8), min_size=2, max_size=4),
+       st.data())
+@example(("character", S3, S3.irreducibles[0]), ("character", S3, S3.irreducibles[1]), [1, 2],
+         None)
+def test_a_shared_map_gives_the_values_of_a_fresh_one(kf, kg, Ms, data):
+    # one share across two class functions, perhaps of two tables, and mixed
+    # degrees: the trivial character at M = 1 and 2 has psi-sequences of one
+    # value id repeated, which a key that does not fix M would confuse
+    seqs, routes = SeriesShare(), SeriesShare()
+    jobs = [(f, M) for (_, _, f) in (kf, kg) for M in Ms]
+    for f, M in jobs:
+        alone = LambdaSequence.compute(f, M)
+        shared = LambdaSequence.compute(f, M, share=seqs)
+        assert shared.orbits == alone.orbits
+        for xs, ys in ((alone.lambdas, shared.lambdas), (alone.syms, shared.syms)):
+            assert all(same(x.values, y.values) for x, y in zip(xs, ys)) and len(xs) == len(ys)
+        assert route_verdict(alone) == "ok" == route_verdict(alone, routes)
+        if M and data is not None:
+            # one S^n moved at one class: the same verdict with the share
+            n = data.draw(st.integers(1, M))
+            c = data.draw(st.integers(0, f.data.class_count - 1))
+            values = list(alone.syms[n].values)
+            values[c] = values[c] + 1
+            syms = alone.syms[:n] + (ClassFunction(f.data, values),) + alone.syms[n + 1:]
+            bad = dataclasses.replace(alone, syms=syms)
+            assert route_verdict(bad) == route_verdict(bad, routes) != "ok"
 
 
 @settings(deadline=None, max_examples=60)

@@ -9,10 +9,12 @@ the given values), and the verdict of the power-sum check with the degree
 and class it names.  The class functions are characters, virtual
 characters, rational values with denominators, rational values stored at
 high orders, and values of mixed orders.  The power-sum check runs its route
-at one class per rational class; the deterministic tests at the end move S^n
-at every other class and count the routes it runs.
+at most once per rational class and once per distinct psi-sequence; the
+deterministic tests at the end move S^n at every other class and count the
+routes it runs.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +29,7 @@ from symext.groupdata import ClassData, ClassFunction
 from symext.lambdaops import (
     CrossCheckError,
     LambdaSequence,
+    SeriesShare,
     _scalar_lambdas,
     _scalar_syms,
     power_sum_check,
@@ -191,7 +194,7 @@ def test_power_sum_check_gives_the_verdict_of_the_cyclotomic_loop(kf, M, data):
     values[c] = values[c] + delta
     syms = list(seq.syms)
     syms[n] = ClassFunction(f.data, values)
-    bad = LambdaSequence(seq.base, M, seq.adams, seq.lambdas, tuple(syms))
+    bad = dataclasses.replace(seq, syms=tuple(syms))
     got = verdict(power_sum_check, bad)
     assert got != "ok" and got == verdict(reference_power_sum_check, bad)
 
@@ -247,7 +250,7 @@ def moved(seq, n, c, delta):
     values[c] = values[c] + delta
     syms = list(seq.syms)
     syms[n] = ClassFunction(seq.base.data, values)
-    return LambdaSequence(seq.base, seq.degree_bound, seq.adams, seq.lambdas, tuple(syms))
+    return dataclasses.replace(seq, syms=tuple(syms))
 
 
 @pytest.mark.parametrize("family, param", [("D2n", 12), ("Q4n", 7), ("Hp", 5)])
@@ -286,13 +289,36 @@ def test_power_sum_check_of_an_incompatible_function_runs_at_every_class():
         assert verdict(reference_power_sum_check, bad) == f"S^{n} at class C2"
 
 
+def psi_sequence(seq, c):
+    return tuple((f.values[c].order, f.values[c].num, f.values[c].den) for f in seq.adams)
+
+
 def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
-    # D2n:50: 28 classes in 8 rational classes, every irreducible compatible
+    # D2n:50: 28 classes in 8 rational classes, every irreducible compatible;
+    # the route runs at a representative whose psi-sequence no earlier class
+    # had, in this character alone or, with one share, in any earlier one
     table = get_group("D2n", 50)
     real, calls = lambdaops._recurrence, []
     monkeypatch.setattr(lambdaops, "_recurrence", lambda *a, **k: calls.append(1) or real(*a, **k))
+    share, seen_shared, shared_runs = SeriesShare(), set(), 0
     for chi in table.irreducibles:
         seq = LambdaSequence.compute(chi, 6)
+        runs, seen = 0, set()
+        for c, (r, _) in enumerate(seq.orbits):
+            key = psi_sequence(seq, c)
+            runs += r == c and key not in seen
+            shared_runs += r == c and key not in seen_shared
+            seen.add(key)
+            seen_shared.add(key)
         calls.clear()
         power_sum_check(seq)
-        assert len(calls) == 8
+        assert len(calls) == runs <= 8
+        calls.clear()
+        power_sum_check(seq, share)
+        shared_runs -= len(calls)
+    assert shared_runs == 0
+    # the trivial character has one psi-sequence at all 28 classes
+    seq = LambdaSequence.compute(table.irreducibles[0], 6)
+    calls.clear()
+    power_sum_check(seq)
+    assert len(calls) == 1
