@@ -239,11 +239,9 @@ def _d2n(n: int) -> CharacterTable:
         rows.append([(-1) ** i for i in range(half + 1)] + [-1, 1])
         labels += ["chi3", "chi4"]
     n_tau = half - 1 if even else half
+    cos2 = [_two_cos(n, e) for e in range(n)]
     for j in range(1, n_tau + 1):
-        rows.append(
-            [_two_cos(n, i * j) for i in range(half + 1)]
-            + ([0, 0] if even else [0])
-        )
+        rows.append([cos2[i * j % n] for i in range(half + 1)] + ([0, 0] if even else [0]))
         labels.append(f"tau{j}")
     value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
     cd = ClassData(2 * n, exponent, names, sizes, rep_orders, inverse, prime_maps)
@@ -291,8 +289,9 @@ def _q4n(n: int) -> CharacterTable:
         rows.append([(-1) ** i for i in range(n + 1)] + [ii, -ii])
         rows.append([(-1) ** i for i in range(n + 1)] + [-ii, ii])
     labels = ["chi1", "chi2", "chi3", "chi4"]
+    cos2 = [_two_cos(2 * n, e) for e in range(2 * n)]
     for j in range(1, n):
-        rows.append([_two_cos(2 * n, i * j) for i in range(n + 1)] + [0, 0])
+        rows.append([cos2[i * j % (2 * n)] for i in range(n + 1)] + [0, 0])
         labels.append(f"tau{j}")
     value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
     cd = ClassData(4 * n, exponent, names, sizes, rep_orders, inverse, prime_maps)
@@ -328,17 +327,14 @@ def _hp(p: int) -> CharacterTable:
         prime_maps[q] = pm
     rows: list[list] = []
     labels: list[str] = []
+    zeta = [Cyclotomic.root_of_unity(p, e) for e in range(p)]
     for i in range(p):
         for j in range(p):
-            rows.append(
-                [1] * p + [Cyclotomic.root_of_unity(p, e * i + f * j) for e, f in pairs]
-            )
+            rows.append([1] * p + [zeta[(e * i + f * j) % p] for e, f in pairs])
             labels.append(f"chi_{i}_{j}")
+    p_zeta = [z * p for z in zeta]
     for s in range(1, p):
-        rows.append(
-            [Cyclotomic.root_of_unity(p, s * h) * p for h in range(p)]
-            + [0] * (p * p - 1)
-        )
+        rows.append([p_zeta[s * h % p] for h in range(p)] + [0] * (p * p - 1))
         labels.append(f"tau_{s}")
     value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
     cd = ClassData(p**3, p, names, sizes, rep_orders, inverse, prime_maps)

@@ -23,7 +23,7 @@ from .groupdata import (
     ClassFunction,
     decompose,
     inner_product,
-    integral_multiplicities,
+    integral_decompose,
 )
 from .lambdaops import (
     CrossCheckError,
@@ -179,7 +179,7 @@ class MultiplicityTable:
     ) -> "MultiplicityTable":
         """Decompose every S^i (or lambda^i) of ``seq`` into nonnegative integers."""
         source = seq.syms if op == SYM else seq.lambdas
-        rows = [integral_multiplicities(decompose(f, table)) for f in source]
+        rows = [integral_decompose(f, table) for f in source]
         return cls(op=op, labels=table.labels, rows=tuple(rows))
 
     def column(self, j: int) -> tuple[int, ...]:

@@ -417,9 +417,10 @@ class _PackedRows:
 
 
 def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int, nums, d):
-    """q_j = nums_j / (d * fden), fden the denominator of f, if sum_j q_j
-    chi_j(c) = f(c) at every class, else None; checked as sum_j nums_j R_j[c]
-    = d * pr.den * F[c] on packed integers at a width that holds both sides."""
+    """d * fden, fden the denominator of f, if q_j = nums_j / (d * fden) has
+    sum_j q_j chi_j(c) = f(c) at every class, else None; checked as sum_j
+    nums_j R_j[c] = d * pr.den * F[c] on packed integers at a width that holds
+    both sides."""
     k = table.classes.class_count
     fden, fbits = pack_bounds(f.values, n)
     w, rows = pr.widen(table, max(
@@ -429,11 +430,28 @@ def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int,
     recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
     if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
         return None
-    return tuple(Fraction(x, d * fden) for x in nums)
+    return d * fden
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
-    """Multiplicities of f against the irreducible basis, as exact rationals.
+    """Multiplicities of f against the irreducible basis, as exact rationals."""
+    nums, den = _decompose(f, table)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def integral_decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:
+    """The multiplicities of f certified as nonnegative integers, read off by
+    divmod; NonIntegralMultiplicityError as ``integral_multiplicities`` words it
+    if one is fractional or negative."""
+    nums, den = _decompose(f, table)
+    qr = [divmod(x, den) for x in nums]
+    if any(r or q < 0 for q, r in qr):
+        integral_multiplicities([Fraction(x, den) for x in nums])  # raises
+    return tuple(q for q, _ in qr)
+
+
+def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]:
+    """(nums, D): the multiplicities of f are nums_j / D.
 
     For Galois compatible rows the candidate is one integer dot product per
     row over the rational classes: O_r adds |r| |O_r| Tr(chi_j(r) f(r^-1))
@@ -459,9 +477,9 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
         g = [x * (fden // v.den) for r in cd.rational_classes()[1]
              for v in [inv_f[r].lift(n)] for x in v.num]
         nums = [sum(map(mul, row, g)) for row in weights]
-        got = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
-        if got is not None:
-            return got
+        den = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
+        if den is not None:
+            return nums, den
     gden, gbits = pack_bounds(inv_f, n, cd.sizes)
     w, rows = pr.widen(table, slot_width(pr.bits, gbits, k, n))
     g = pack(inv_f, n, gden, w, cd.sizes)
@@ -474,10 +492,10 @@ def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
                 f"inner product with {table.labels[j]} is not rational: {v!r}"
             )
         nums.append(coords[0] * fden)
-    got = _certified(f, table, pr, n, nums, pr.den * gden * cd.group_order)
-    if got is None:
+    den = _certified(f, table, pr, n, nums, pr.den * gden * cd.group_order)
+    if den is None:
         raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
-    return got
+    return nums, den
 
 
 def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -527,7 +545,23 @@ def complete_power_maps(
 
 
 def validate_table(table: CharacterTable) -> list[str]:
-    """Check every table identity; returns the list of violations (empty = pass)."""
+    """Check every table identity; returns the list of violations (empty = pass).
+
+    The report lists, in this order: the structural problems of the class
+    data, the degree checks, the row identities <chi_i, chi_j> = delta_ij,
+    the column identities sum_j chi_j(c) conj chi_j(c2) = delta |G|/|c|, and
+    for each irreducible the first class where chi(c^-1) is not conj chi(c).
+
+    The column loop runs only when an earlier check, or the conjugation
+    check, has failed: otherwise it could report nothing (Isaacs, Character
+    Theory of Finite Groups, Thm 2.18).  With the conjugation check passing,
+    the row identities say X D conj(X)^T = |G| I for the value matrix X and
+    D = diag(|c|).  X is square (the CharacterTable constructor enforces it),
+    and inverse_class is a size-preserving involution (the structural
+    checks), so X is invertible and D conj(X)^T / |G| is its two-sided
+    inverse: conj(X)^T X = |G| D^-1, which is exactly the set of column
+    identities.
+    """
     report = table.classes.structural_problems()
     cd = table.classes
     k = cd.class_count
@@ -547,28 +581,31 @@ def validate_table(table: CharacterTable) -> list[str]:
             degs.append(int(d))
     if len(degs) == k and sum(d * d for d in degs) != cd.group_order:
         report.append("sum of squared degrees differs from the group order")
-    # row and column orthogonality, as packed class sums
+    # row orthogonality, as packed class sums
     inv_rows = [[chi.values[c] for c in cd.inverse_class] for chi in chis]
     for i, j, coords, den in _pair_sums([chi.values for chi in chis], inv_rows, cd.sizes):
         want = 1 if i == j else 0
         if any(coords[1:]) or Fraction(coords[0], den * cd.group_order) != want:
             v = inner_product(chis[i], chis[j])
             report.append(f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}")
-    cols = [[chi.values[c] for chi in chis] for c in range(k)]
-    conj = [[v.conjugate() for v in col] for col in cols]
-    for c, c2, coords, den in _pair_sums(cols, conj):
-        want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
-        if any(coords[1:]) or Fraction(coords[0], den) != want:
-            s = _dot(cols[c], conj[c2])
-            report.append(
-                f"column product {cd.names[c]},{cd.names[c2]} = {s!r}, expected {want}"
-            )
     # the inverse map must implement complex conjugation on characters
+    conj_report = []
     for j, chi in enumerate(chis):
         for c in range(k):
-            if chi.values[cd.inverse_class[c]] != chi.values[c].conjugate():
-                report.append(
+            if inv_rows[j][c] != chi.values[c].conjugate():
+                conj_report.append(
                     f"{table.labels[j]} at inverse of {cd.names[c]} is not the conjugate"
                 )
                 break
-    return report
+    # column orthogonality, needed only when the checks above do not imply it
+    if report or conj_report:
+        cols = [[chi.values[c] for chi in chis] for c in range(k)]
+        conj = [[v.conjugate() for v in col] for col in cols]
+        for c, c2, coords, den in _pair_sums(cols, conj):
+            want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
+            if any(coords[1:]) or Fraction(coords[0], den) != want:
+                s = _dot(cols[c], conj[c2])
+                report.append(
+                    f"column product {cd.names[c]},{cd.names[c2]} = {s!r}, expected {want}"
+                )
+    return report + conj_report

@@ -82,7 +82,12 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (a*b)(x) = a(b(x))
-        return Permutation(tuple(self.images[i] for i in other.images))
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degrees differ: {self.degree} and {other.degree}")
+        # a product of permutations is one: skip the check in __init__
+        product = object.__new__(Permutation)
+        product.images = tuple(map(self.images.__getitem__, other.images))
+        return product
 
     def inverse(self) -> "Permutation":
         out = [0] * self.degree

@@ -10,7 +10,7 @@ algorithm over Fraction, which the package does not use.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 import random
 
 from symext.exactnum import as_cyclotomic
@@ -121,6 +121,51 @@ def complete_from_e(e, n):
             acc = acc + ee[i] * h[m - i] * (-1) ** (i + 1)
         h.append(acc)
     return h[n]
+
+
+def reference_inner_product(f, f2):
+    """The class sum in Cyclotomic arithmetic, one term at a time."""
+    cd = f.data
+    total = as_cyclotomic(0)
+    for c in range(cd.class_count):
+        total = total + f.values[c] * f2.values[cd.inverse_class[c]] * cd.sizes[c]
+    return total / cd.group_order
+
+
+def reference_validate_table(table):
+    """The report of ``groupdata.validate_table``, in Cyclotomic loops, with
+    the column identities checked on every table, valid or not."""
+    cd, chis, labels = table.classes, table.irreducibles, table.labels
+    k, inv = cd.class_count, cd.inverse_class
+    report = cd.structural_problems()
+    degs = []
+    for label, chi in zip(labels, chis):
+        d = chi.values[0]
+        if not d.is_rational():
+            report.append(f"degree of {label} is not rational")
+        elif d.to_rational().denominator != 1 or d.to_rational() <= 0:
+            report.append(f"degree of {label} is not a positive integer")
+        else:
+            degs.append(d.to_rational())
+    if len(degs) == k and sum(d * d for d in degs) != cd.group_order:
+        report.append("sum of squared degrees differs from the group order")
+    for i, j in combinations_with_replacement(range(k), 2):
+        v, want = reference_inner_product(chis[i], chis[j]), int(i == j)
+        if v != want:
+            report.append(f"<{labels[i]},{labels[j]}> = {v!r}, expected {want}")
+    for c, c2 in combinations_with_replacement(range(k), 2):
+        s = as_cyclotomic(0)
+        for chi in chis:
+            s = s + chi.values[c] * chi.values[c2].conjugate()
+        want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
+        if s != want:
+            report.append(f"column product {cd.names[c]},{cd.names[c2]} = {s!r}, expected {want}")
+    for label, chi in zip(labels, chis):
+        for c in range(k):
+            if chi.values[inv[c]] != chi.values[c].conjugate():
+                report.append(f"{label} at inverse of {cd.names[c]} is not the conjugate")
+                break
+    return report
 
 
 def perm_matrix(images):

@@ -9,30 +9,27 @@ non-unit-denominator coordinates, and coordinates far beyond one 64-bit slot.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import reference_inner_product, reference_validate_table
+from symext import groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
 from symext.groupdata import (
     CharacterTable,
     ClassData,
     ClassFunction,
+    NonIntegralMultiplicityError,
     NonRationalMultiplicityError,
     decompose,
     inner_product,
+    integral_decompose,
+    integral_multiplicities,
     validate_table,
 )
-
-
-def reference_inner_product(f, f2):
-    """The class sum in Cyclotomic arithmetic, one term at a time."""
-    cd = f.data
-    total = as_cyclotomic(0)
-    for c in range(cd.class_count):
-        total = total + f.values[c] * f2.values[cd.inverse_class[c]] * cd.sizes[c]
-    return total / cd.group_order
 
 
 def reference_decompose(f, table):
@@ -57,7 +54,7 @@ def reference_decompose(f, table):
 def outcome(fn, *args):
     try:
         return ("ok", fn(*args))
-    except NonRationalMultiplicityError as exc:
+    except (NonRationalMultiplicityError, NonIntegralMultiplicityError) as exc:
         return ("error", str(exc))
 
 
@@ -136,6 +133,21 @@ def test_decompose_matches_the_cyclotomic_loop_on_virtual_characters(tfc):
 
 
 @settings(deadline=None, max_examples=60)
+@given(table_and_virtual())
+def test_integral_decompose_reads_the_integers_decompose_gives(tfc):
+    # fractional or negative: the same error text as integral_multiplicities
+    table, f, coeffs = tfc
+    assert outcome(integral_decompose, f, table) == outcome(
+        lambda *a: integral_multiplicities(decompose(*a)), f, table)
+    counts = [abs(q.numerator) for q in coeffs]
+    g = ClassFunction.constant(table.classes, 0)
+    for m, chi in zip(counts, table.irreducibles):
+        g = g + chi * m
+    got = integral_decompose(g, table)
+    assert got == tuple(counts) and all(type(m) is int for m in got)
+
+
+@settings(deadline=None, max_examples=60)
 @given(table_and_function())
 def test_decompose_of_any_class_function_matches_the_cyclotomic_loop(tf):
     # mostly not rational combinations: the same exception with the same text
@@ -203,3 +215,71 @@ def test_validate_table_reports_are_unchanged():
         "column product C2,Cr = -1, expected 0",
         "tau1 at inverse of C1 is not the conjugate",
     ]
+
+
+# every builtin table small enough for the reference's Cyclotomic loops
+BUILTINS = TABLES + [("A4", None), ("G21", None), ("S4", None), ("A5", None)]
+
+
+SQRT_M1 = Cyclotomic.root_of_unity(4)
+# A A^T = I and A (1,1,1) = (1,1,1), but A is not real: A = J - 2I + iK for
+# the all-ones J and the cross product K with (1,1,1)
+MIX = [[-1, 1 - SQRT_M1, 1 + SQRT_M1], [1 + SQRT_M1, -1, 1 - SQRT_M1],
+       [1 - SQRT_M1, 1 + SQRT_M1, -1]]
+
+
+@st.composite
+def altered_table(draw):
+    """A builtin table with one value moved by +-1 or a root of unity, two
+    value columns swapped, one row scaled, or three rows of one degree mixed
+    by MIX; the class data is kept.  Mixed rows keep the degrees and the row
+    identities, but not chi(c^-1) = conj chi(c) nor the column identities."""
+    table = get_group(*draw(st.sampled_from(BUILTINS)))
+    cd, k = table.classes, table.classes.class_count
+    rows = [list(chi.values) for chi in table.irreducibles]
+    # roots of unity of order dividing 2N, stored at order 2N
+    unit = st.sampled_from([1, -1]).map(as_cyclotomic) | st.integers(
+        0, 2 * cd.exponent - 1).map(lambda e: Cyclotomic.root_of_unity(2 * cd.exponent, e))
+    index = st.integers(0, k - 1)
+    degrees = table.degrees()
+    triples = [t for t in combinations(range(k), 3) if len({degrees[j] for j in t}) == 1]
+    kind = draw(st.sampled_from(["move", "swap", "scale"] + ["mix"] * bool(triples)))
+    if kind == "mix":
+        t = draw(st.sampled_from(triples))
+        mixed = [[sum((a * rows[j][c] for a, j in zip(m, t)), as_cyclotomic(0))
+                  for c in range(k)] for m in MIX]
+        for j, row in zip(t, mixed):
+            rows[j] = row
+    elif kind == "move":
+        j, c = draw(index), draw(index)
+        rows[j][c] = rows[j][c] + draw(unit)
+    elif kind == "swap":
+        c, c2 = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        for row in rows:
+            row[c], row[c2] = row[c2], row[c]
+    else:
+        j, s = draw(index), draw(st.sampled_from([2, 3]).map(as_cyclotomic) | unit)
+        rows[j] = [v * s for v in rows[j]]
+    return CharacterTable(cd, [ClassFunction(cd, r) for r in rows], table.labels)
+
+
+@settings(deadline=None, max_examples=150)
+@given(altered_table())
+def test_validate_table_reports_what_the_column_loop_reference_reports(table):
+    assert validate_table(table) == reference_validate_table(table)
+
+
+def test_valid_builtin_tables_report_nothing():
+    for selector in BUILTINS:
+        table = get_group(*selector)
+        assert validate_table(table) == reference_validate_table(table) == [], selector
+
+
+def test_a_valid_table_runs_only_the_row_class_sums(monkeypatch):
+    # the column identities follow from the row identities and the conjugation
+    # check, so a valid table runs k(k+1)/2 packed class sums, not k(k+1)
+    table = get_group("D2n", 50)
+    k, real, calls = table.classes.class_count, groupdata.packed_dot, []
+    monkeypatch.setattr(groupdata, "packed_dot", lambda *a: calls.append(a) or real(*a))
+    assert validate_table(table) == []
+    assert len(calls) == k * (k + 1) // 2

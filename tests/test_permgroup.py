@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symext.catalog import get_group, get_perm_model
 from symext.groupdata import decompose, integral_multiplicities
@@ -13,6 +15,30 @@ from symext.permgroup import (
 
 def P(text, degree=None):
     return Permutation.from_cycles(text, degree)
+
+
+def perms(n):
+    return st.permutations(range(n)).map(Permutation)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(perms(n), perms(n))))
+def test_products_are_the_composition(ab):
+    a, b = ab
+    product = a * b
+    assert product.images == tuple(a.images[b.images[x]] for x in range(a.degree))
+    assert product == Permutation(product.images)  # a checked permutation
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True).flatmap(
+    lambda ns: st.tuples(perms(ns[0]), perms(ns[1]))))
+def test_products_of_mixed_degrees_raise(ab):
+    a, b = ab
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        b * a
 
 
 def test_permutation_basics():
