@@ -32,7 +32,7 @@ PARAM_FAMILIES = ("D2n", "Q4n", "Hp")
 
 # power-basis arithmetic in Q(zeta_N) slows down as phi(N) grows; these caps
 # keep table construction interactive and are documented in the README
-PARAM_CAPS = {"D2n": 50, "Q4n": 25, "Hp": 7}
+PARAM_CAPS = {"D2n": 100, "Q4n": 50, "Hp": 7}
 
 
 class NoModelError(ValueError):
@@ -83,13 +83,13 @@ def _finish_table(
     sizes: list[int],
     rep_orders: list[int],
     inverse: list[int],
-    divisor_prime_maps: dict[int, list[int]],
+    prime_maps: dict[int, list[int]],
     labels: list[str],
     rows: list[list],
 ) -> CharacterTable:
     exponent = lcm(*rep_orders)
     value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
-    maps = complete_power_maps(exponent, divisor_prime_maps, value_rows)
+    maps = complete_power_maps(exponent, prime_maps, value_rows)
     cd = ClassData(order, exponent, names, sizes, rep_orders, inverse, maps)
     chis = [ClassFunction(cd, row) for row in value_rows]
     return CharacterTable(cd, chis, labels, name=name)
@@ -107,7 +107,7 @@ def _s3() -> CharacterTable:
         sizes=[1, 3, 2],
         rep_orders=[1, 2, 3],
         inverse=[0, 1, 2],
-        divisor_prime_maps={2: [0, 0, 2], 3: [0, 1, 0]},
+        prime_maps={2: [0, 0, 2], 3: [0, 1, 0]},
         labels=["chi1", "chi2", "chi3"],
         rows=[[1, 1, 1], [1, -1, 1], [2, 0, -1]],
     )
@@ -122,7 +122,7 @@ def _a4() -> CharacterTable:
         sizes=[1, 3, 4, 4],
         rep_orders=[1, 2, 3, 3],
         inverse=[0, 1, 3, 2],
-        divisor_prime_maps={2: [0, 0, 3, 2], 3: [0, 1, 0, 0]},
+        prime_maps={2: [0, 0, 3, 2], 3: [0, 1, 0, 0]},
         labels=["chi1", "chi2", "chi3", "chi4"],
         rows=[
             [1, 1, 1, 1],
@@ -144,7 +144,7 @@ def _g21() -> CharacterTable:
         sizes=[1, 3, 3, 7, 7],
         rep_orders=[1, 7, 7, 3, 3],
         inverse=[0, 2, 1, 4, 3],
-        divisor_prime_maps={3: [0, 2, 1, 0, 0], 7: [0, 0, 0, 3, 4]},
+        prime_maps={3: [0, 2, 1, 0, 0], 7: [0, 0, 0, 3, 4]},
         labels=["chi1", "chi2", "chi3", "chi4", "chi5"],
         rows=[
             [1, 1, 1, 1, 1],
@@ -164,7 +164,7 @@ def _s4() -> CharacterTable:
         sizes=[1, 6, 8, 6, 3],
         rep_orders=[1, 2, 3, 4, 2],
         inverse=[0, 1, 2, 3, 4],
-        divisor_prime_maps={2: [0, 0, 2, 4, 0], 3: [0, 1, 0, 3, 4]},
+        prime_maps={2: [0, 0, 2, 4, 0], 3: [0, 1, 0, 3, 4]},
         labels=["chi1", "chi2", "chi3", "chi4", "chi5"],
         rows=[
             [1, 1, 1, 1, 1],
@@ -186,7 +186,7 @@ def _a5() -> CharacterTable:
         sizes=[1, 15, 20, 12, 12],
         rep_orders=[1, 2, 3, 5, 5],
         inverse=[0, 1, 2, 3, 4],
-        divisor_prime_maps={
+        prime_maps={
             2: [0, 0, 2, 4, 3],
             3: [0, 1, 0, 4, 3],
             5: [0, 1, 2, 0, 0],
@@ -243,10 +243,8 @@ def _d2n(n: int) -> CharacterTable:
     for j in range(1, n_tau + 1):
         rows.append([cos2[i * j % n] for i in range(half + 1)] + ([0, 0] if even else [0]))
         labels.append(f"tau{j}")
-    value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
-    cd = ClassData(2 * n, exponent, names, sizes, rep_orders, inverse, prime_maps)
-    chis = [ClassFunction(cd, row) for row in value_rows]
-    return CharacterTable(cd, chis, labels, name=f"D2n:{n}")
+    return _finish_table(f"D2n:{n}", 2 * n, names, sizes, rep_orders, inverse, prime_maps,
+                         labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +291,8 @@ def _q4n(n: int) -> CharacterTable:
     for j in range(1, n):
         rows.append([cos2[i * j % (2 * n)] for i in range(n + 1)] + [0, 0])
         labels.append(f"tau{j}")
-    value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
-    cd = ClassData(4 * n, exponent, names, sizes, rep_orders, inverse, prime_maps)
-    chis = [ClassFunction(cd, row) for row in value_rows]
-    return CharacterTable(cd, chis, labels, name=f"Q4n:{n}")
+    return _finish_table(f"Q4n:{n}", 4 * n, names, sizes, rep_orders, inverse, prime_maps,
+                         labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +332,8 @@ def _hp(p: int) -> CharacterTable:
     for s in range(1, p):
         rows.append([p_zeta[s * h % p] for h in range(p)] + [0] * (p * p - 1))
         labels.append(f"tau_{s}")
-    value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
-    cd = ClassData(p**3, p, names, sizes, rep_orders, inverse, prime_maps)
-    chis = [ClassFunction(cd, row) for row in value_rows]
-    return CharacterTable(cd, chis, labels, name=f"Hp:{p}")
+    return _finish_table(f"Hp:{p}", p**3, names, sizes, rep_orders, inverse, prime_maps,
+                         labels, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .groupdata import (
     complete_power_maps,
     decompose,
     inner_product,
+    power_map_mismatch,
     regular_character,
     validate_table,
 )
@@ -385,6 +386,9 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(
             f"{path}: table validation failed: " + "; ".join(problems)
         )
+    mismatch = power_map_mismatch(table, prime_maps)
+    if mismatch:
+        raise InputError(f"{path}: {mismatch}")
     ctx = GroupContext(name=name, table=table)
     gens = raw.get("generators")
     if gens:
@@ -524,19 +528,13 @@ def resolve_group(args) -> GroupContext:
 # subcommands
 
 
-def _op_of(args) -> str:
-    if args.op not in (SYM, EXT):
-        raise InputError("--op must be sym or ext")
-    return args.op
-
-
 def cmd_decompose(args) -> tuple[OutputDocument, int]:
     ctx = resolve_group(args)
     if ctx.table is None:
         raise InputError("decompose needs a character table")
     _degree(args.degree)
     chi = ctx.character(args.char)
-    mt = multiplicity_table(chi, ctx.table, _op_of(args), args.degree)
+    mt = multiplicity_table(chi, ctx.table, args.op, args.degree)
     doc = OutputDocument(
         "table",
         {
@@ -570,10 +568,9 @@ def cmd_genfun(args) -> tuple[OutputDocument, int]:
         raise InputError("genfun needs a character table")
     chi = ctx.character(args.char)
     j = _resolve_irr(ctx, args.irr)
-    op = _op_of(args)
     if args.series is not None:
         coeffs = genfun_series(
-            chi, ctx.table, j, op, _degree(args.series, "--series"),
+            chi, ctx.table, j, args.op, _degree(args.series, "--series"),
             cross_check=args.check_consistency,
         )
         doc = OutputDocument(
@@ -582,14 +579,14 @@ def cmd_genfun(args) -> tuple[OutputDocument, int]:
                 "group": ctx.name,
                 "character": args.char,
                 "irreducible": ctx.table.labels[j],
-                "op": op,
+                "op": args.op,
                 "coefficients": [str(c) for c in coeffs],
             },
         )
         return doc, EXIT_OK
-    rf = genfun_rational(chi, ctx.table, j, op)
+    rf = genfun_rational(chi, ctx.table, j, args.op)
     if args.check_consistency:
-        want = genfun_series(chi, ctx.table, j, op, 25, cross_check=True)
+        want = genfun_series(chi, ctx.table, j, args.op, 25, cross_check=True)
         if rf.series(25) != want:
             raise AssertionError("rational form disagrees with the series routes")
     doc = OutputDocument(
@@ -598,7 +595,7 @@ def cmd_genfun(args) -> tuple[OutputDocument, int]:
             "group": ctx.name,
             "character": args.char,
             "irreducible": ctx.table.labels[j],
-            "op": op,
+            "op": args.op,
             "display": str(rf),
             "numerator": [str(c) for c in rf.num],
             "denominator": [str(c) for c in rf.den],

@@ -21,6 +21,7 @@ from .exactnum import NotRationalError, cyclotomic_polynomial, fold, poly_div_ex
 from .groupdata import (
     CharacterTable,
     ClassFunction,
+    NonRationalMultiplicityError,
     decompose,
     inner_product,
     integral_decompose,
@@ -35,14 +36,6 @@ from .lambdaops import (
 
 SYM = "sym"
 EXT = "ext"
-
-
-class NotRationalCoefficientsError(ArithmeticError):
-    """A class-summed generating function produced irrational coefficients.
-
-    The class sums are Galois-stable, so this firing signals an internal
-    error or corrupted input, never a legitimate outcome.
-    """
 
 
 def _trim(coeffs: list) -> list:
@@ -230,9 +223,8 @@ def genfun_series(
         try:
             out.append(v.to_rational())
         except NotRationalError:
-            raise NotRationalCoefficientsError(
-                f"coefficient of t^{n} is not rational: {v!r}"
-            ) from None
+            raise NonRationalMultiplicityError(
+                f"coefficient of t^{n} is not rational: {v!r}") from None
     return out
 
 

@@ -386,14 +386,6 @@ class _PackedRows:
         values = [v for chi in table.irreducibles for v in chi.values]
         self.den, self.bits = pack_bounds(values, order)
 
-    def widen(self, table: CharacterTable, width: int) -> tuple[int, list[list[int]]]:
-        """(w, rows): the rows packed at a width w >= ``width``."""
-        packed = self.packed
-        if packed[0] < width:
-            rows = [pack(chi.values, self.order, self.den, width) for chi in table.irreducibles]
-            packed = self.packed = (width, rows)
-        return packed
-
     def trace_weights(self, table: CharacterTable) -> list[list[int]]:
         """Per row j, the integers |r| |O_r| sum_a x_a T_(a+b) for every
         representative r of a rational class O_r and b < phi(N), where x are
@@ -423,10 +415,11 @@ def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int,
     both sides."""
     k = table.classes.class_count
     fden, fbits = pack_bounds(f.values, n)
-    w, rows = pr.widen(table, max(
-        slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
-        slot_width((d * pr.den).bit_length(), fbits, 1, 1),
-    ))
+    w = max(slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
+            slot_width((d * pr.den).bit_length(), fbits, 1, 1))
+    if pr.packed[0] < w:
+        pr.packed = (w, [pack(chi.values, pr.order, pr.den, w) for chi in table.irreducibles])
+    w, rows = pr.packed
     recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
     if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
         return None
@@ -457,12 +450,12 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     row over the rational classes: O_r adds |r| |O_r| Tr(chi_j(r) f(r^-1))
     / phi(N) to |G| q_j.  The exact reconstruction sum_j q_j chi_j = f
     certifies it (a rational combination of compatible rows is compatible,
-    and then traces are class sums).  Otherwise each one is the packed class
-    sum (1/|G|) sum_c |c| chi_j(c) f(c^-1); NonRationalMultiplicityError if
-    one is not rational, and the reconstruction is verified again.
+    and then traces are class sums).  Otherwise each one is the
+    ``inner_product`` <chi_j, f>, in label order; NonRationalMultiplicityError
+    if one is not rational, and the reconstruction is verified again.
     """
     f._check(table.irreducibles[0])
-    cd, k = table.classes, table.classes.class_count
+    cd = table.classes
     pr = table._packed or _PackedRows(
         table, lcm(*(v.order for chi in table.irreducibles for v in chi.values))
     )
@@ -470,29 +463,24 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     if n != pr.order:
         pr = _PackedRows(table, n)
     table._packed = pr
-    inv_f = [f.values[i] for i in cd.inverse_class]
     fden = lcm(*(v.den for v in f.values))
     weights = pr.trace_weights(table)
     if weights:
         g = [x * (fden // v.den) for r in cd.rational_classes()[1]
-             for v in [inv_f[r].lift(n)] for x in v.num]
+             for v in [f.values[cd.inverse_class[r]].lift(n)] for x in v.num]
         nums = [sum(map(mul, row, g)) for row in weights]
         den = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
         if den is not None:
             return nums, den
-    gden, gbits = pack_bounds(inv_f, n, cd.sizes)
-    w, rows = pr.widen(table, slot_width(pr.bits, gbits, k, n))
-    g = pack(inv_f, n, gden, w, cd.sizes)
-    nums = []
-    for j, row in enumerate(rows):
-        coords = packed_dot(row, g, w, n)
-        if any(coords[1:]):
-            v = inner_product(table.irreducibles[j], f)
-            raise NonRationalMultiplicityError(
-                f"inner product with {table.labels[j]} is not rational: {v!r}"
-            )
-        nums.append(coords[0] * fden)
-    den = _certified(f, table, pr, n, nums, pr.den * gden * cd.group_order)
+    qs = []
+    for label, chi in zip(table.labels, table.irreducibles):
+        v = inner_product(chi, f)
+        if not v.is_rational():
+            raise NonRationalMultiplicityError(f"inner product with {label} is not rational: {v!r}")
+        qs.append(v.to_rational())
+    d = lcm(*(q.denominator for q in qs))
+    nums = [q.numerator * (d // q.denominator) * fden for q in qs]
+    den = _certified(f, table, pr, n, nums, d)
     if den is None:
         raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
     return nums, den
@@ -510,6 +498,30 @@ def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _Columns:
+    """A table's columns as tuples of value ids, with the classes of each
+    column.  Every value is lifted to the lcm order n of all values, so equal
+    values (``Cyclotomic.__eq__``) share an id, and ``vals`` lists them."""
+
+    def __init__(self, value_rows: Sequence[Sequence[Cyclotomic]]):
+        self.n = lcm(1, *(v.order for row in value_rows for v in row))
+        self.ids, self.images, self.classes = {}, {}, {}
+        lifted = ([v.lift(self.n) for v in row] for row in value_rows)
+        self.cols = list(zip(*([self.ids.setdefault((w.num, w.den), len(self.ids)) for w in row]
+                               for row in lifted)))
+        self.vals = [Cyclotomic._raw(self.n, num, den) for num, den in self.ids]
+        for c, col in enumerate(self.cols):
+            self.classes.setdefault(col, []).append(c)
+
+    def image(self, c: int, u: int) -> tuple:
+        """The ids of sigma_u of column c, u a unit mod n, one ``galois`` per
+        value and unit; None for a value in no column."""
+        if u not in self.images:
+            images = (v if v.is_rational() else v.galois(u) for v in self.vals)
+            self.images[u] = [self.ids.get((w.num, w.den)) for w in images]
+        return tuple(self.images[u][i] for i in self.cols[c])
+
+
 def complete_power_maps(
     exponent: int,
     prime_maps: Mapping[int, Sequence[int]],
@@ -523,18 +535,17 @@ def complete_power_maps(
     substitution zeta -> zeta^p on the table values; the match is unique
     because distinct classes have distinct character columns.
     """
-    out = {p: tuple(m) for p, m in prime_maps.items()}
-    k = len(value_rows[0]) if value_rows else 0
+    out, cols = {p: tuple(m) for p, m in prime_maps.items()}, None
     for p in primes_below(exponent + 1):
         if p in out:
             continue
         if exponent % p == 0:
             raise KeyError(f"power map for prime {p} (divides exponent) must be given")
+        cols = cols or _Columns(value_rows)
+        u = unit_lift(p, exponent, cols.n)
         mapped = []
-        for c in range(k):
-            target = [row[c].galois(unit_lift(p, exponent, row[c].order)) for row in value_rows]
-            hits = [c2 for c2 in range(k)
-                    if all(row[c2] == t for row, t in zip(value_rows, target))]
+        for c in range(len(cols.cols)):
+            hits = cols.classes.get(cols.image(c, u), ())
             if len(hits) != 1:
                 raise ValueError(
                     f"{p}-power image of class {c} is not determined by the table"
@@ -542,6 +553,19 @@ def complete_power_maps(
             mapped.append(hits[0])
         out[p] = tuple(mapped)
     return out
+
+
+def power_map_mismatch(table: CharacterTable, maps: Mapping[int, Sequence[int]]) -> str | None:
+    """A one-line message naming the first prime p and class g of order o
+    prime to p where chi(maps[p][g]) = sigma(chi(g)) fails for sigma: zeta_o
+    -> zeta_o^p (Isaacs, Character Theory of Finite Groups, ch. 6), else None."""
+    cd = table.classes
+    cols = _Columns([chi.values for chi in table.irreducibles])
+    for p, m in maps.items():
+        for c, o in enumerate(cd.rep_orders):
+            if gcd(p, o) == 1 and cols.image(c, unit_lift(p, o, cols.n)) != cols.cols[m[c]]:
+                return f"{p}-power map at {cd.names[c]} disagrees with the character table"
+    return None
 
 
 def validate_table(table: CharacterTable) -> list[str]:
@@ -589,10 +613,12 @@ def validate_table(table: CharacterTable) -> list[str]:
             v = inner_product(chis[i], chis[j])
             report.append(f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}")
     # the inverse map must implement complex conjugation on characters
+    conjugates = {(v.order, v.num, v.den): v for chi in chis for v in chi.values}
+    conjugates = {key: v.conjugate() for key, v in conjugates.items()}
     conj_report = []
     for j, chi in enumerate(chis):
-        for c in range(k):
-            if inv_rows[j][c] != chi.values[c].conjugate():
+        for c, v in enumerate(chi.values):
+            if inv_rows[j][c] != conjugates[v.order, v.num, v.den]:
                 conj_report.append(
                     f"{table.labels[j]} at inverse of {cd.names[c]} is not the conjugate"
                 )
@@ -600,7 +626,7 @@ def validate_table(table: CharacterTable) -> list[str]:
     # column orthogonality, needed only when the checks above do not imply it
     if report or conj_report:
         cols = [[chi.values[c] for chi in chis] for c in range(k)]
-        conj = [[v.conjugate() for v in col] for col in cols]
+        conj = [[conjugates[v.order, v.num, v.den] for v in col] for col in cols]
         for c, c2, coords, den in _pair_sums(cols, conj):
             want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
             if any(coords[1:]) or Fraction(coords[0], den) != want:

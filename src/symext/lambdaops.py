@@ -150,10 +150,14 @@ class SeriesShare:
         self.ids: dict[tuple, int] = {}
         self.cols: dict[int, object] = {}
 
-    def keys(self, psi_cols: Sequence[Sequence[Cyclotomic]]) -> list[int]:
-        """The key of psi_cols[c][1:] for every class c, interning each
-        value object once."""
-        ids, slots, out = self.ids, {}, []
+    def columns(self, cd, orbits, psi_cols, route) -> list[list[Cyclotomic]]:
+        """The series route(psi_cols[c]) for every class c: read off the
+        share if c's psi-sequence is in it, else computed at the
+        representative r of c's orbit (``orbits``, as ``galois_orbits``
+        gives them) and sigma_u of r's series at c = r^u, since
+        chi(r^u) = sigma_u(chi(r)); then added to the share."""
+        # every key before any route: keys made amid route temporaries cost 0.3 MB RSS
+        ids, slots, keys, out = self.ids, {}, [], []
         for col in psi_cols:
             parts = []
             for v in col[1:]:
@@ -162,7 +166,13 @@ class SeriesShare:
                     i = ids.setdefault((v.order, v.num, v.den), len(ids))
                     s = slots[id(v)] = i.to_bytes(4, "little")
                 parts.append(s)
-            out.append(int.from_bytes(b"".join(parts) + b"\x01", "little"))
+            keys.append(int.from_bytes(b"".join(parts) + b"\x01", "little"))
+        for c, ((r, u), key) in enumerate(zip(orbits, keys)):
+            col = self.cols.get(key)
+            if col is None:
+                col = self.cols[key] = route(psi_cols[c]) if r == c else [
+                    cd.galois_image(v, u) for v in out[r]]
+            out.append(col)
         return out
 
 
@@ -201,38 +211,23 @@ class LambdaSequence:
             pm = cd.power_map(n)
             for c in range(k):
                 psi_vals[c][n] = chi.values[pm[c]]
-        # a psi-sequence seen before reads its columns from the share; else
-        # chi(r^u) = sigma_u(chi(r)) gives lambda^n and S^n at r^u as the
-        # images of those at r, so only the representatives are computed
         share = SeriesShare() if share is None else share
         orbits = cd.galois_orbits(chi.values)
-        lam_cols, sym_cols = [], []
-        for c, ((r, u), key) in enumerate(zip(orbits, share.keys(psi_vals))):
-            cols = share.cols.get(key)
-            if cols is None:
-                if r == c:
-                    lam = _scalar_lambdas(psi_vals[c], M)
-                    cols = lam, _scalar_syms(lam, M)
-                else:
-                    cols = tuple(
-                        [cd.galois_image(v, u) for v in col] for col in (lam_cols[r], sym_cols[r])
-                    )
-                share.cols[key] = cols
-            lam_cols.append(cols[0])
-            sym_cols.append(cols[1])
+
+        def route(psi):  # lambda^0..lambda^M, then S^0..S^M
+            lam = _scalar_lambdas(psi, M)
+            return lam + _scalar_syms(lam, M)
+
+        cols = share.columns(cd, orbits, psi_vals, route)
         if expect_character:
             try:
-                d = chi.values[0].to_rational()
-            except NotRationalError:
-                d = None
-            if d is not None and d.denominator == 1 and d >= 0:
-                for n in range(int(d) + 1, M + 1):
-                    for c in range(k):
-                        if not lam_cols[c][n].is_zero():
-                            raise InvalidCharacterError(
-                                f"lambda^{n} is nonzero beyond the degree {d}"
-                            )
-        mk = lambda cols, n: ClassFunction(cd, [cols[c][n] for c in range(k)])
+                d = integral_degree(chi)
+            except NonIntegralDegreeError:
+                d = M
+            for n in range(d + 1, M + 1):
+                if any(not col[n].is_zero() for col in cols):
+                    raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
+        mk = lambda n: ClassFunction(cd, [col[n] for col in cols])
         return cls(
             base=chi,
             degree_bound=M,
@@ -240,8 +235,8 @@ class LambdaSequence:
                 ClassFunction(cd, [psi_vals[c][n] for c in range(k)])
                 for n in range(1, M + 1)
             ),
-            lambdas=tuple(mk(lam_cols, n) for n in range(M + 1)),
-            syms=tuple(mk(sym_cols, n) for n in range(M + 1)),
+            lambdas=tuple(mk(n) for n in range(M + 1)),
+            syms=tuple(mk(n) for n in range(M + 1, 2 * M + 2)),
             orbits=orbits,
         )
 
@@ -303,17 +298,12 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     cd, M = seq.base.data, seq.degree_bound
     share = SeriesShare() if share is None else share
     psi_cols = [[None] + [f.values[c] for f in seq.adams] for c in range(cd.class_count)]
-    routes = []
-    for c, ((r, u), key) in enumerate(zip(seq.orbits, share.keys(psi_cols))):
-        route = share.cols.get(key)
-        if route is None:
-            if r == c:
-                given = _given(psi_cols[c], signed=False, zeros_count=True)
-                route = _recurrence(given, M, divide=True, out_first=False)
-            else:
-                route = [cd.galois_image(h, u) for h in routes[r]]
-            share.cols[key] = route
-        routes.append(route)
+
+    def power_sums(psi):
+        given = _given(psi, signed=False, zeros_count=True)
+        return _recurrence(given, M, divide=True, out_first=False)
+
+    for c, route in enumerate(share.columns(cd, seq.orbits, psi_cols, power_sums)):
         for n in range(1, M + 1):
             if route[n] != seq.syms[n].values[c]:
                 raise CrossCheckError(

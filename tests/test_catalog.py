@@ -51,7 +51,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         get_group("D2n", 2)
     with pytest.raises(ValueError):
-        get_group("D2n", 51)
+        get_group("D2n", 101)
+    with pytest.raises(ValueError):
+        get_group("Q4n", 51)
     with pytest.raises(ValueError):
         get_group("Hp", 4)
     with pytest.raises(ValueError):

@@ -283,3 +283,13 @@ def test_a_valid_table_runs_only_the_row_class_sums(monkeypatch):
     monkeypatch.setattr(groupdata, "packed_dot", lambda *a: calls.append(a) or real(*a))
     assert validate_table(table) == []
     assert len(calls) == k * (k + 1) // 2
+
+
+def test_the_conjugation_check_conjugates_each_distinct_value_once(monkeypatch):
+    table = get_group("Hp", 7)
+    irrational = {(v.order, v.num, v.den) for chi in table.irreducibles for v in chi.values
+                  if not v.is_rational()}
+    real, calls = Cyclotomic.galois, []
+    monkeypatch.setattr(Cyclotomic, "galois", lambda v, u: calls.append(v) or real(v, u))
+    assert validate_table(table) == []
+    assert len(calls) == len(irrational) == 12

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,7 +19,7 @@ from symext.closedforms import (
 )
 from symext.groupdata import ClassFunction
 from symext.lambdaops import LambdaSequence
-from symext.exactnum import Cyclotomic
+from symext.exactnum import Cyclotomic, primes_below
 from symext.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -381,6 +382,74 @@ def test_group_spec_at_a_multiple_of_the_exponent_verifies_alike(tmp_path, famil
         assert code == EXIT_OK and err == "" and "FAIL" not in out
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _a4_with_power(images):
+    doc = dump_group_spec(get_group("A4"))
+    for c, (key, image) in images.items():
+        doc["classes"][c]["prime_powers"][key] = image
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, prime",
+    [
+        # g^5 = g^-1 swaps the two classes of 3-cycles
+        (_a4_with_power({c: ("5", c) for c in range(4)}), 5),
+        (_a4_with_power({2: ("2", 2), 3: ("2", 3)}), 2),
+    ],
+    ids=["identity-5-map", "3-cycles-squared-to-themselves"],
+)
+def test_a_power_map_that_breaks_the_galois_action_is_an_input_error(tmp_path, doc, prime):
+    path = tmp_path / "a4.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["genfun", "--char", "chi2", "--irr", "1", "--series", "7"], ["verify"]):
+        code, out, err = run_cli(argv + ["--group", str(path)])
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {path}: {prime}-power map at C3 disagrees with the character table\n"
+
+
+@pytest.mark.parametrize(
+    "family, param",
+    [(f, None) for f in catalog.FIXED_FAMILIES] + list(catalog.PARAM_CAPS.items()),
+)
+def test_a_dumped_builtin_with_its_unit_prime_maps_verifies_as_the_builtin(tmp_path, family, param):
+    table = get_group(family, param)
+    doc = dump_group_spec(table)
+    for c, cls in enumerate(doc["classes"]):
+        cls["prime_powers"] = {str(p): m[c] for p, m in table.classes.prime_power_maps.items()}
+    path = tmp_path / "builtin.json"
+    path.write_text(json.dumps(doc))
+    assert load_group_spec(str(path)).table == table
+    reports = []
+    for group in (str(path), f"{family}:{param}" if param else family):
+        code, out, err = run_cli(["verify", "--group", group, "--degree", "3", "--format", "machine"])
+        assert code == EXIT_OK and err == ""
+        reports.append({r["check"]: r for r in json.loads(out)["payload"]["checks"]})
+    spec, builtin = reports
+    assert all(r["ok"] and builtin[name] == r for name, r in spec.items())
+
+
+def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, monkeypatch):
+    n = 100
+    classes = [{"name": f"g{i}", "size": 1, "rep_order": n // gcd(i, n), "inverse": -i % n,
+                "prime_powers": {"2": 2 * i % n, "5": 5 * i % n}} for i in range(n)]
+    irreducibles = [{"values": [[[i * j % n, 1, 1]] for i in range(n)]} for j in range(n)]
+    path = tmp_path / "c100.json"
+    path.write_text(json.dumps({"format_version": 1, "name": "C100", "order": n,
+                                "root_order": n, "classes": classes,
+                                "irreducibles": irreducibles}))
+    calls = _calls(monkeypatch, Cyclotomic, "galois")
+    table = load_group_spec(str(path)).table
+    irrational = {chi.values[c].num for chi in table.irreducibles for c in range(n)
+                  if not chi.values[c].is_rational()}
+    # one image per distinct irrational value and unit: the 23 unit primes
+    # below 100, and units 7, 9 and 27 for the declared 2- and 5-maps' check;
+    # one conjugate per value (239,220 calls when every table value was
+    # mapped for every class)
+    units = [p for p in primes_below(n + 1) if n % p] + [7, 9, 27]
+    assert len(calls) <= len(irrational) * (len(units) + 1)
+    assert table.classes.prime_power_maps[3] == tuple(3 * i % n for i in range(n))
 
 
 @pytest.mark.parametrize(

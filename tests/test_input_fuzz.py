@@ -1,5 +1,6 @@
 """Fuzz tests of the input contract: a spec file with one field replaced by an
-arbitrary JSON value, and argv drawn from a small grammar of the CLI flags.
+arbitrary JSON value or one key deleted or renamed, and argv drawn from a
+small grammar of the CLI flags.
 
 Every run must exit 0, 1 or 2 (never 3, an internal fault), print at most
 one line on stderr, and raise no traceback.
@@ -68,12 +69,21 @@ json_values = st.recursive(
 
 @st.composite
 def mutated_spec(draw):
+    """A base spec with one field replaced by an arbitrary JSON value, or one
+    object key deleted or renamed (a prime_powers key, say, to another prime)."""
     doc = draw(st.sampled_from(base_specs()))
     path = draw(st.sampled_from(list(paths(doc))[1:]))
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = draw(json_values)
+    edit = draw(st.sampled_from(["replace", "delete", "rename"] if isinstance(node, dict)
+                                else ["replace"]))
+    if edit == "replace":
+        node[path[-1]] = draw(json_values)
+    else:
+        value = node.pop(path[-1])
+        if edit == "rename":
+            node[draw(st.sampled_from(["2", "3", "5", "7"]) | st.text(max_size=3))] = value
     return doc
 
 

@@ -5,7 +5,8 @@ rational class.
 class and fills the others with Galois images when the class function is
 compatible (f(r^u) = sigma_u(f(r)) at the same order), and class by class
 otherwise.  ``decompose`` takes a candidate from orbit traces and certifies
-it by the exact reconstruction, falling back to the class sums.  Each is
+it by the exact reconstruction, falling back to one ``inner_product`` per
+irreducible.  Each is
 compared here with the class-by-class reference: value, ``repr`` and
 ``.order`` of every lambda^n and S^n, and the result or error message of
 ``decompose``.  The orders agree because a recurrence stores each value at
@@ -28,6 +29,8 @@ from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
 from symext.genfun import EXT, SYM, genfun_rationals, genfun_series
 from symext.groupdata import (
+    CharacterTable,
+    ClassData,
     ClassFunction,
     NonRationalMultiplicityError,
     decompose,
@@ -247,6 +250,24 @@ def test_identity_value_outside_its_stabilizers_fixed_field():
         assert same([seq.syms[n].values[c] for n in range(7)], syms[c])
     power_sum_check(seq)
     assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+
+
+def test_rows_that_are_not_galois_compatible_decompose_as_the_reference():
+    # A4 with an identity 5-power map: sigma_5 swaps w and w^2, so chi2 and
+    # chi3 are incompatible, there are no trace weights, and every
+    # decomposition takes the inner products
+    a4 = get_group("A4")
+    cd0 = a4.classes
+    cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
+                   cd0.inverse_class, {**cd0.prime_power_maps, 5: range(cd0.class_count)})
+    table = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in a4.irreducibles],
+                           a4.labels)
+    assert cd.galois_orbits(table.irreducibles[1].values) is not cd.rational_classes()[0]
+    chi4, w = table.irreducibles[3], Cyclotomic.root_of_unity(3)
+    for chi in table.irreducibles:
+        for f in (chi * 2 + chi4, chi * w):
+            assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+    assert decompose(table.irreducibles[1] * 2 + chi4, table) == (0, 2, 0, 1)
 
 
 @pytest.mark.parametrize(
