@@ -773,23 +773,7 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         list(qs) == [chi.values[0].to_rational() for chi in table.irreducibles],
     )
     record("dual-route-coefficients", *_dual_route_check(table, degree))
-    # one-dimensional shortcut agreement
-    ok = True
-    for j, chi in enumerate(table.irreducibles):
-        if chi.values[0] != 1:
-            continue
-        forms = one_dim_forms(chi, table)
-        seq = LambdaSequence.compute(chi, 12, expect_character=True)
-        for i in range(13):
-            if seq.syms[i] != forms.sym_power(i):
-                ok = False
-        js = range(table.classes.class_count)
-        try:
-            if genfun_rationals(chi, table, js, SYM) != [forms.genfun(jj) for jj in js]:
-                ok = False
-        except CrossCheckError:  # the column fails the numerator-degree certificate
-            ok = False
-    record("one-dimensional-forms", ok)
+    record("one-dimensional-forms", _one_dim_check(table))
     for name, spec in sorted(ctx.subgroups.items()):
         forms = burnside_regular_forms(cd, spec, 1)
         record(f"quotient-permutation-forms:{name}", *_closed_form_check(forms, degree))
@@ -825,17 +809,71 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     return checks
 
 
+def _one_dim_check(table: CharacterTable) -> bool:
+    """The shortcut forms of every linear character against the engine: S^i
+    to degree 12 at every class, and the rational form toward every chi_j.
+    ``one_dim_forms`` and ``genfun_rationals`` run once per character orbit;
+    any other chi = chi_r o u takes the image of chi_r's forms, and its form
+    toward chi_perm(i) is compared with chi_r's rational form toward chi_i,
+    since S^n(chi) = S^n(chi_r) o u = sum_i q_i chi_perm(i)."""
+    ok, share, js = True, SeriesShare(), range(table.classes.class_count)
+    orbit, perms = table.character_orbits() or ([(j, 1) for j in js], {1: tuple(js)})
+    forms_of, rationals = {}, {}
+    for j, chi in enumerate(table.irreducibles):
+        if chi.values[0] != 1:
+            continue
+        r, u = orbit[j]
+        if r == j:
+            forms = forms_of[j] = one_dim_forms(chi, table)
+            try:
+                rationals[j] = genfun_rationals(chi, table, js, SYM)
+            except CrossCheckError:  # the column fails the numerator-degree certificate
+                rationals[j] = None
+        else:
+            forms = forms_of[r].image(chi, u, perms[u])
+        seq = LambdaSequence.compute(chi, 12, expect_character=True, share=share)
+        if any(seq.syms[i] != forms.sym_power(i) for i in range(13)):
+            ok = False
+        if rationals[r] != [forms.genfun(perms[u][i]) for i in js]:
+            ok = False
+    return ok
+
+
 def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     """The certified symmetric-power table of every irreducible, with each
     per-class S^n recomputed from psi by the power-sum identity.  One share
     for lambda/S and one for the routes serve every irreducible, and both
-    are freed on return."""
-    seqs, routes = SeriesShare(), SeriesShare()
-    for j, chi in enumerate(table.irreducibles):
+    are freed on return.
+
+    ``certify`` runs once per character orbit (``character_orbits``).  Any
+    other chi_j = chi_r o u has S^n(chi_j)(c) compared with S^n(chi_r)(c^u) at
+    every class and every n, which certifies it: S^n(chi_r) = sum_i q_i chi_i,
+    q_i nonnegative integers, holds at every class, so S^n(chi_j)(c) =
+    sum_i q_i chi_i(c^u) = sum_i q_i chi_pi(i)(c), with chi_pi(i)(c) =
+    chi_i(c^u).  pi is total: the orbit table exists only when every unit
+    image of every row was looked up and found to be a row.  Without an orbit
+    table every chi is certified.
+    """
+    cd, seqs, routes, syms = table.classes, SeriesShare(), SeriesShare(), {}
+    orbits = table.character_orbits()
+    orbit = orbits[0] if orbits else [(j, 1) for j in range(cd.class_count)]
+    for j, (chi, (r, u)) in enumerate(zip(table.irreducibles, orbit)):
         try:
             seq = LambdaSequence.compute(chi, degree, expect_character=True, share=seqs)
             power_sum_check(seq, routes)
-            MultiplicityTable.certify(seq, table, SYM)
+            if r == j:
+                MultiplicityTable.certify(seq, table, SYM)
+                syms[j] = seq.syms
+                continue
+            pm = cd.power_map(u)
+            for n, (f, g) in enumerate(zip(seq.syms, syms[r])):
+                for c, v in enumerate(f.values):
+                    w = g.values[pm[c]]  # with the share usually the same object
+                    if v is not w and v != w:
+                        raise CrossCheckError(
+                            f"S^{n} at class {cd.names[c]} is not S^{n}({table.labels[r]}) "
+                            f"at its {u}-th power"
+                        )
         except Exception as exc:
             return False, f"{table.labels[j]}: {exc}"
     return True, ""

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import Cyclotomic, as_cyclotomic, binom, divisors
 from .genfun import RationalFunction
-from .groupdata import CharacterTable, ClassData, ClassFunction, decompose
+from .groupdata import CharacterTable, ClassData, ClassFunction, adams, decompose, id_rows
 
 
 class InvalidSubgroupError(ValueError):
@@ -140,13 +140,14 @@ class OneDimForms:
 
     ``powers`` holds chi^0 .. chi^(q-1), q the multiplicative order of chi;
     S^i(chi) = chi^i and the generating function toward chi_j is t^i/(1-t^q)
-    for the unique exponent i < q with chi^i = chi_j (zero if chi_j is not a
-    power of chi).
+    for the unique exponent i < q with chi^i = chi_j, ``exponents[j]`` (None,
+    and a zero form, if chi_j is not a power of chi).
     """
 
     chi: ClassFunction
     table: CharacterTable
     powers: tuple[ClassFunction, ...]
+    exponents: tuple[int | None, ...]
 
     @property
     def order(self) -> int:
@@ -156,13 +157,22 @@ class OneDimForms:
         return self.powers[i % self.order]
 
     def genfun(self, j: int) -> RationalFunction:
-        target = self.table.irreducibles[j]
-        one, zero = Fraction(1), Fraction(0)
+        i, one, zero = self.exponents[j], Fraction(1), Fraction(0)
+        if i is None:
+            return RationalFunction((), (one,))
         den = (one,) + (zero,) * (self.order - 1) + (-one,)
-        for i, power in enumerate(self.powers):
-            if power == target:  # t^i/(1-t^q), already in lowest terms
-                return RationalFunction((zero,) * i + (one,), den)
-        return RationalFunction((), (one,))
+        return RationalFunction((zero,) * i + (one,), den)  # t^i/(1-t^q), in lowest terms
+
+    def image(self, chi: ClassFunction, u: int, perm: Sequence[int]) -> "OneDimForms":
+        """The forms of chi = self.chi o u (chi(c) = self.chi(c^u), u a unit),
+        given perm[i], the index of the row c -> chi_i(c^u): chi^m is
+        self.chi^m o u, so it is chi_perm(i) where self.chi^m is chi_i."""
+        exponents = [None] * len(perm)
+        for i, m in enumerate(self.exponents):
+            if m is not None:
+                exponents[perm[i]] = m
+        powers = tuple(adams(f, u) for f in self.powers)
+        return OneDimForms(chi, self.table, powers, tuple(exponents))
 
 
 def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
@@ -179,7 +189,13 @@ def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
         power = power * chi
         if len(powers) > chi.data.group_order:
             raise NotOneDimensionalError("chi has no finite multiplicative order")
-    return OneDimForms(chi, table, tuple(powers))
+    # each power's index, through value ids: the first i with chi^i = chi_j
+    k = len(table.irreducibles)
+    rows = id_rows([f.values for f in (*table.irreducibles, *powers)])
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(rows[k:]):
+        first.setdefault(row, i)
+    return OneDimForms(chi, table, tuple(powers), tuple(first.get(row) for row in rows[:k]))
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ class ClassFunction:
 class CharacterTable:
     """Class data together with the irreducible characters over it."""
 
-    __slots__ = ("classes", "irreducibles", "labels", "name", "_packed")
+    __slots__ = ("classes", "irreducibles", "labels", "name", "_packed", "_orbits")
 
     def __init__(
         self,
@@ -298,9 +298,39 @@ class CharacterTable:
         self.labels = tuple(labels)
         self.name = name
         self._packed: _PackedRows | None = None  # built by decompose
+        self._orbits: tuple | None = ()  # () until character_orbits builds it
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.values[0].to_rational()) for chi in self.irreducibles)
+
+    def character_orbits(self) -> tuple[tuple[tuple[int, int], ...], dict] | None:
+        """(orbit, perms): orbit[j] = (r, u) with chi_j(c) = chi_r(c^u) at
+        every class c, for r the first row of chi_j's orbit and u a unit mod
+        the exponent; perms[u][i] is the index of the row c -> chi_i(c^u),
+        for every unit u.  None if for some u and i that function is no row,
+        or u does not permute the rows.  Rows are compared as tuples of value
+        ids (``id_rows``).  On a valid table c -> chi_i(c^u) is the Galois
+        image sigma_u(chi_i), and the orbits are as many as the rational
+        classes (Brauer's permutation lemma, Isaacs, Character Theory of
+        Finite Groups, Thm 6.32)."""
+        if self._orbits == ():
+            cd, k = self.classes, self.classes.class_count
+            rows = id_rows([chi.values for chi in self.irreducibles])
+            index = {row: j for j, row in enumerate(rows)}
+            perms = {}
+            for u in (u for u in range(1, cd.exponent + 1) if gcd(u, cd.exponent) == 1):
+                pm = cd.power_map(u)
+                perms[u] = tuple(index.get(tuple(map(row.__getitem__, pm))) for row in rows)
+                if None in perms[u] or len(set(perms[u])) < k:
+                    self._orbits = None
+                    return None
+            orbit = [None] * k
+            for r in range(k):
+                if orbit[r] is None:
+                    for u, perm in perms.items():
+                        orbit[perm[r]] = orbit[perm[r]] or (r, u)
+            self._orbits = (tuple(orbit), perms)
+        return self._orbits
 
     def character(self, label: str) -> ClassFunction:
         try:
@@ -520,6 +550,23 @@ class _Columns:
             images = (v if v.is_rational() else v.galois(u) for v in self.vals)
             self.images[u] = [self.ids.get((w.num, w.den)) for w in images]
         return tuple(self.images[u][i] for i in self.cols[c])
+
+
+def id_rows(value_rows: Sequence[Sequence[Cyclotomic]]) -> list[tuple[int, ...]]:
+    """Each row as a tuple of value ids, equal ids for equal values
+    (``Cyclotomic.__eq__``): a rational is keyed by (numerator, denominator),
+    any other value by its coordinates at the lcm order of the irrational
+    values, as ``_Columns`` lifts them; rationals are not lifted."""
+    n = lcm(1, *(v.order for row in value_rows for v in row if not v.is_rational()))
+    ids: dict[tuple, int] = {}
+
+    def key(v: Cyclotomic) -> tuple:
+        if v.is_rational():
+            return v.num[0], v.den
+        w = v.lift(n)
+        return w.num, w.den
+
+    return [tuple(ids.setdefault(key(v), len(ids)) for v in row) for row in value_rows]
 
 
 def complete_power_maps(

@@ -7,6 +7,9 @@ really are dual-route.  The symmetric-function identities (power sums and
 complete homogeneous values from elementary ones) are plain ``Cyclotomic``
 loops.  Expected rational forms are reduced by Euclid's
 algorithm over Fraction, which the package does not use.
+``reference_dual_route_check`` is the exception: it is verify's dual-route
+row without the character orbits, so it runs the package's recurrences and
+certifies every irreducible.
 """
 
 from fractions import Fraction
@@ -14,8 +17,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 import random
 
 from symext.exactnum import as_cyclotomic
-from symext.genfun import RationalFunction, poly_mul
+from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
 from symext.groupdata import ClassFunction
+from symext.lambdaops import LambdaSequence, power_sum_check
 
 
 def mat_mul(a, b):
@@ -166,6 +170,19 @@ def reference_validate_table(table):
                 report.append(f"{label} at inverse of {cd.names[c]} is not the conjugate")
                 break
     return report
+
+
+def reference_dual_route_check(table, degree):
+    """(ok, detail) of verify's dual-route row, one irreducible at a time:
+    each runs its own recurrences and power-sum route and is certified."""
+    for label, chi in zip(table.labels, table.irreducibles):
+        try:
+            seq = LambdaSequence.compute(chi, degree, expect_character=True)
+            power_sum_check(seq)
+            MultiplicityTable.certify(seq, table, SYM)
+        except Exception as exc:
+            return False, f"{label}: {exc}"
+    return True, ""
 
 
 def perm_matrix(images):
