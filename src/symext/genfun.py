@@ -191,7 +191,7 @@ def multiplicity_table(
     _op_check(op)
     if M < 0:
         raise ValueError("degree must be nonnegative")
-    seq = LambdaSequence.compute(chi, M, expect_character=True)
+    seq = LambdaSequence.compute(chi, M, expect_character=True, lambda_only=op == EXT)
     return MultiplicityTable.certify(seq, table, op)
 
 
@@ -216,7 +216,7 @@ def genfun_series(
         power_sum_check(seq)
         column = MultiplicityTable.certify(seq, table, op).column(j)
         return [Fraction(m) for m in column]
-    seq = LambdaSequence.compute(chi, M)
+    seq = LambdaSequence.compute(chi, M, lambda_only=op == EXT)
     out = []
     for n, f in enumerate(seq.syms if op == SYM else seq.lambdas):
         v = inner_product(table.irreducibles[j], f)
@@ -254,7 +254,8 @@ def genfun_rationals(
     d = integral_degree(chi)
     factors = _molien_factors(chi)
     if op == EXT:
-        rows = [decompose(f, table) for f in LambdaSequence.compute(chi, d).lambdas]
+        seq = LambdaSequence.compute(chi, d, lambda_only=True)
+        rows = [decompose(f, table) for f in seq.lambdas]
         return [RationalFunction(tuple(_trim([r[j] for r in rows])), (Fraction(1),)) for j in js]
     den = [1]
     for k in factors:

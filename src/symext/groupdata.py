@@ -482,10 +482,14 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     certifies it (a rational combination of compatible rows is compatible,
     and then traces are class sums).  Otherwise each one is the
     ``inner_product`` <chi_j, f>, in label order; NonRationalMultiplicityError
-    if one is not rational, and the reconstruction is verified again.
+    if one is not rational, and the reconstruction is verified again.  The
+    zero function is the zero vector over 1: sum_j 0 * chi_j = 0 holds
+    identically.
     """
     f._check(table.irreducibles[0])
     cd = table.classes
+    if not any(f.values):
+        return [0] * cd.class_count, 1
     pr = table._packed or _PackedRows(
         table, lcm(*(v.order for chi in table.irreducibles for v in chi.values))
     )

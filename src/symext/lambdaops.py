@@ -7,6 +7,9 @@ The power operations are evaluated pointwise on conjugacy classes:
   n*lambda^n = sum_{i<n} (-1)^(n+1+i) lambda^i psi^(n-i),
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
+The lambda recurrence stops once lambda_t(c) is shown to be a polynomial
+(``_scalar_lambdas``), and a lambda-only sequence runs no S recurrence.
+
 ``power_sum_check`` recomputes S^n from psi alone as an independent route
 and compares every class against it.  Every per-class series is a function
 of the psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, so each runs
@@ -21,8 +24,9 @@ the group order, recovered here by divisor recursion on the psi values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
+from operator import is_
 from typing import Sequence
 
 from .exactnum import (
@@ -99,17 +103,24 @@ def _given(values: Sequence[Cyclotomic], signed: bool, zeros_count: bool) -> _Se
     return out
 
 
-def _recurrence(given: _Series, M: int, divide: bool, out_first: bool) -> list[Cyclotomic]:
+_ZERO = as_cyclotomic(0)
+
+
+def _recurrence(
+    given: _Series, M: int, divide: bool, out_first: bool, period: int = 0
+) -> list[Cyclotomic]:
     """out_0 = 1 and out_n = sum x_i*y_(n-i) over the terms x_i, i <= n,
     divided by n if ``divide``, with (x, y) = (out, given) if ``out_first``
     else (given, out); with ``out_first`` the terms are the nonzero out_i.
     Each step is one ``packed_dot`` at the working order, and its result is
-    stored there, or at order 1 when it is rational."""
+    stored there, or at order 1 when it is rational.  With ``period`` the
+    steps are those of ``_lambda_steps``, and out is padded with zeros to
+    out_M."""
     out = _Series(given.n)
     out.append(as_cyclotomic(1))
     x, y = (out, given) if out_first else (given, out)
     k = 0
-    for n in range(1, M + 1):
+    for n in _lambda_steps(out, given, M, period) if period else range(1, M + 1):
         while k < len(x.terms) and x.terms[k] <= n:
             k += 1
         w = max(x.width, y.width, slot_width(x.bits, y.bits, k, given.n))
@@ -117,19 +128,52 @@ def _recurrence(given: _Series, M: int, divide: bool, out_first: bool) -> list[C
         coords = packed_dot([xs[i] for i in step], [ys[n - i] for i in step], w, given.n)
         v = Cyclotomic._raw(given.n, coords, x.den * y.den * (n if divide else 1))
         out.append(Cyclotomic._raw(1, v.num[:1], v.den) if v.is_rational() else v, term=bool(v))
-    return out.vals
+    return out.vals + [_ZERO] * (M + 1 - len(out.vals))
+
+
+def _lambda_steps(out: _Series, given: _Series, M: int, period: int):
+    """The steps 1..M of the lambda route, up to the first n whose ``period``
+    values out_(n-period) .. out_(n-1) are all zero, read off the term flags.
+    The given holds one period of the signed psi and is repeated to n."""
+    stored = len(given.vals) - 1
+    for n in range(1, M + 1):
+        if n - out.terms[-1] > period:
+            return
+        if n > stored:
+            given.vals.append(given.vals[n - stored])
+            given.scales.append(given.scales[n - stored])
+        yield n
 
 
 def _scalar_lambdas(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
-    # psi[n] for n = 1..M (psi[0] unused); returns lambda^0..lambda^M by
-    # n*lambda^n = sum (-1)^(n-i+1) lambda^i psi^(n-i) over the lambda^i != 0
-    given = _given(psi[: M + 1], signed=True, zeros_count=True)
-    return _recurrence(given, M, divide=True, out_first=True)
+    """psi[n] for n = 1..M (psi[0] unused) -> lambda^0..lambda^M by
+    n*lambda^n = sum (-1)^(n-i+1) lambda^i psi^(n-i) over the lambda^i != 0.
+
+    The stop rule.  Let p be the least period of psi[1..M] (psi[m + p] is
+    psi[m]; at a class of a group of exponent e, p divides e, as the power
+    maps are read mod e).  Suppose lambda^(j+1) = ... = lambda^(j+p) = 0.
+    With R(n) = sum_(i <= j) (-1)^i lambda^i psi^(n-i),
+    n*lambda^n = (-1)^(n+1) R(n) + sum_(j < i < n) (-1)^(n-i+1) lambda^i psi^(n-i),
+    so R(n) = 0 for j < n <= j + p.  For n > j + p every psi^(n-i) with
+    i <= j equals psi^(n-p-i), so R(n) = R(n - p), and R vanishes at every
+    n > j.  By induction on n every lambda^n with n > j is then 0.  So the
+    route stops after p zeros in a row and pads with zeros: it holds for
+    every psi-sequence, virtual ones too, and a character of degree d stops
+    by step d + p.  The signed psi has period lcm(p, 2), and the given is
+    built for that many values and repeated as far as the steps run.
+    """
+    p = next(p for p in range(1, M + 2) if all(map(is_, psi[1 + p : M + 1], psi[1 : M + 1 - p])))
+    given = _given(psi[: min(M, lcm(p, 2)) + 1], signed=True, zeros_count=True)
+    return _recurrence(given, M, divide=True, out_first=True, period=p)
 
 
 def _scalar_syms(lam: Sequence[Cyclotomic], M: int) -> list[Cyclotomic]:
-    # S^n = sum (-1)^(j+1) lambda^j S^(n-j) over 1 <= j <= n with lambda^j != 0
-    given = _given(lam[: M + 1], signed=True, zeros_count=False)
+    # S^n = sum (-1)^(j+1) lambda^j S^(n-j) over 1 <= j <= n with lambda^j != 0;
+    # the zero lambda^j are no terms, so the given ends at the last nonzero one
+    top = min(M, len(lam) - 1)
+    while top and not lam[top]:
+        top -= 1
+    given = _given(lam[: top + 1], signed=True, zeros_count=False)
     return _recurrence(given, M, divide=False, out_first=False)
 
 
@@ -140,8 +184,9 @@ class SeriesShare:
     with one sequence, of one character or of several, reads one column of
     ``cols``.  Each value (order, num, den) is interned to a small id in
     ``ids``, and a key is one int: the ids in four-byte slots under a top
-    byte 1, so it also fixes M.  Make one share per request and drop it
-    after: it grows with every new sequence and is never pruned.
+    byte naming the route (``tag``), so it also fixes M.  Make one share per
+    request and drop it after: it grows with every new sequence and is never
+    pruned.
     """
 
     __slots__ = ("ids", "cols")
@@ -150,14 +195,14 @@ class SeriesShare:
         self.ids: dict[tuple, int] = {}
         self.cols: dict[int, object] = {}
 
-    def columns(self, cd, orbits, psi_cols, route) -> list[list[Cyclotomic]]:
+    def columns(self, cd, orbits, psi_cols, route, tag: int) -> list[list[Cyclotomic]]:
         """The series route(psi_cols[c]) for every class c: read off the
-        share if c's psi-sequence is in it, else computed at the
+        share if c's psi-sequence is in it under ``tag``, else computed at the
         representative r of c's orbit (``orbits``, as ``galois_orbits``
         gives them) and sigma_u of r's series at c = r^u, since
         chi(r^u) = sigma_u(chi(r)); then added to the share."""
         # every key before any route: keys made amid route temporaries cost 0.3 MB RSS
-        ids, slots, keys, out = self.ids, {}, [], []
+        ids, slots, keys, out, top = self.ids, {}, [], [], tag.to_bytes(1, "little")
         for col in psi_cols:
             parts = []
             for v in col[1:]:
@@ -166,7 +211,7 @@ class SeriesShare:
                     i = ids.setdefault((v.order, v.num, v.den), len(ids))
                     s = slots[id(v)] = i.to_bytes(4, "little")
                 parts.append(s)
-            keys.append(int.from_bytes(b"".join(parts) + b"\x01", "little"))
+            keys.append(int.from_bytes(b"".join(parts) + top, "little"))
         for c, ((r, u), key) in enumerate(zip(orbits, keys)):
             col = self.cols.get(key)
             if col is None:
@@ -178,14 +223,28 @@ class SeriesShare:
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """chi together with its psi/lambda/S values up to a degree bound."""
+    """chi together with its psi/lambda/S values up to a degree bound.
+
+    A lambda-only sequence is built with ``syms=None`` and has no ``syms``
+    attribute: reading it raises AttributeError.  S is a function of lambda,
+    so it is neither shown nor compared.
+    """
 
     base: ClassFunction
     degree_bound: int
     adams: tuple[ClassFunction, ...]  # psi^1 .. psi^M
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
-    syms: tuple[ClassFunction, ...]  # S^0 .. S^M
+    syms: tuple[ClassFunction, ...] | None = field(repr=False, compare=False)  # S^0 .. S^M
     orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
+
+    def __post_init__(self):
+        if self.syms is None:
+            object.__delattr__(self, "syms")
+
+    def __getattr__(self, name: str):  # only for attributes that are not set
+        if name == "syms":
+            raise AttributeError("a lambda-only LambdaSequence has no S values")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def compute(
@@ -194,8 +253,10 @@ class LambdaSequence:
         M: int,
         expect_character: bool = False,
         share: SeriesShare | None = None,
+        lambda_only: bool = False,
     ) -> "LambdaSequence":
-        """Fill psi, lambda and S values pointwise per class up to degree M.
+        """Fill psi, lambda and S values pointwise per class up to degree M;
+        with ``lambda_only`` no S recurrence runs.
 
         With ``expect_character`` the degree bound lambda^n = 0 for
         n > chi(identity) is asserted, which catches corrupted tables; leave
@@ -214,11 +275,11 @@ class LambdaSequence:
         share = SeriesShare() if share is None else share
         orbits = cd.galois_orbits(chi.values)
 
-        def route(psi):  # lambda^0..lambda^M, then S^0..S^M
+        def route(psi):  # lambda^0..lambda^M, then S^0..S^M unless lambda_only
             lam = _scalar_lambdas(psi, M)
-            return lam + _scalar_syms(lam, M)
+            return lam if lambda_only else lam + _scalar_syms(lam, M)
 
-        cols = share.columns(cd, orbits, psi_vals, route)
+        cols = share.columns(cd, orbits, psi_vals, route, 2 if lambda_only else 1)
         if expect_character:
             try:
                 d = integral_degree(chi)
@@ -236,14 +297,14 @@ class LambdaSequence:
                 for n in range(1, M + 1)
             ),
             lambdas=tuple(mk(n) for n in range(M + 1)),
-            syms=tuple(mk(n) for n in range(M + 1, 2 * M + 2)),
+            syms=None if lambda_only else tuple(mk(n) for n in range(M + 1, 2 * M + 2)),
             orbits=orbits,
         )
 
 
 def exterior_powers(chi: ClassFunction, M: int, expect_character: bool = False):
     """lambda^0(chi) .. lambda^M(chi) as class functions."""
-    return list(LambdaSequence.compute(chi, M, expect_character).lambdas)
+    return list(LambdaSequence.compute(chi, M, expect_character, lambda_only=True).lambdas)
 
 
 def symmetric_powers(chi: ClassFunction, M: int, expect_character: bool = False):
@@ -264,10 +325,8 @@ def integral_degree(chi: ClassFunction) -> int:
 def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
     """Coefficients of lambda_t(chi) at class c, a polynomial of degree chi(e).
 
-    The recurrence is truncated at chi(e), which is exact for characters.
-    It stays beside ``LambdaSequence.compute``, which also fills S, as the
-    lambda-only route: on the S6 regular character (11 rational classes,
-    degree 720) it takes 0.37 s at every class, against 1.07 s for compute.
+    The recurrence is truncated at chi(e), which is exact for characters,
+    and runs at the one class c.
     """
     d = integral_degree(chi)
     psi = [None] + [chi.values[chi.data.power_map(n)[c]] for n in range(1, d + 1)]
@@ -283,8 +342,8 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     agreement on S certifies the lambda values as well.
 
     The route is a function of the psi-sequence at a class, read off
-    ``seq.adams`` and keyed in ``share`` (a fresh one if None; pass one
-    apart from ``compute``'s), so it runs at most once per distinct sequence
+    ``seq.adams`` and keyed in ``share`` (a fresh one if None) apart from
+    ``compute``'s columns, so it runs at most once per distinct sequence
     and once per rational class (``seq.orbits``; an incompatible chi makes
     every class its own orbit).  At a class c = r^u with a new sequence the
     route is sigma_u of the route at r.  Every step of the route is ring
@@ -303,7 +362,7 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
         given = _given(psi, signed=False, zeros_count=True)
         return _recurrence(given, M, divide=True, out_first=False)
 
-    for c, route in enumerate(share.columns(cd, seq.orbits, psi_cols, power_sums)):
+    for c, route in enumerate(share.columns(cd, seq.orbits, psi_cols, power_sums, 3)):
         for n in range(1, M + 1):
             if route[n] != seq.syms[n].values[c]:
                 raise CrossCheckError(

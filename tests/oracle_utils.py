@@ -9,11 +9,14 @@ loops.  Expected rational forms are reduced by Euclid's
 algorithm over Fraction, which the package does not use.
 ``reference_dual_route_check`` is the exception: it is verify's dual-route
 row without the character orbits, so it runs the package's recurrences and
-certifies every irreducible.
+certifies every irreducible.  ``reference_lambda_values`` is Newton's
+lambda recurrence run at every step with no stop rule, in plain
+``Cyclotomic`` arithmetic.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import lcm
 import random
 
 from symext.exactnum import as_cyclotomic
@@ -134,6 +137,29 @@ def reference_inner_product(f, f2):
     for c in range(cd.class_count):
         total = total + f.values[c] * f2.values[cd.inverse_class[c]] * cd.sizes[c]
     return total / cd.group_order
+
+
+def reference_lambda_values(psi):
+    """lambda^0, lambda^1, ... at one class from psi[1], psi[2], ... (psi[0]
+    unused), one per step of n*lambda^n = sum_(i<n) (-1)^(n-i+1) lambda^i
+    psi^(n-i), with no stop rule.  The psi values are first put at order 1
+    (the rational ones) or at the working order, the lcm of the orders of
+    the irrational ones, and each lambda^n is given as the packed route
+    stores it: at order 1 when rational, else at the working order."""
+    n0 = lcm(1, *(v.order for v in psi[1:] if not v.is_rational()))
+    psi = [None] + [as_cyclotomic(v.to_rational()) if v.is_rational() else v.lift(n0)
+                    for v in psi[1:]]
+    lam = [as_cyclotomic(1)]
+    yield lam[0]
+    for n in range(1, len(psi)):
+        acc = as_cyclotomic(0)
+        for i in range(n):
+            if lam[i]:
+                term = lam[i] * psi[n - i]
+                acc = acc + term if (n - i) % 2 else acc - term
+        v = acc / n
+        lam.append(v)
+        yield as_cyclotomic(v.to_rational()) if v.is_rational() else v.lift(n0)
 
 
 def reference_validate_table(table):
