@@ -28,6 +28,7 @@ from .closedforms import (
     CentralForms,
     InvalidCentralCharError,
     InvalidSubgroupError,
+    MapInconsistentError,
     NonIntegerExponentError,
     NormalSubgroupSpec,
     burnside_regular_forms,
@@ -64,6 +65,7 @@ from .groupdata import (
 )
 from .lambdaops import (
     CrossCheckError,
+    InvalidCharacterError,
     LambdaSequence,
     SeriesShare,
     char_poly,
@@ -782,7 +784,7 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     for name, (qtable, qmap) in sorted(ctx.transfers.items()):
         try:
             qt = quotient_pullback(ctx.table, qtable, qmap)
-        except Exception as exc:
+        except MapInconsistentError as exc:
             record(f"quotient-transfer:{name}", False, str(exc))
             continue
         ok = True
@@ -812,30 +814,31 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
 def _one_dim_check(table: CharacterTable) -> bool:
     """The shortcut forms of every linear character against the engine: S^i
     to degree 12 at every class, and the rational form toward every chi_j.
-    ``one_dim_forms`` and ``genfun_rationals`` run once per character orbit;
-    any other chi = chi_r o u takes the image of chi_r's forms, and its form
-    toward chi_perm(i) is compared with chi_r's rational form toward chi_i,
-    since S^n(chi) = S^n(chi_r) o u = sum_i q_i chi_perm(i)."""
+    ``one_dim_forms`` and ``genfun_rationals`` run, and the forms are
+    compared, once per character orbit.  Any other chi = chi_r o u compares
+    its S^i(c) with chi_r^i(c^u) at every class.  Its forms are chi_r's with
+    chi_i renamed chi_pi(i) (S^n(chi) = S^n(chi_r) o u = sum_i q_i chi_pi(i),
+    pi a bijection), so comparing them again would read no value of chi."""
     ok, share, js = True, SeriesShare(), range(table.classes.class_count)
-    orbit, perms = table.character_orbits() or ([(j, 1) for j in js], {1: tuple(js)})
-    forms_of, rationals = {}, {}
+    orbit, _ = table.character_orbits()
+    forms_of = {}
     for j, chi in enumerate(table.irreducibles):
         if chi.values[0] != 1:
             continue
         r, u = orbit[j]
         if r == j:
-            forms = forms_of[j] = one_dim_forms(chi, table)
+            forms_of[j] = one_dim_forms(chi, table)
             try:
-                rationals[j] = genfun_rationals(chi, table, js, SYM)
+                rationals = genfun_rationals(chi, table, js, SYM)
             except CrossCheckError:  # the column fails the numerator-degree certificate
-                rationals[j] = None
-        else:
-            forms = forms_of[r].image(chi, u, perms[u])
+                rationals = None
+            if rationals != [forms_of[j].genfun(i) for i in js]:
+                ok = False
         seq = LambdaSequence.compute(chi, 12, expect_character=True, share=share)
-        if any(seq.syms[i] != forms.sym_power(i) for i in range(13)):
-            ok = False
-        if rationals[r] != [forms.genfun(perms[u][i]) for i in js]:
-            ok = False
+        pm, forms = table.classes.power_map(u), forms_of[r]
+        for i in range(13):  # S^i(chi)(c) against chi_r^i(c^u)
+            if seq.syms[i].values != tuple(map(forms.sym_power(i).values.__getitem__, pm)):
+                ok = False
     return ok
 
 
@@ -850,13 +853,12 @@ def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     every class and every n, which certifies it: S^n(chi_r) = sum_i q_i chi_i,
     q_i nonnegative integers, holds at every class, so S^n(chi_j)(c) =
     sum_i q_i chi_i(c^u) = sum_i q_i chi_pi(i)(c), with chi_pi(i)(c) =
-    chi_i(c^u).  pi is total: the orbit table exists only when every unit
-    image of every row was looked up and found to be a row.  Without an orbit
-    table every chi is certified.
+    chi_i(c^u).  pi is total: the orbit table holds more than the identity
+    only when every unit image of every row was looked up and found to be a
+    row; otherwise every chi is its own orbit and is certified.
     """
     cd, seqs, routes, syms = table.classes, SeriesShare(), SeriesShare(), {}
-    orbits = table.character_orbits()
-    orbit = orbits[0] if orbits else [(j, 1) for j in range(cd.class_count)]
+    orbit, _ = table.character_orbits()
     for j, (chi, (r, u)) in enumerate(zip(table.irreducibles, orbit)):
         try:
             seq = LambdaSequence.compute(chi, degree, expect_character=True, share=seqs)
@@ -874,7 +876,8 @@ def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
                             f"S^{n} at class {cd.names[c]} is not S^{n}({table.labels[r]}) "
                             f"at its {u}-th power"
                         )
-        except Exception as exc:
+        except (CrossCheckError, InvalidCharacterError, NonIntegralMultiplicityError,
+                NonRationalMultiplicityError) as exc:
             return False, f"{table.labels[j]}: {exc}"
     return True, ""
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import Cyclotomic, as_cyclotomic, binom, divisors
 from .genfun import RationalFunction
-from .groupdata import CharacterTable, ClassData, ClassFunction, adams, decompose, id_rows
+from .groupdata import CharacterTable, ClassData, ClassFunction, _Columns, decompose
 
 
 class InvalidSubgroupError(ValueError):
@@ -144,8 +144,6 @@ class OneDimForms:
     and a zero form, if chi_j is not a power of chi).
     """
 
-    chi: ClassFunction
-    table: CharacterTable
     powers: tuple[ClassFunction, ...]
     exponents: tuple[int | None, ...]
 
@@ -162,17 +160,6 @@ class OneDimForms:
             return RationalFunction((), (one,))
         den = (one,) + (zero,) * (self.order - 1) + (-one,)
         return RationalFunction((zero,) * i + (one,), den)  # t^i/(1-t^q), in lowest terms
-
-    def image(self, chi: ClassFunction, u: int, perm: Sequence[int]) -> "OneDimForms":
-        """The forms of chi = self.chi o u (chi(c) = self.chi(c^u), u a unit),
-        given perm[i], the index of the row c -> chi_i(c^u): chi^m is
-        self.chi^m o u, so it is chi_perm(i) where self.chi^m is chi_i."""
-        exponents = [None] * len(perm)
-        for i, m in enumerate(self.exponents):
-            if m is not None:
-                exponents[perm[i]] = m
-        powers = tuple(adams(f, u) for f in self.powers)
-        return OneDimForms(chi, self.table, powers, tuple(exponents))
 
 
 def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
@@ -191,11 +178,11 @@ def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
             raise NotOneDimensionalError("chi has no finite multiplicative order")
     # each power's index, through value ids: the first i with chi^i = chi_j
     k = len(table.irreducibles)
-    rows = id_rows([f.values for f in (*table.irreducibles, *powers)])
+    rows = _Columns([f.values for f in (*table.irreducibles, *powers)]).rows
     first: dict[tuple, int] = {}
     for i, row in enumerate(rows[k:]):
         first.setdefault(row, i)
-    return OneDimForms(chi, table, tuple(powers), tuple(first.get(row) for row in rows[:k]))
+    return OneDimForms(tuple(powers), tuple(first.get(row) for row in rows[:k]))
 
 
 # ---------------------------------------------------------------------------

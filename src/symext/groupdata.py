@@ -298,32 +298,33 @@ class CharacterTable:
         self.labels = tuple(labels)
         self.name = name
         self._packed: _PackedRows | None = None  # built by decompose
-        self._orbits: tuple | None = ()  # () until character_orbits builds it
+        self._orbits: tuple | None = None  # built by character_orbits
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.values[0].to_rational()) for chi in self.irreducibles)
 
-    def character_orbits(self) -> tuple[tuple[tuple[int, int], ...], dict] | None:
+    def character_orbits(self) -> tuple[tuple[tuple[int, int], ...], dict]:
         """(orbit, perms): orbit[j] = (r, u) with chi_j(c) = chi_r(c^u) at
         every class c, for r the first row of chi_j's orbit and u a unit mod
-        the exponent; perms[u][i] is the index of the row c -> chi_i(c^u),
-        for every unit u.  None if for some u and i that function is no row,
-        or u does not permute the rows.  Rows are compared as tuples of value
-        ids (``id_rows``).  On a valid table c -> chi_i(c^u) is the Galois
-        image sigma_u(chi_i), and the orbits are as many as the rational
-        classes (Brauer's permutation lemma, Isaacs, Character Theory of
-        Finite Groups, Thm 6.32)."""
-        if self._orbits == ():
+        the exponent; perms[u][i] is the index of the row c -> chi_i(c^u).
+        If for some unit u and row i that function is no row, or u does not
+        permute the rows, the table is the identity: every chi_j is its own
+        orbit (j, 1) and perms = {1: identity}.  Rows are compared as tuples
+        of value ids (``_Columns``).  On a valid table c -> chi_i(c^u) is the
+        Galois image sigma_u(chi_i), and the orbits are as many as the
+        rational classes (Brauer's permutation lemma, Isaacs, Character
+        Theory of Finite Groups, Thm 6.32)."""
+        if self._orbits is None:
             cd, k = self.classes, self.classes.class_count
-            rows = id_rows([chi.values for chi in self.irreducibles])
+            rows = _Columns([chi.values for chi in self.irreducibles]).rows
             index = {row: j for j, row in enumerate(rows)}
             perms = {}
             for u in (u for u in range(1, cd.exponent + 1) if gcd(u, cd.exponent) == 1):
                 pm = cd.power_map(u)
                 perms[u] = tuple(index.get(tuple(map(row.__getitem__, pm))) for row in rows)
                 if None in perms[u] or len(set(perms[u])) < k:
-                    self._orbits = None
-                    return None
+                    perms = {1: tuple(range(k))}
+                    break
             orbit = [None] * k
             for r in range(k):
                 if orbit[r] is None:
@@ -533,44 +534,36 @@ def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 class _Columns:
-    """A table's columns as tuples of value ids, with the classes of each
-    column.  Every value is lifted to the lcm order n of all values, so equal
-    values (``Cyclotomic.__eq__``) share an id, and ``vals`` lists them."""
+    """A table's values as small ids, equal ids for equal values
+    (``Cyclotomic.__eq__``): a rational is keyed by (numerator, denominator)
+    and not lifted, any other value by its coordinates at the lcm order n of
+    the irrational values.  ``rows`` and ``cols`` hold the table's rows and
+    columns as tuples of ids, ``classes`` the classes of each column."""
 
     def __init__(self, value_rows: Sequence[Sequence[Cyclotomic]]):
-        self.n = lcm(1, *(v.order for row in value_rows for v in row))
+        self.n = lcm(1, *(v.order for row in value_rows for v in row if not v.is_rational()))
         self.ids, self.images, self.classes = {}, {}, {}
-        lifted = ([v.lift(self.n) for v in row] for row in value_rows)
-        self.cols = list(zip(*([self.ids.setdefault((w.num, w.den), len(self.ids)) for w in row]
-                               for row in lifted)))
-        self.vals = [Cyclotomic._raw(self.n, num, den) for num, den in self.ids]
+        self.rows = [tuple(self.ids.setdefault(self._key(v), len(self.ids)) for v in row)
+                     for row in value_rows]
+        self.cols = list(zip(*self.rows))
         for c, col in enumerate(self.cols):
             self.classes.setdefault(col, []).append(c)
 
-    def image(self, c: int, u: int) -> tuple:
-        """The ids of sigma_u of column c, u a unit mod n, one ``galois`` per
-        value and unit; None for a value in no column."""
-        if u not in self.images:
-            images = (v if v.is_rational() else v.galois(u) for v in self.vals)
-            self.images[u] = [self.ids.get((w.num, w.den)) for w in images]
-        return tuple(self.images[u][i] for i in self.cols[c])
-
-
-def id_rows(value_rows: Sequence[Sequence[Cyclotomic]]) -> list[tuple[int, ...]]:
-    """Each row as a tuple of value ids, equal ids for equal values
-    (``Cyclotomic.__eq__``): a rational is keyed by (numerator, denominator),
-    any other value by its coordinates at the lcm order of the irrational
-    values, as ``_Columns`` lifts them; rationals are not lifted."""
-    n = lcm(1, *(v.order for row in value_rows for v in row if not v.is_rational()))
-    ids: dict[tuple, int] = {}
-
-    def key(v: Cyclotomic) -> tuple:
+    def _key(self, v: Cyclotomic) -> tuple:
         if v.is_rational():
             return v.num[0], v.den
-        w = v.lift(n)
+        w = v.lift(self.n)
         return w.num, w.den
 
-    return [tuple(ids.setdefault(key(v), len(ids)) for v in row) for row in value_rows]
+    def image(self, c: int, u: int) -> tuple:
+        """The ids of sigma_u of column c, u a unit mod n, one ``galois`` per
+        irrational value and unit; None for a value in no column."""
+        if u not in self.images:
+            images = (None if isinstance(num, int) else Cyclotomic._raw(self.n, num, den).galois(u)
+                      for num, den in self.ids)
+            self.images[u] = [i if w is None else self.ids.get((w.num, w.den))
+                              for i, w in enumerate(images)]
+        return tuple(self.images[u][i] for i in self.cols[c])
 
 
 def complete_power_maps(

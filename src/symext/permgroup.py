@@ -241,7 +241,7 @@ def _sorted_classes(group: GeneratedGroup) -> list[list[int]]:
     return classes
 
 
-def class_data(group: GeneratedGroup, name_prefix: str = "C") -> ClassData:
+def class_data(group: GeneratedGroup) -> ClassData:
     """Partition the group into conjugacy classes and package the skeleton."""
     index = group.element_index
     classes = group.conjugacy_classes()
@@ -260,7 +260,7 @@ def class_data(group: GeneratedGroup, name_prefix: str = "C") -> ClassData:
     prime_maps = {}
     for p in primes_below(exponent + 1):
         prime_maps[p] = tuple(class_of[index[r**p]] for r in reps)
-    names = [f"{name_prefix}{i+1}" for i in range(k)]
+    names = [f"C{i+1}" for i in range(k)]
     return ClassData(
         group_order=len(group),
         exponent=exponent,

@@ -2,10 +2,11 @@
 the per-orbit work in ``verify``.
 
 ``verify`` certifies the symmetric-power table once per character orbit and
-runs ``one_dim_forms`` and the rational forms once per orbit of linear
-characters; every other character is compared through the orbit table at
-every class and every degree.  Each mutant below moves one thing that only
-that comparison can see, and ``verify`` must report FAIL.
+runs ``one_dim_forms`` and the rational forms, and compares the forms, once
+per orbit of linear characters; every other character is compared through
+the orbit table at every class and every degree.  Each mutant below moves
+one thing that only one of these comparisons can see, and ``verify`` must
+report FAIL.
 """
 
 import contextlib
@@ -100,7 +101,7 @@ def test_a_table_whose_unit_image_is_no_row_certifies_every_character(monkeypatc
     table = get_group("D2n", 5)
     maps = {**table.classes.prime_power_maps, 3: (0, 1, 1, 3)}
     wrong = _with_class_data(table, prime_power_maps=maps)
-    assert wrong.character_orbits() is None
+    assert wrong.character_orbits() == (tuple((j, 1) for j in range(4)), {1: (0, 1, 2, 3)})
     calls = _count_certify(monkeypatch)
     assert cli._dual_route_check(wrong, 2) == (True, "")
     assert len(calls) == 4
@@ -152,15 +153,16 @@ def test_verify_catches_a_moved_sym_value_off_the_representative(monkeypatch, gr
 
 
 @pytest.mark.parametrize("group", ["A4", "Hp:3"])
-def test_verify_catches_a_moved_form_of_a_linear_character_off_the_representative(
-        monkeypatch, group):
+def test_verify_catches_a_moved_form_of_a_linear_representative(monkeypatch, group):
+    # the forms are compared once per orbit, at the representative: here the
+    # representative of a non-representative linear character
     table = get_group(*cli.parse_group_selector(group))
-    j, _, _ = _non_rep(table, linear=True)
-    target, real = table.irreducibles[j], OneDimForms.genfun
+    _, r, _ = _non_rep(table, linear=True)
+    target, real = table.irreducibles[r], OneDimForms.genfun
 
     def moved(self, jj):
         rf = real(self, jj)
-        if self.chi is not target or not rf.num:
+        if self.order < 2 or self.powers[1] is not target or not rf.num:
             return rf
         return RationalFunction((Fraction(0),) + rf.num, rf.den)
 

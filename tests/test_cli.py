@@ -13,10 +13,12 @@ from symext import catalog, cli, groupdata, lambdaops, permgroup
 from symext.catalog import NoModelError, central_characters, get_group
 from symext.closedforms import (
     CentralForms,
+    MapInconsistentError,
     burnside_regular_forms,
     central_forms,
     subgroup_spec,
 )
+from symext.genfun import MultiplicityTable
 from symext.groupdata import ClassFunction
 from symext.lambdaops import LambdaSequence
 from symext.exactnum import Cyclotomic, primes_below
@@ -657,6 +659,29 @@ def test_internal_fault_exits_3_without_traceback(monkeypatch):
     assert code == EXIT_INTERNAL and out == ""
     assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+@pytest.mark.parametrize("owner, name, group", [(MultiplicityTable, "certify", "S3"),
+                                                (cli, "quotient_pullback", "S4")])
+def test_a_fault_inside_verify_that_is_no_verdict_exits_3(monkeypatch, owner, name, group):
+    monkeypatch.setattr(owner, name, _raise(TypeError("simulated bug")))
+    code, out, err = run_cli(["verify", "--group", group])
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.splitlines() == ["internal error: simulated bug"]
+
+
+def test_an_inconsistent_quotient_map_is_a_failed_row(monkeypatch):
+    monkeypatch.setattr(cli, "quotient_pullback", _raise(MapInconsistentError(["moved"])))
+    code, out, _ = run_cli(["verify", "--group", "S4"])
+    assert code == EXIT_VERIFY
+    row = next(ln.split() for ln in out.splitlines() if ln.startswith("quotient-transfer:V "))
+    assert row == ["quotient-transfer:V", "FAIL", "moved"]
 
 
 def test_generators_route():

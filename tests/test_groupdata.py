@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symext.catalog import get_group, get_perm_model
 from symext.exactnum import Cyclotomic
@@ -10,6 +12,7 @@ from symext.groupdata import (
     NonIntegralMultiplicityError,
     NonRationalMultiplicityError,
     TableMismatchError,
+    _Columns,
     adams,
     complete_power_maps,
     decompose,
@@ -148,3 +151,36 @@ def test_class_function_algebra():
     assert (chi3 - chi3).is_zero()
     assert (chi3 + chi3) == 2 * chi3
     assert chi3**2 == chi3 * chi3
+
+
+@st.composite
+def value_grid(draw):
+    """A few values, each written at several orders: rationals at order 1
+    and lifted to a higher order, sums of roots of unity at their order and
+    lifted; some sums are rational, some are equal across base orders."""
+    small = st.integers(-2, 2)
+    bases = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            bases.append(Cyclotomic.from_rational(Fraction(draw(small), draw(st.integers(1, 3)))))
+        else:
+            m = draw(st.sampled_from([3, 4, 5, 6, 8]))
+            terms = draw(st.lists(st.tuples(st.integers(0, m - 1), small), max_size=4))
+            bases.append(Cyclotomic.from_terms(m, terms))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = [draw(st.tuples(st.sampled_from(bases), st.sampled_from([1, 2, 3, 5])))
+             for _ in range(rows * cols)]
+    values = [v.lift(v.order * k) for v, k in cells]
+    return [values[r * cols:(r + 1) * cols] for r in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_grid())
+def test_column_ids_are_equal_exactly_when_the_values_are(grid):
+    cols = _Columns(grid)
+    assert cols.cols == list(zip(*cols.rows))
+    flat = [v for row in grid for v in row]
+    ids = [i for row in cols.rows for i in row]
+    for v, a in zip(flat, ids):
+        for w, b in zip(flat, ids):
+            assert (a == b) == (v == w)
