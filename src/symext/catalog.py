@@ -25,7 +25,7 @@ from .groupdata import (
     complete_power_maps,
     validate_table,
 )
-from .permgroup import GeneratedGroup, Permutation, class_data, enumerate_group
+from .permgroup import GeneratedGroup, Permutation, class_data, enumerate_group, parse_digits
 
 FIXED_FAMILIES = ("S3", "A4", "G21", "S4", "A5")
 PARAM_FAMILIES = ("D2n", "Q4n", "Hp")
@@ -52,10 +52,10 @@ def parse_group_selector(selector: str) -> tuple[str, int | None]:
     """Parse 'S3', 'D2n:8', 'Hp:5' into (family, parameter)."""
     if ":" in selector:
         fam, _, raw = selector.partition(":")
-        try:
-            return fam, int(raw)
-        except ValueError:
-            raise ValueError(f"bad group parameter in {selector!r}") from None
+        param = parse_digits(raw, f"group parameter in {selector!r}")
+        if param is None:
+            raise ValueError(f"bad group parameter in {selector!r}")
+        return fam, param
     return selector, None
 
 
@@ -499,6 +499,8 @@ def match_class_data(a: ClassData, b: ClassData) -> tuple[int, ...] | None:
         return None
     k = a.class_count
     primes = sorted(set(a.prime_power_maps) & set(b.prime_power_maps))
+    maps = [(a.inverse_class, b.inverse_class)]
+    maps += [(a.prime_power_maps[p], b.prime_power_maps[p]) for p in primes]
     cands = [
         [
             j
@@ -507,53 +509,30 @@ def match_class_data(a: ClassData, b: ClassData) -> tuple[int, ...] | None:
         ]
         for i in range(k)
     ]
-    mapping: list[int | None] = [None] * k
-    used = [False] * k
     order = sorted(range(k), key=lambda i: (len(cands[i]), i))
+    mapping: dict[int, int] = {}
+    if not _extend_matching(maps, [(i, cands[i]) for i in order], mapping):
+        return None
+    return tuple(mapping[i] for i in range(k))
 
-    def consistent(i: int, j: int) -> bool:
-        pairs = [(a.inverse_class[i], b.inverse_class[j])]
-        for p in primes:
-            pairs.append((a.prime_power_maps[p][i], b.prime_power_maps[p][j]))
-        for ai, bj in pairs:
-            if mapping[ai] is not None and mapping[ai] != bj:
-                return False
-            if ai == i and bj != j:
-                return False
-        return True
 
-    def full_check() -> bool:
-        for i in range(k):
-            if mapping[a.inverse_class[i]] != b.inverse_class[mapping[i]]:
-                return False
-            for p in primes:
-                if mapping[a.prime_power_maps[p][i]] != b.prime_power_maps[p][mapping[i]]:
-                    return False
-        return True
-
-    # depth-first over the classes in ``order``, without recursion: a
-    # recursive closure would hold itself in a reference cycle
-    pos, tried = 0, [0] * k  # tried[pos]: candidates of order[pos] tried so far
-    while pos >= 0:
-        if pos == k:
-            if full_check():
-                return tuple(mapping)
-            pos -= 1
-            continue
-        i = order[pos]
-        if mapping[i] is not None:
-            used[mapping[i]], mapping[i] = False, None
-        while tried[pos] < len(cands[i]):
-            j = cands[i][tried[pos]]
-            tried[pos] += 1
-            if not used[j] and consistent(i, j):
-                mapping[i], used[j] = j, True
-                break
-        if mapping[i] is None:
-            tried[pos], pos = 0, pos - 1
-        else:
-            pos += 1
-    return None
+def _extend_matching(maps, todo, mapping: dict[int, int]) -> bool:
+    """Extend the partial class matching ``mapping`` depth-first over
+    ``todo``, the (class, candidates) pairs still to place, in order; True,
+    with ``mapping`` complete, once it commutes with every (a-map, b-map)
+    pair in ``maps``.  A module-level function: a recursive closure would
+    hold itself in a reference cycle."""
+    if not todo:
+        return all(mapping[x[i]] == y[mapping[i]] for x, y in maps for i in mapping)
+    (i, cands), used = todo[0], set(mapping.values())
+    for j in cands:
+        if j not in used and all(mapping.get(s, t) == t and (s != i or t == j)
+                                 for s, t in ((x[i], y[j]) for x, y in maps)):
+            mapping[i] = j
+            if _extend_matching(maps, todo[1:], mapping):
+                return True
+            del mapping[i]
+    return False
 
 
 def _regular_action_q4n(n: int) -> list[Permutation]:

@@ -885,22 +885,25 @@ def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
 def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
     """m*zeta_0 against the recurrences: lambda_t at every class with a closed
     form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
-    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m), all off one
-    LambdaSequence to max(m, min(degree, 2m))."""
+    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m), off lambda and S
+    to min(degree, 2m), and lambda alone to m if m is larger."""
     cd, spec = forms.cd, forms.spec
     m = spec.multiplier
     bound = min(degree, 2 * m)
-    seq = LambdaSequence.compute(forms.character(), max(m, bound))
+    seq = LambdaSequence.compute(forms.character(), bound)
+    lams, syms = seq.lambdas, seq.syms
+    if m > bound:
+        lams = LambdaSequence.compute(forms.character(), m, lambda_only=True).lambdas
     closed = [c for c in range(cd.class_count) if m % forms.coset_orders[c] == 0]
     ok = True
     for c in closed:
-        lam = [f.values[c] for f in seq.lambdas]
+        lam = [f.values[c] for f in lams]
         if lam[: m + 1] != forms.lambda_poly(c) or any(lam[m + 1 : bound + 1]):
             ok = False
     qo = spec.subgroup.quotient_order
     for n in range(1, min(qo + 5, bound) + 1):
         if gcd(n, qo) == 1 and (
-            seq.syms[n] != forms.shortcut(n, SYM) or seq.lambdas[n] != forms.shortcut(n, EXT)
+            syms[n] != forms.shortcut(n, SYM) or lams[n] != forms.shortcut(n, EXT)
         ):
             ok = False
     missing = [cd.names[c] for c in range(cd.class_count) if c not in closed]

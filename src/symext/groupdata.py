@@ -8,6 +8,7 @@ inner product and every decomposition below is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -417,25 +418,30 @@ class _PackedRows:
         values = [v for chi in table.irreducibles for v in chi.values]
         self.den, self.bits = pack_bounds(values, order)
 
-    def trace_weights(self, table: CharacterTable) -> list[list[int]]:
-        """Per row j, the integers |r| |O_r| sum_a x_a T_(a+b) for every
-        representative r of a rational class O_r and b < phi(N), where x are
-        the coordinates of den * chi_j(r) and T_m = Tr(zeta_N^m) is the
-        Ramanujan sum c_N(m); empty when some row is not Galois compatible."""
+    def trace_weights(self, table: CharacterTable) -> tuple[list[list[int]], list[int]]:
+        """(weights, classes): per row j, the integers |r| |O_r| sum_a x_a
+        T_(a+b) for every r in classes and b < phi(N), where x are the
+        coordinates of den * chi_j(r) and T_m = Tr(zeta_N^m) is the Ramanujan
+        sum c_N(m).  The classes are the representatives r of the rational
+        classes O_r when every row is Galois compatible, else every class c,
+        as its own orbit O_c = {c}."""
         if self.weights is None:
-            cd, n, self.weights = table.classes, self.order, []
-            (orbit, reps), phi = cd.rational_classes(), totient(n)
-            if all(cd.galois_orbits(chi.values) is orbit for chi in table.irreducibles):
-                trace = [sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
-                         for m in range(2 * phi - 1)]
-                for chi in table.irreducibles:
-                    w = []
-                    for r in reps:
-                        v = chi.values[r].lift(n)
-                        s = cd.sizes[r] * [o for o, _ in orbit].count(r) * (self.den // v.den)
-                        w += [s * sum(x * trace[a + b] for a, x in enumerate(v.num) if x)
-                              for b in range(phi)]
-                    self.weights.append(w)
+            cd, n, weights = table.classes, self.order, []
+            orbit, phi = cd.rational_classes()[0], totient(n)
+            if any(cd.galois_orbits(chi.values) is not orbit for chi in table.irreducibles):
+                orbit = tuple((c, 1) for c in range(cd.class_count))
+            counts = Counter(r for r, _ in orbit)  # |O_r| by representative r
+            trace = [sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
+                     for m in range(2 * phi - 1)]
+            for chi in table.irreducibles:
+                w = []
+                for r, size in counts.items():
+                    v = chi.values[r].lift(n)
+                    s = cd.sizes[r] * size * (self.den // v.den)
+                    w += [s * sum(x * trace[a + b] for a, x in enumerate(v.num) if x)
+                          for b in range(phi)]
+                weights.append(w)
+            self.weights = weights, list(counts)
         return self.weights
 
 
@@ -477,15 +483,15 @@ def integral_decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ..
 def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]:
     """(nums, D): the multiplicities of f are nums_j / D.
 
-    For Galois compatible rows the candidate is one integer dot product per
-    row over the rational classes: O_r adds |r| |O_r| Tr(chi_j(r) f(r^-1))
-    / phi(N) to |G| q_j.  The exact reconstruction sum_j q_j chi_j = f
-    certifies it (a rational combination of compatible rows is compatible,
-    and then traces are class sums).  Otherwise each one is the
-    ``inner_product`` <chi_j, f>, in label order; NonRationalMultiplicityError
-    if one is not rational, and the reconstruction is verified again.  The
-    zero function is the zero vector over 1: sum_j 0 * chi_j = 0 holds
-    identically.
+    The candidate is one integer dot product per row: each orbit O_r of
+    ``trace_weights`` adds |r| |O_r| Tr(chi_j(r) f(r^-1)) / phi(N) to |G| q_j.
+    Over every class that is Tr(<chi_j, f>) / phi(N), so <chi_j, f> when
+    that is rational; over the rational classes of compatible rows it is the
+    same for compatible f (as is every rational combination of the rows).
+    The exact reconstruction sum_j q_j chi_j = f certifies it.  If that
+    fails, the inner products only word the NonRationalMultiplicityError: the
+    first label whose one is not rational, else f outside the span.  The zero
+    function is the zero vector over 1: sum_j 0 * chi_j = 0 holds identically.
     """
     f._check(table.irreducibles[0])
     cd = table.classes
@@ -499,26 +505,18 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
         pr = _PackedRows(table, n)
     table._packed = pr
     fden = lcm(*(v.den for v in f.values))
-    weights = pr.trace_weights(table)
-    if weights:
-        g = [x * (fden // v.den) for r in cd.rational_classes()[1]
-             for v in [f.values[cd.inverse_class[r]].lift(n)] for x in v.num]
-        nums = [sum(map(mul, row, g)) for row in weights]
-        den = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
-        if den is not None:
-            return nums, den
-    qs = []
+    weights, classes = pr.trace_weights(table)
+    g = [x * (fden // v.den) for r in classes
+         for v in [f.values[cd.inverse_class[r]].lift(n)] for x in v.num]
+    nums = [sum(map(mul, row, g)) for row in weights]
+    den = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
+    if den is not None:
+        return nums, den
     for label, chi in zip(table.labels, table.irreducibles):
         v = inner_product(chi, f)
         if not v.is_rational():
             raise NonRationalMultiplicityError(f"inner product with {label} is not rational: {v!r}")
-        qs.append(v.to_rational())
-    d = lcm(*(q.denominator for q in qs))
-    nums = [q.numerator * (d // q.denominator) * fden for q in qs]
-    den = _certified(f, table, pr, n, nums, d)
-    if den is None:
-        raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
-    return nums, den
+    raise NonRationalMultiplicityError("class function is outside the span of the irreducibles")
 
 
 def integral_multiplicities(coeffs: Sequence[Fraction]) -> tuple[int, ...]:

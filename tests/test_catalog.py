@@ -1,5 +1,6 @@
 import pytest
 
+from symext import catalog
 from symext.catalog import (
     NoModelError,
     central_characters,
@@ -14,7 +15,7 @@ from symext.catalog import (
     tau_prime,
 )
 from symext.exactnum import Cyclotomic
-from symext.groupdata import decompose, validate_table
+from symext.groupdata import ClassData, decompose, validate_table
 from symext.lambdaops import LambdaSequence, exterior_powers, symmetric_powers
 from symext.permgroup import class_data
 
@@ -224,6 +225,52 @@ def test_match_class_data_rejects_mismatch():
     d2n3 = get_group("D2n", 3).classes  # D6 is isomorphic to S3
     model = get_perm_model("S3")
     assert match_class_data(d2n3, model.data) is not None
+
+
+def _relabelled(cd, perm):
+    """A copy of cd whose class perm[c] is class c of cd."""
+    k = cd.class_count
+    back = sorted(range(k), key=perm.__getitem__)  # back[perm[c]] = c
+    return ClassData(cd.group_order, cd.exponent, [cd.names[back[j]] for j in range(k)],
+                     [cd.sizes[back[j]] for j in range(k)],
+                     [cd.rep_orders[back[j]] for j in range(k)],
+                     [perm[cd.inverse_class[back[j]]] for j in range(k)],
+                     {p: [perm[m[back[j]]] for j in range(k)]
+                      for p, m in cd.prime_power_maps.items()})
+
+
+def _is_isomorphism(a, b, m):
+    return sorted(m) == list(range(a.class_count)) and all(
+        b.sizes[m[c]] == a.sizes[c] and b.rep_orders[m[c]] == a.rep_orders[c]
+        and m[a.inverse_class[c]] == b.inverse_class[m[c]]
+        and all(m[pm[c]] == b.prime_power_maps[p][m[c]] for p, pm in a.prime_power_maps.items())
+        for c in range(a.class_count)
+    )
+
+
+def test_match_class_data_backtracks_on_a_relabelled_copy(monkeypatch):
+    # on this relabelling of Hp:3 the first candidate for some class of order
+    # 3 fails later, so the search must undo it and try the next one
+    cd = get_group("Hp", 3).classes
+    b = _relabelled(cd, [0, 7, 9, 10, 8, 6, 4, 1, 5, 2, 3])
+    real, calls = catalog._extend_matching, []
+    monkeypatch.setattr(catalog, "_extend_matching", lambda *a: calls.append(1) or real(*a))
+    m = match_class_data(cd, b)
+    assert m == (0, 7, 9, 1, 2, 3, 5, 8, 4, 10, 6) and _is_isomorphism(cd, b, m)
+    assert len(calls) > cd.class_count + 1  # more steps than one straight descent
+
+
+def test_match_class_data_rejects_a_moved_power_image():
+    # the 2-power image of C(0,1) moved from C(0,2) to C(1,0), both of order
+    # 3: the 2-power map is no longer a bijection, so no matching exists
+    cd = get_group("Hp", 3).classes
+    maps = {**cd.prime_power_maps, 2: list(cd.prime_power_maps[2])}
+    assert maps[2][3] == 4 and cd.rep_orders[4] == cd.rep_orders[5]
+    maps[2][3] = 5
+    b = ClassData(cd.group_order, cd.exponent, cd.names, cd.sizes, cd.rep_orders,
+                  cd.inverse_class, maps)
+    assert match_class_data(cd, b) is None
+    assert match_class_data(cd, cd) == tuple(range(cd.class_count))
 
 
 def test_named_structure():

@@ -87,6 +87,22 @@ def test_decompose_input_errors():
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "selector, message",
+    [("D2n:1_0", "bad group parameter in 'D2n:1_0'"),
+     ("D2n: 8", "bad group parameter in 'D2n: 8'"),
+     ("D2n:+8", "bad group parameter in 'D2n:+8'"),
+     ("D2n:\u0668", "bad group parameter in 'D2n:\u0668'"),
+     ("D2n:", "bad group parameter in 'D2n:'"),
+     ("D2n:" + "1" * 19, f"group parameter in 'D2n:{'1' * 19}' has more than 18 digits")],
+    ids=["underscore", "space", "plus", "arabic-indic-eight", "empty", "too-many-digits"],
+)
+def test_a_group_parameter_is_ascii_digits(selector, message):
+    # int() reads the first four as 10, 8, 8 and 8
+    code, out, err = run_cli(["decompose", "--group", selector, "--char", "natural", "--degree", "1"])
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
 def test_genfun_rational_and_series():
     code, out, _ = run_cli(
         ["genfun", "--group", "S3", "--char", "chi3", "--irr", "1", "--op", "sym"]
@@ -357,6 +373,23 @@ def _set_class_field(doc, c, field, value):
     return doc
 
 
+def _set_power(doc, c, p, image):
+    doc["classes"][c]["prime_powers"][str(p)] = image
+    return doc
+
+
+def _set_inverses(doc, images):
+    for cls, image in zip(doc["classes"], images):
+        cls["inverse"] = image
+    return doc
+
+
+def _copy_column(doc, src, dst):
+    for irr in doc["irreducibles"]:
+        irr["values"][dst] = irr["values"][src]
+    return doc
+
+
 def _at_root_order(doc, k):
     """The same spec with every value re-expressed over zeta_(k*N)."""
     doc = json.loads(json.dumps(doc))
@@ -384,6 +417,21 @@ def test_group_spec_at_a_multiple_of_the_exponent_verifies_alike(tmp_path, famil
         assert code == EXIT_OK and err == "" and "FAIL" not in out
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_a5_at_root_order_60_decomposes_as_the_builtin(tmp_path):
+    # every value is stored at order 60 above the exponent 30, so no row is
+    # Galois compatible and the trace candidate runs over every class
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps(_at_root_order(dump_group_spec(get_group("A5")), 2)))
+    table = load_group_spec(str(path)).table
+    assert all(v.order == 60 for chi in table.irreducibles for v in chi.values)
+    assert groupdata.decompose(table.irreducibles[3] * 2, table) == (0, 0, 0, 2, 0)
+    assert table._packed.trace_weights(table)[1] == list(range(5))
+    for char, op in [("chi4", "sym"), ("chi5", "ext"), ("regular", "sym")]:
+        outs = [run_cli(["decompose", "--group", group, "--char", char, "--op", op, "--degree", "12"])
+                for group in (str(path), "A5")]
+        assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
 
 
 def _a4_with_power(images):
@@ -473,10 +521,22 @@ def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, 
          f"multiplier: the multiplier {MAX_DEGREE + 1} is not in 1..{MAX_DEGREE}"),
         (lambda doc: _set_multiplier(doc, 0),
          f"multiplier: the multiplier 0 is not in 1..{MAX_DEGREE}"),
+        (lambda doc: _set_class_field(doc, 2, "size", 3),
+         "class sizes do not sum to the group order"),
+        (lambda doc: _set_class_field(doc, 0, "rep_order", 2),
+         "class 0 is not a size-1 identity class of order 1"),
+        (lambda doc: _set_inverses(doc, [1, 2, 0]), "inverse_class is not an involution at C1"),
+        (lambda doc: _set_field(doc, "order", 9), "exponent does not divide the group order"),
+        (lambda doc: _set_power(doc, 0, 3, 1), "3-power map does not fix the identity class"),
+        (lambda doc: _set_power(doc, 2, 2, 1), "2-power map sends C3 to a class of wrong order"),
+        (lambda doc: _copy_column(doc, 2, 1),
+         "5-power image of class 1 is not determined by the table"),
     ],
     ids=["inverse-too-large", "inverse-negative", "prime-power-image", "no-classes",
          "zero-size", "zero-order", "too-many-classes", "zero-root-order", "root-order-above-cap",
-         "multiplier-above-cap", "multiplier-zero"],
+         "multiplier-above-cap", "multiplier-zero", "sizes-sum", "class-0-not-identity",
+         "inverse-not-involution", "exponent-not-dividing", "power-moves-identity",
+         "power-to-wrong-order", "equal-columns"],
 )
 def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, message):
     path = tmp_path / "range.json"
@@ -755,7 +815,7 @@ def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
         # lambda^6 is the top coefficient of lambda_t
         real = LambdaSequence.compute
 
-        def tampered(chi, M, expect_character=False):
+        def tampered(chi, M, expect_character=False, **kwargs):
             seq = real(chi, M, expect_character)
             return dataclasses.replace(seq, lambdas=seq.lambdas[:-1] + (chi,))
 

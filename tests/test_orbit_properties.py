@@ -4,9 +4,9 @@ rational class.
 ``LambdaSequence.compute`` runs the recurrences at one class per rational
 class and fills the others with Galois images when the class function is
 compatible (f(r^u) = sigma_u(f(r)) at the same order), and class by class
-otherwise.  ``decompose`` takes a candidate from orbit traces and certifies
-it by the exact reconstruction, falling back to one ``inner_product`` per
-irreducible.  Each is
+otherwise.  ``decompose`` takes a candidate from orbit traces (every class
+its own orbit when some row is not compatible) and certifies it by the
+exact reconstruction; inner products only word a failure.  Each is
 compared here with the class-by-class reference: value, ``repr`` and
 ``.order`` of every lambda^n and S^n, and the result or error message of
 ``decompose``.  The orders agree because a recurrence stores each value at
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symext import groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
 from symext.genfun import EXT, SYM, genfun_rationals, genfun_series
@@ -254,8 +255,7 @@ def test_identity_value_outside_its_stabilizers_fixed_field():
 
 def test_rows_that_are_not_galois_compatible_decompose_as_the_reference():
     # A4 with an identity 5-power map: sigma_5 swaps w and w^2, so chi2 and
-    # chi3 are incompatible, there are no trace weights, and every
-    # decomposition takes the inner products
+    # chi3 are incompatible, and the trace weights run over every class
     a4 = get_group("A4")
     cd0 = a4.classes
     cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
@@ -268,6 +268,24 @@ def test_rows_that_are_not_galois_compatible_decompose_as_the_reference():
         for f in (chi * 2 + chi4, chi * w):
             assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
     assert decompose(table.irreducibles[1] * 2 + chi4, table) == (0, 2, 0, 1)
+
+
+def test_incompatible_rows_decompose_a_rational_combination_without_inner_products(monkeypatch):
+    # the A4 table above: the per-class trace candidate is <chi_j, f> itself
+    # when that is rational, so the certificate passes at once
+    a4 = get_group("A4")
+    cd0 = a4.classes
+    cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
+                   cd0.inverse_class, {**cd0.prime_power_maps, 5: range(cd0.class_count)})
+    table = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in a4.irreducibles],
+                           a4.labels)
+    monkeypatch.setattr(groupdata, "inner_product", None)  # any call raises TypeError
+    chi1, chi2, chi3, chi4 = table.irreducibles
+    f = chi1 * Fraction(1, 2) + chi2 * 3 + chi3 * 3 - chi4
+    assert decompose(f, table) == (Fraction(1, 2), 3, 3, -1)
+    assert table._packed.trace_weights(table)[1] == list(range(cd.class_count))
+    with pytest.raises(TypeError):  # a failed certificate words its error by inner products
+        decompose(chi2 * Cyclotomic.root_of_unity(3), table)
 
 
 @pytest.mark.parametrize(
