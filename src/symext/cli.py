@@ -58,7 +58,6 @@ from .groupdata import (
     NonRationalMultiplicityError,
     complete_power_maps,
     decompose,
-    inner_product,
     power_map_mismatch,
     regular_character,
     validate_table,
@@ -787,17 +786,16 @@ def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
         except MapInconsistentError as exc:
             record(f"quotient-transfer:{name}", False, str(exc))
             continue
-        ok = True
-        pulled = qt.pulled_irreducibles()
+        # decompositions are unique: with every pulled irreducible a row of G and
+        # S^i(pull chi_q) = pull S^i(chi_q) at every class, S^i(chi_q) = sum_j q_j
+        # chi_q,j pulls back to S^i(pull chi_q) = sum_j q_j pull chi_q,j, so each
+        # multiplicity transfers, and every row of G not pulled back has 0
+        ok = all(phi in table.irreducibles for phi in qt.pulled_irreducibles())
         for chi_q in qtable.irreducibles:
             seq_q = LambdaSequence.compute(chi_q, degree, True)
             seq_g = LambdaSequence.compute(qt.pull(chi_q), degree, True)
-            for i in range(degree + 1):
-                for j, phi in enumerate(pulled):
-                    lhs = inner_product(phi, seq_g.syms[i])
-                    rhs = inner_product(qtable.irreducibles[j], seq_q.syms[i])
-                    if lhs != rhs:
-                        ok = False
+            if any(qt.pull(f) != g for f, g in zip(seq_q.syms, seq_g.syms)):
+                ok = False
         record(f"quotient-transfer:{name}", ok)
     if ctx.model is not None:
         derived = ctx.model.data

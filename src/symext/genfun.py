@@ -17,13 +17,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import NotRationalError, cyclotomic_polynomial, fold, poly_div_exact
+from .exactnum import cyclotomic_polynomial, fold, poly_div_exact
 from .groupdata import (
     CharacterTable,
     ClassFunction,
-    NonRationalMultiplicityError,
     decompose,
-    inner_product,
     integral_decompose,
 )
 from .lambdaops import (
@@ -203,12 +201,11 @@ def genfun_series(
     M: int,
     cross_check: bool = False,
 ) -> list[Fraction]:
-    """Coefficients 0..M of the multiplicity generating function for chi_j.
-
-    Each coefficient is the inner product of chi_j with S^n(chi) (or
-    lambda^n), so chi may be a virtual character.  With ``cross_check`` chi
-    must be a character: the column comes from the certified multiplicity
-    table, and the per-class S values are recomputed by ``power_sum_check``.
+    """Coefficients 0..M of the multiplicity generating function for chi_j:
+    column j of S^n(chi) (or lambda^n) decomposed by ``decompose``, so chi
+    may be a virtual character.  ``cross_check`` takes chi to be a character
+    and adds the degree bound, the power-sum route (``power_sum_check``) and
+    integrality (``MultiplicityTable.certify``) to the same decomposition.
     """
     _op_check(op)
     if cross_check:
@@ -217,15 +214,7 @@ def genfun_series(
         column = MultiplicityTable.certify(seq, table, op).column(j)
         return [Fraction(m) for m in column]
     seq = LambdaSequence.compute(chi, M, lambda_only=op == EXT)
-    out = []
-    for n, f in enumerate(seq.syms if op == SYM else seq.lambdas):
-        v = inner_product(table.irreducibles[j], f)
-        try:
-            out.append(v.to_rational())
-        except NotRationalError:
-            raise NonRationalMultiplicityError(
-                f"coefficient of t^{n} is not rational: {v!r}") from None
-    return out
+    return [decompose(f, table)[j] for f in (seq.syms if op == SYM else seq.lambdas)]
 
 
 def genfun_rational(

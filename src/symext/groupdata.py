@@ -223,7 +223,7 @@ class ClassFunction:
 
     def __init__(self, data: ClassData, values: Iterable[Scalar]):
         self.data = data
-        self.values = tuple(as_cyclotomic(v) for v in values)
+        self.values = tuple(v if type(v) is Cyclotomic else as_cyclotomic(v) for v in values)
         if len(self.values) != data.class_count:
             raise ValueError("one value per conjugacy class required")
 

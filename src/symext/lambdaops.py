@@ -221,9 +221,18 @@ class SeriesShare:
         return out
 
 
+def _psi_columns(chi: ClassFunction, M: int) -> list[list]:
+    """Per class c the psi-sequence [None, chi(c), chi(c^2), .., chi(c^M)], as
+    chi's own value objects (``SeriesShare`` keys them by id)."""
+    cd = chi.data
+    pms = [cd.power_map(n) for n in range(1, M + 1)]
+    return [[None] + [chi.values[pm[c]] for pm in pms] for c in range(cd.class_count)]
+
+
 @dataclass(frozen=True)
 class LambdaSequence:
-    """chi together with its psi/lambda/S values up to a degree bound.
+    """chi together with its lambda/S values up to a degree bound (psi^n of
+    chi is ``adams(base, n)``).
 
     A lambda-only sequence is built with ``syms=None`` and has no ``syms``
     attribute: reading it raises AttributeError.  S is a function of lambda,
@@ -232,7 +241,6 @@ class LambdaSequence:
 
     base: ClassFunction
     degree_bound: int
-    adams: tuple[ClassFunction, ...]  # psi^1 .. psi^M
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
     syms: tuple[ClassFunction, ...] | None = field(repr=False, compare=False)  # S^0 .. S^M
     orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
@@ -266,12 +274,7 @@ class LambdaSequence:
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
         cd = chi.data
-        k = cd.class_count
-        psi_vals = [[None] * (M + 1) for _ in range(k)]
-        for n in range(1, M + 1):
-            pm = cd.power_map(n)
-            for c in range(k):
-                psi_vals[c][n] = chi.values[pm[c]]
+        psi_vals = _psi_columns(chi, M)
         share = SeriesShare() if share is None else share
         orbits = cd.galois_orbits(chi.values)
 
@@ -292,10 +295,6 @@ class LambdaSequence:
         return cls(
             base=chi,
             degree_bound=M,
-            adams=tuple(
-                ClassFunction(cd, [psi_vals[c][n] for c in range(k)])
-                for n in range(1, M + 1)
-            ),
             lambdas=tuple(mk(n) for n in range(M + 1)),
             syms=None if lambda_only else tuple(mk(n) for n in range(M + 1, 2 * M + 2)),
             orbits=orbits,
@@ -342,7 +341,7 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     agreement on S certifies the lambda values as well.
 
     The route is a function of the psi-sequence at a class, read off
-    ``seq.adams`` and keyed in ``share`` (a fresh one if None) apart from
+    ``seq.base`` and keyed in ``share`` (a fresh one if None) apart from
     ``compute``'s columns, so it runs at most once per distinct sequence
     and once per rational class (``seq.orbits``; an incompatible chi makes
     every class its own orbit).  At a class c = r^u with a new sequence the
@@ -356,7 +355,7 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     """
     cd, M = seq.base.data, seq.degree_bound
     share = SeriesShare() if share is None else share
-    psi_cols = [[None] + [f.values[c] for f in seq.adams] for c in range(cd.class_count)]
+    psi_cols = _psi_columns(seq.base, M)
 
     def power_sums(psi):
         given = _given(psi, signed=False, zeros_count=True)

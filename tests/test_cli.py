@@ -721,6 +721,16 @@ def test_internal_fault_exits_3_without_traceback(monkeypatch):
     assert "Traceback" not in err
 
 
+def test_genfun_series_exits_3_when_a_decomposition_is_not_certified(monkeypatch):
+    # every series coefficient goes through decompose's reconstruction certificate
+    monkeypatch.setattr(groupdata, "_certified", lambda *args: None)
+    code, out, err = run_cli(
+        ["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1", "--series", "5"]
+    )
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
+
+
 def _raise(exc):
     def broken(*args, **kwargs):
         raise exc
@@ -742,6 +752,45 @@ def test_an_inconsistent_quotient_map_is_a_failed_row(monkeypatch):
     assert code == EXIT_VERIFY
     row = next(ln.split() for ln in out.splitlines() if ln.startswith("quotient-transfer:V "))
     assert row == ["quotient-transfer:V", "FAIL", "moved"]
+
+
+def _transfer_row(out):
+    return next(ln.split() for ln in out.splitlines() if ln.startswith("quotient-transfer:V "))
+
+
+def test_a_quotient_irreducible_that_pulls_back_to_no_row_fails_the_transfer(monkeypatch):
+    # chi1 + chi2 of S3 in place of chi3: a character whose powers still commute
+    # with the pullback, and whose inner products still transfer, but whose
+    # pullback chi1 + chi2 of S4 is no row, so the decomposition would not
+    s3, qmap = catalog.quotient_transfers("S4")["V"]
+    chi1, chi2, _ = s3.irreducibles
+    fake = groupdata.CharacterTable(s3.classes, [chi1, chi2, chi1 + chi2], s3.labels, "S3")
+    monkeypatch.setattr(catalog, "quotient_transfers", lambda *a: {"V": (fake, qmap)})
+    code, out, _ = run_cli(["verify", "--group", "S4"])
+    assert code == EXIT_VERIFY
+    assert _transfer_row(out) == ["quotient-transfer:V", "FAIL"]
+
+
+def test_a_moved_power_of_a_pulled_character_fails_the_transfer(monkeypatch):
+    # S^3 of the pullback chi5 of S3's chi3 moved at one class on the S4 side;
+    # the dual-route row passes a share, so only the transfer row sees it
+    chi5, real = get_group("S4").character("chi5"), LambdaSequence.compute
+
+    class Moved(LambdaSequence):
+        @classmethod
+        def compute(cls, chi, M, expect_character=False, share=None, lambda_only=False):
+            seq = real(chi, M, expect_character, share, lambda_only)
+            if share is not None or chi != chi5:
+                return seq
+            syms = list(seq.syms)
+            syms[3] = ClassFunction(chi.data, [syms[3].values[0] + 1, *syms[3].values[1:]])
+            return dataclasses.replace(seq, syms=tuple(syms))
+
+    monkeypatch.setattr(cli, "LambdaSequence", Moved)
+    code, out, _ = run_cli(["verify", "--group", "S4"])
+    assert code == EXIT_VERIFY
+    rows = [ln.split() for ln in out.splitlines()]
+    assert [r[0] for r in rows if r[1:2] == ["FAIL"]] == ["quotient-transfer:V"]
 
 
 def test_generators_route():

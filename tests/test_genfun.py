@@ -89,13 +89,17 @@ def test_genfun_series_examples():
 
 
 def test_genfun_series_matches_table_columns():
-    a4 = get_group("A4")
-    chi4 = a4.character("chi4")
-    mt = multiplicity_table(chi4, a4, SYM, 12)
-    for j in range(4):
-        col = list(mt.column(j))
-        assert genfun_series(chi4, a4, j, SYM, 12) == col
-        assert genfun_series(chi4, a4, j, SYM, 12, cross_check=True) == col
+    for family, param, label in [("A4", None, "chi4"), ("A5", None, "chi4"),
+                                 ("G21", None, "chi5"), ("D2n", 5, "tau1"),
+                                 ("Q4n", 3, "tau1"), ("Hp", 3, "tau_1")]:
+        table = get_group(family, param)
+        chi = table.character(label)
+        for op in (SYM, EXT):
+            mt = multiplicity_table(chi, table, op, 12)
+            for j in range(table.classes.class_count):
+                col = list(mt.column(j))
+                assert genfun_series(chi, table, j, op, 12) == col
+                assert genfun_series(chi, table, j, op, 12, cross_check=True) == col
 
 
 def test_genfun_series_of_virtual_character():

@@ -112,7 +112,7 @@ def test_newton_and_sym_identities_hold_at_every_index():
             # Newton: sum (-1)^i lambda^i psi^(n-i) = (-1)^(n+1) n lambda^n
             acc = ClassFunction.constant(tab.classes, 0)
             for i in range(n):
-                term = seq.lambdas[i] * seq.adams[n - i - 1]
+                term = seq.lambdas[i] * adams(seq.base, n - i)
                 acc = acc + term if i % 2 == 0 else acc - term
             want = seq.lambdas[n] * (n if (n + 1) % 2 == 0 else -n)
             assert acc == want
@@ -223,7 +223,7 @@ def test_consistency_triangle():
         for c in range(tab.classes.class_count):
             lam_c = [seq.lambdas[i].values[c] for i in range(1, M + 1)]
             for n in range(1, M + 1):
-                assert seq.adams[n - 1].values[c] == power_sum_from_e(lam_c, n)
+                assert adams(seq.base, n).values[c] == power_sum_from_e(lam_c, n)
                 assert seq.syms[n].values[c] == complete_from_e(lam_c, n)
 
 

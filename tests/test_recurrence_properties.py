@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from symext import lambdaops
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
-from symext.groupdata import ClassData, ClassFunction
+from symext.groupdata import ClassData, ClassFunction, adams
 from symext.lambdaops import (
     CrossCheckError,
     LambdaSequence,
@@ -69,7 +69,7 @@ def reference_routes(seq):
     """h^0..h^M per class by n*h^n = sum psi^i h^(n-i), from psi alone."""
     routes = []
     for c in range(seq.base.data.class_count):
-        psi = [None] + [f.values[c] for f in seq.adams]
+        psi = [None] + [adams(seq.base, n).values[c] for n in range(1, seq.degree_bound + 1)]
         h = [as_cyclotomic(1)]
         for n in range(1, seq.degree_bound + 1):
             acc = as_cyclotomic(0)
@@ -290,7 +290,8 @@ def test_power_sum_check_of_an_incompatible_function_runs_at_every_class():
 
 
 def psi_sequence(seq, c):
-    return tuple((f.values[c].order, f.values[c].num, f.values[c].den) for f in seq.adams)
+    psi = (adams(seq.base, n).values[c] for n in range(1, seq.degree_bound + 1))
+    return tuple((v.order, v.num, v.den) for v in psi)
 
 
 def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
