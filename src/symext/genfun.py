@@ -21,6 +21,7 @@ from .exactnum import cyclotomic_polynomial, fold, poly_div_exact
 from .groupdata import (
     CharacterTable,
     ClassFunction,
+    _decompose,
     decompose,
     integral_decompose,
 )
@@ -250,11 +251,11 @@ def genfun_rationals(
     for k in factors:
         den = poly_mul(den, cyclotomic_polynomial(k))
     top = len(den) - 1
-    rows = [decompose(f, table) for f in LambdaSequence.compute(chi, top).syms]
-    scale = lcm(*(q.denominator for row in rows for q in row))
+    rows = [_decompose(f, table) for f in LambdaSequence.compute(chi, top).syms]
+    scale = lcm(*(row_den for _, row_den in rows))
     out = []
     for j in js:
-        num = poly_mul(den, [int(row[j] * scale) for row in rows])[: len(rows)]
+        num = poly_mul(den, [nums[j] * (scale // row_den) for nums, row_den in rows])[: len(rows)]
         if any(num[top - d + 1 :]):
             raise CrossCheckError(
                 f"{table.labels[j]}: the numerator over the Molien denominator "

@@ -18,6 +18,7 @@ from .exactnum import (
     Cyclotomic,
     NotRationalError,
     Scalar,
+    _coords,
     as_cyclotomic,
     divisors,
     moebius,
@@ -409,7 +410,8 @@ def inner_product(f: ClassFunction, f2: ClassFunction) -> Cyclotomic:
 
 class _PackedRows:
     """A table's irreducible values at one order over one denominator, packed
-    for ``decompose``; repacked only when wider slots are needed."""
+    for ``decompose`` and held as per-class columns; repacked only when wider
+    slots are needed."""
 
     __slots__ = ("order", "den", "bits", "packed", "weights")
 
@@ -445,19 +447,23 @@ class _PackedRows:
         return self.weights
 
 
-def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int, nums, d):
-    """d * fden, fden the denominator of f, if q_j = nums_j / (d * fden) has
-    sum_j q_j chi_j(c) = f(c) at every class, else None; checked as sum_j
-    nums_j R_j[c] = d * pr.den * F[c] on packed integers at a width that holds
-    both sides."""
+def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int, nums, d,
+               fden: int, fbits: int):
+    """d * fden if q_j = nums_j / (d * fden) has sum_j q_j chi_j(c) = f(c) at
+    every class, else None, for (fden, fbits) = pack_bounds(f.values, n);
+    checked as sum_j nums_j R_j[c] = d * pr.den * F[c] on packed integers at
+    a width that holds both sides, each class's sum running over the j with
+    nums_j != 0 only."""
     k = table.classes.class_count
-    fden, fbits = pack_bounds(f.values, n)
     w = max(slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
             slot_width((d * pr.den).bit_length(), fbits, 1, 1))
     if pr.packed[0] < w:
-        pr.packed = (w, [pack(chi.values, pr.order, pr.den, w) for chi in table.irreducibles])
-    w, rows = pr.packed
-    recon = [sum(map(mul, nums, col)) for col in zip(*rows)]
+        rows = [pack(chi.values, pr.order, pr.den, w) for chi in table.irreducibles]
+        pr.packed = (w, list(zip(*rows)))
+    w, cols = pr.packed
+    js = [j for j, x in enumerate(nums) if x]
+    qs = [nums[j] for j in js]
+    recon = [sum(map(mul, qs, map(col.__getitem__, js))) for col in cols]
     if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
         return None
     return d * fden
@@ -483,15 +489,18 @@ def integral_decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ..
 def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]:
     """(nums, D): the multiplicities of f are nums_j / D.
 
-    The candidate is one integer dot product per row: each orbit O_r of
-    ``trace_weights`` adds |r| |O_r| Tr(chi_j(r) f(r^-1)) / phi(N) to |G| q_j.
-    Over every class that is Tr(<chi_j, f>) / phi(N), so <chi_j, f> when
-    that is rational; over the rational classes of compatible rows it is the
-    same for compatible f (as is every rational combination of the rows).
-    The exact reconstruction sum_j q_j chi_j = f certifies it.  If that
-    fails, the inner products only word the NonRationalMultiplicityError: the
-    first label whose one is not rational, else f outside the span.  The zero
-    function is the zero vector over 1: sum_j 0 * chi_j = 0 holds identically.
+    The candidate is one integer dot product per row, over the nonzero
+    coordinates of the values f(r^-1) at order N only (a rational value has
+    at most coordinate 0): each orbit O_r of ``trace_weights`` adds
+    |r| |O_r| Tr(chi_j(r) f(r^-1)) / phi(N) to |G| q_j.  Over every class
+    that is Tr(<chi_j, f>) / phi(N), so <chi_j, f> when that is rational;
+    over the rational classes of compatible rows it is the same for
+    compatible f (as is every rational combination of the rows).  The exact
+    reconstruction sum_j q_j chi_j = f, summed over the nonzero q_j,
+    certifies it.  If that fails, the inner products only word the
+    NonRationalMultiplicityError: the first label whose one is not rational,
+    else f outside the span.  The zero function is the zero vector over 1:
+    sum_j 0 * chi_j = 0 holds identically.
     """
     f._check(table.irreducibles[0])
     cd = table.classes
@@ -504,12 +513,18 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     if n != pr.order:
         pr = _PackedRows(table, n)
     table._packed = pr
-    fden = lcm(*(v.den for v in f.values))
+    fden, fbits = pack_bounds(f.values, n)
     weights, classes = pr.trace_weights(table)
-    g = [x * (fden // v.den) for r in classes
-         for v in [f.values[cd.inverse_class[r]].lift(n)] for x in v.num]
-    nums = [sum(map(mul, row, g)) for row in weights]
-    den = _certified(f, table, pr, n, nums, cd.group_order * totient(n) * pr.den)
+    idx, gz, phi = [], [], totient(n)
+    for p, r in enumerate(classes):
+        v = f.values[cd.inverse_class[r]]
+        s = fden // v.den
+        for a, x in enumerate(_coords(v, n)):
+            if x:
+                idx.append(p * phi + a)
+                gz.append(x * s)
+    nums = [sum(map(mul, map(row.__getitem__, idx), gz)) for row in weights]
+    den = _certified(f, table, pr, n, nums, cd.group_order * phi * pr.den, fden, fbits)
     if den is not None:
         return nums, den
     for label, chi in zip(table.labels, table.irreducibles):

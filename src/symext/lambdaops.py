@@ -371,15 +371,17 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
 
 
 def is_periodic(f: ClassFunction) -> bool:
-    """Whether psi^n(f) = psi^gcd(n, |G|)(f) for every n up to the group order."""
+    """Whether psi^n(f) = psi^gcd(n, |G|)(f) for every n up to the group order.
+    Power maps depend only on n mod the exponent e, so each distinct pair
+    (n mod e, gcd(n, |G|) mod e) of unequal parts is checked once."""
     cd = f.data
-    order = cd.group_order
+    order, e, seen = cd.group_order, cd.exponent, set()
     for n in range(1, order + 1):
-        d = gcd(n, order)
-        if d == n:
+        a, b = n % e, gcd(n, order) % e
+        if a == b or (a, b) in seen:
             continue
-        pm_n = cd.power_map(n)
-        pm_d = cd.power_map(d)
+        seen.add((a, b))
+        pm_n, pm_d = cd.power_map(a), cd.power_map(b)
         for c in range(cd.class_count):
             if pm_n[c] != pm_d[c] and f.values[pm_n[c]] != f.values[pm_d[c]]:
                 return False

@@ -96,19 +96,18 @@ class Permutation:
         return Permutation(out)
 
     def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # each point of a cycle of length L moves n % L steps along it
+        images = list(range(self.degree))
+        for cyc in self._cycles():
+            s = n % len(cyc)
+            for a, b in zip(cyc, cyc[s:] + cyc[:s]):
+                images[a] = b
+        power = object.__new__(Permutation)
+        power.images = tuple(images)
+        return power
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self._cycles())) if self._cycles() else 1
+        return lcm(*map(len, self._cycles()))
 
     def _cycles(self) -> list[list[int]]:
         seen = [False] * self.degree

@@ -6,18 +6,21 @@ here with the plain Cyclotomic-arithmetic loop kept below as the reference,
 on values of mixed orders (1, proper divisors of the table's order N, N, and
 multiples of N as a spec file's ``root_order`` may give), negative and
 non-unit-denominator coordinates, and coordinates far beyond one 64-bit slot.
+``decompose`` sums only over nonzero terms, so the inputs are also sparse:
+values zero at random classes or at every orbit representative, all-rational
+values, and virtual characters with few or one nonzero multiplicity.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import reference_inner_product, reference_validate_table
 from symext import groupdata
 from symext.catalog import get_group
-from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
+from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, pack_bounds, totient
 from symext.groupdata import (
     CharacterTable,
     ClassData,
@@ -76,32 +79,58 @@ coordinate = st.one_of(
 
 
 @st.composite
-def cyclotomic(draw, orders):
+def cyclotomic(draw, orders, rational=False):
     n = draw(st.sampled_from(orders))
     num = draw(st.lists(coordinate, min_size=totient(n), max_size=totient(n)))
-    if draw(st.booleans()):
+    if rational or draw(st.booleans()):
         num = num[:1] + [0] * (len(num) - 1)  # a rational value stored at order n
     den = draw(st.sampled_from([1, 1, 2, 3, 12, 2**65]))
     return Cyclotomic(n, [Fraction(x, den) for x in num])
 
 
+def zero_at(v):
+    return Cyclotomic(v.order, [0] * len(v.num))
+
+
+def representatives_and_inverses(cd):
+    """The classes r and r^-1 for the representatives r of the rational classes."""
+    return {c for r in cd.rational_classes()[1] for c in (r, cd.inverse_class[r])}
+
+
 @st.composite
 def table_and_function(draw):
+    """A table and a class function with values at any order: dense, zero at
+    random classes, zero at every rational-class representative r and at
+    r^-1, or rational at every class."""
     table = get_group(*draw(st.sampled_from(TABLES)))
-    orders = value_orders(table)
-    values = [draw(cyclotomic(orders)) for _ in range(table.classes.class_count)]
-    return table, ClassFunction(table.classes, values)
+    cd, orders = table.classes, value_orders(table)
+    shape = draw(st.sampled_from(["dense", "sparse", "off representatives", "rational"]))
+    values = [draw(cyclotomic(orders, rational=shape == "rational"))
+              for _ in range(cd.class_count)]
+    if shape == "sparse":
+        values = [v if draw(st.booleans()) else zero_at(v) for v in values]
+    elif shape == "off representatives":
+        values = [zero_at(v) if c in representatives_and_inverses(cd) else v
+                  for c, v in enumerate(values)]
+    return table, ClassFunction(cd, values)
 
 
 @st.composite
 def table_and_virtual(draw):
-    """A table and a rational combination of its irreducibles, with the coefficients."""
+    """A table and a rational combination of its irreducibles, with the
+    coefficients: all drawn, a random subset kept, or one kept and nonzero."""
     table = get_group(*draw(st.sampled_from(TABLES)))
     k = table.classes.class_count
     coeffs = draw(st.lists(
         st.fractions(max_denominator=6) | st.integers(-(2**70), 2**70).map(Fraction),
         min_size=k, max_size=k,
     ))
+    support = draw(st.sampled_from(["all", "some", "one"]))
+    if support == "some":
+        coeffs = [q if draw(st.booleans()) else Fraction(0) for q in coeffs]
+    elif support == "one":
+        j = draw(st.integers(0, k - 1))
+        coeffs = [(q or Fraction(1)) if i == j else Fraction(0) for i, q in enumerate(coeffs)]
     f = ClassFunction.constant(table.classes, 0)
     for q, chi in zip(coeffs, table.irreducibles):
         f = f + chi * q
@@ -152,7 +181,29 @@ def test_integral_decompose_reads_the_integers_decompose_gives(tfc):
 def test_decompose_of_any_class_function_matches_the_cyclotomic_loop(tf):
     # mostly not rational combinations: the same exception with the same text
     table, f = tf
-    assert outcome(decompose, f, table) == outcome(reference_decompose, f, table)
+    got = outcome(decompose, f, table)
+    assert got == outcome(reference_decompose, f, table)
+    # a rational combination of the rows is Galois compatible, so one that is
+    # zero at every representative and its inverse is zero everywhere
+    if any(f.values) and not any(f.values[c] for c in representatives_and_inverses(f.data)):
+        assert got[0] == "error"
+
+
+@settings(deadline=None, max_examples=40)
+@given(table_and_virtual(), st.data())
+def test_a_candidate_moved_by_one_is_not_certified(tfc, data):
+    table, f, coeffs = tfc
+    assume(any(coeffs))
+    nums, den = groupdata._decompose(f, table)
+    pr = table._packed
+    fden, fbits = pack_bounds(f.values, pr.order)
+    args = (f, table, pr, pr.order, nums, den // fden, fden, fbits)
+    assert groupdata._certified(*args) == den
+    nonzero = [j for j, x in enumerate(nums) if x]
+    for j in [data.draw(st.sampled_from(nonzero)), data.draw(st.integers(0, len(nums) - 1))]:
+        moved = list(nums)
+        moved[j] += data.draw(st.sampled_from([1, -1]))
+        assert groupdata._certified(*args[:4], moved, *args[5:]) is None
 
 
 @settings(deadline=None, max_examples=40)

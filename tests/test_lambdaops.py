@@ -1,12 +1,15 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symext.catalog import get_group, tau_prime
 from symext.exactnum import Cyclotomic
-from symext.groupdata import ClassFunction, adams, decompose, regular_character
+from symext.groupdata import ClassData, ClassFunction, adams, decompose, regular_character
 from symext.lambdaops import (
     CrossCheckError,
     InvalidCharacterError,
@@ -270,6 +273,38 @@ def test_is_periodic():
     # an order-3 linear character of A4 moves under the unit 5, so it is not
     a4 = get_group("A4")
     assert not is_periodic(a4.character("chi2"))
+
+
+def test_is_periodic_finds_the_first_failure_after_skipped_pairs(monkeypatch):
+    # D2n:5, |G| = exponent = 10: n = 1 and n = 2 = gcd(2, 10) compare a power
+    # map with itself and are skipped; tau1 first fails at n = 3, where a^3
+    # lies in the class of a^2, not of a
+    table = get_group("D2n", 5)
+    real, calls = ClassData.power_map, []
+    monkeypatch.setattr(ClassData, "power_map", lambda cd, n: calls.append(n) or real(cd, n))
+    assert not is_periodic(table.character("tau1"))
+    assert calls == [3, 1]
+
+
+@st.composite
+def class_function(draw):
+    """Small values on tables whose group order exceeds the exponent, or not."""
+    table = get_group(*draw(st.sampled_from(
+        [("A4", None), ("A5", None), ("G21", None), ("D2n", 6), ("Q4n", 4), ("Hp", 3)])))
+    k = table.classes.class_count
+    values = draw(st.lists(st.sampled_from([0, 1, 2, Cyclotomic.root_of_unity(3)]),
+                           min_size=k, max_size=k))
+    return ClassFunction(table.classes, values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(class_function())
+def test_is_periodic_checks_every_n_up_to_the_group_order(f):
+    # each distinct pair of power maps is compared once; the answer is the
+    # definition's, read at every n
+    order = f.data.group_order
+    assert is_periodic(f) == all(adams(f, n) == adams(f, gcd(n, order))
+                                 for n in range(1, order + 1))
 
 
 def test_product_form_regular_s3():

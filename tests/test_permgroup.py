@@ -30,6 +30,16 @@ def test_products_are_the_composition(ab):
     assert product == Permutation(product.images)  # a checked permutation
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 12).flatmap(perms), st.integers(-20, 60), st.integers(-20, 60))
+def test_powers_are_the_repeated_product(p, a, b):
+    step, inverse = Permutation.identity(p.degree), Permutation.identity(p.degree)
+    for n in range(61):
+        assert p ** n == step and p ** -n == inverse
+        step, inverse = step * p, inverse * p.inverse()
+    assert p ** a * p ** b == p ** (a + b)
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True).flatmap(
     lambda ns: st.tuples(perms(ns[0]), perms(ns[1]))))
