@@ -649,10 +649,10 @@ def central_characters(
     table = get_group(family, param)
     cd = table.classes
     spec = subgroup_spec(cd, named_subgroups(family, param)["center"])
-    eta = Cyclotomic.root_of_unity(p)
     out = {}
     for s in range(1, p):
-        zeta = {h: eta ** (s * h) for h in range(p)}
+        # zeta(0) is the rational 1 at order 1, every other value has order p
+        zeta = {h: Cyclotomic.root_of_unity(p if h else 1, s * h % p) for h in range(p)}
         out[f"zeta_{s}"] = central_char_spec(cd, spec, zeta, p)
     return out
 

@@ -215,7 +215,7 @@ def central_char_spec(
     if zeta[0] != 1:
         raise InvalidCentralCharError("zeta must be 1 on the identity class")
     for c in spec.class_indices:
-        if zeta[cd.inverse_class[c]] != zeta[c].inverse():
+        if zeta[cd.inverse_class[c]] * zeta[c] != 1:
             raise InvalidCentralCharError(
                 f"zeta at the inverse of {cd.names[c]} is not the reciprocal"
             )

@@ -320,6 +320,8 @@ class Cyclotomic:
 
     @staticmethod
     def from_rational(q: RationalLike) -> "Cyclotomic":
+        if type(q) is int:
+            return Cyclotomic._raw(1, (q,), 1)
         q = Fraction(q)
         return Cyclotomic._raw(1, (q.numerator,), q.denominator)
 
@@ -335,7 +337,7 @@ class Cyclotomic:
 
     @staticmethod
     def root_of_unity(order: int, exponent: int = 1) -> "Cyclotomic":
-        return Cyclotomic.from_terms(order, [(exponent, 1)])
+        return Cyclotomic._raw(order, fold([(exponent, 1)], order), 1)
 
     # -- predicates --------------------------------------------------------
 

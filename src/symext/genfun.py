@@ -83,8 +83,11 @@ class RationalFunction:
     def factored_denominator(self) -> tuple[list[tuple[int, int]], list[Fraction]]:
         """Best-effort display factorization of den as prod (1-t^a)^e times a
         leftover, dividing from large a down (small factors divide the large
-        composite ones, so ascending order would shred the product)."""
-        rem = list(self.den)
+        composite ones, so ascending order would shred the product).  The
+        loop runs on L * den over Z, L the lcm of den's denominators: 1-t^a
+        is monic, so it divides L * den exactly when it divides den."""
+        scale = lcm(*(c.denominator for c in self.den))
+        rem = [c.numerator * (scale // c.denominator) for c in self.den]
         factors = []
         for a in range(len(rem) - 1, 0, -1):
             while len(rem) > a:
@@ -95,7 +98,7 @@ class RationalFunction:
                     break
                 rem = q[: len(q) - a]
                 factors.append(a)
-        return list(Counter(factors).items()), _trim(rem)
+        return list(Counter(factors).items()), [Fraction(x, scale) for x in _trim(rem)]
 
     def __str__(self) -> str:
         num = format_poly(self.num)
@@ -302,14 +305,19 @@ def _molien_factors(chi: ClassFunction) -> list[int]:
 
 def _over_molien(num: list[int], factors: list[int], scale: int) -> RationalFunction:
     """num / (scale * prod Phi_k over ``factors``) in lowest terms: the Phi_k
-    are irreducible, so dividing out each one that divides num leaves none in
-    common; den(0) = +-1 is then made 1."""
+    are irreducible, so each one is divided out of num until a copy does not
+    divide, which leaves none in common; den(0) = +-1 is then made 1."""
     num, den = _trim(list(num)), [1]
-    for k in factors:
-        try:
-            num = poly_div_exact(num, cyclotomic_polynomial(k))
-        except ArithmeticError:
-            den = poly_mul(den, cyclotomic_polynomial(k))
+    for k, e in Counter(factors).items():
+        phi = cyclotomic_polynomial(k)
+        while e:
+            try:
+                num = poly_div_exact(num, phi)
+            except ArithmeticError:
+                break
+            e -= 1
+        for _ in range(e):
+            den = poly_mul(den, phi)
     s = den[0]
     return RationalFunction(
         tuple(Fraction(x, s * scale) for x in num), tuple(Fraction(x, s) for x in den)

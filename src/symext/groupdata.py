@@ -256,6 +256,7 @@ class ClassFunction:
             return ClassFunction(
                 self.data, [a * b for a, b in zip(self.values, other.values)]
             )
+        other = as_cyclotomic(other)
         return ClassFunction(self.data, [a * other for a in self.values])
 
     __rmul__ = __mul__
@@ -447,25 +448,28 @@ class _PackedRows:
         return self.weights
 
 
-def _certified(f: ClassFunction, table: CharacterTable, pr: _PackedRows, n: int, nums, d,
-               fden: int, fbits: int):
+def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coords):
     """d * fden if q_j = nums_j / (d * fden) has sum_j q_j chi_j(c) = f(c) at
-    every class, else None, for (fden, fbits) = pack_bounds(f.values, n);
-    checked as sum_j nums_j R_j[c] = d * pr.den * F[c] on packed integers at
-    a width that holds both sides, each class's sum running over the j with
-    nums_j != 0 only."""
-    k = table.classes.class_count
+    every class, else None, for coords[c] the coordinates of fden * f(c) as
+    ``_coords`` gives them; checked as sum_j nums_j R_j[c] = d * pr.den * F[c]
+    on packed integers at a width that holds both sides, each class's sum
+    running over the j with nums_j != 0 only."""
+    k, scale = table.classes.class_count, d * pr.den
+    fbits = max(abs(x) for xs in coords for x in xs).bit_length()
     w = max(slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
-            slot_width((d * pr.den).bit_length(), fbits, 1, 1))
+            slot_width(scale.bit_length(), fbits, 1, 1))
     if pr.packed[0] < w:
         rows = [pack(chi.values, pr.order, pr.den, w) for chi in table.irreducibles]
         pr.packed = (w, list(zip(*rows)))
     w, cols = pr.packed
     js = [j for j, x in enumerate(nums) if x]
     qs = [nums[j] for j in js]
-    recon = [sum(map(mul, qs, map(col.__getitem__, js))) for col in cols]
-    if recon != pack(f.values, n, fden, w, [d * pr.den] * k):
-        return None
+    for col, xs in zip(cols, coords):
+        packed = 0
+        for x in reversed(xs):
+            packed = (packed << w) + x
+        if sum(map(mul, qs, map(col.__getitem__, js))) != packed * scale:
+            return None
     return d * fden
 
 
@@ -513,18 +517,18 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     if n != pr.order:
         pr = _PackedRows(table, n)
     table._packed = pr
-    fden, fbits = pack_bounds(f.values, n)
+    fden = lcm(*(v.den for v in f.values))
+    coords = [_coords(v, n) if v.den == fden else [x * (fden // v.den) for x in _coords(v, n)]
+              for v in f.values]
     weights, classes = pr.trace_weights(table)
     idx, gz, phi = [], [], totient(n)
     for p, r in enumerate(classes):
-        v = f.values[cd.inverse_class[r]]
-        s = fden // v.den
-        for a, x in enumerate(_coords(v, n)):
+        for a, x in enumerate(coords[cd.inverse_class[r]]):
             if x:
                 idx.append(p * phi + a)
-                gz.append(x * s)
+                gz.append(x)
     nums = [sum(map(mul, map(row.__getitem__, idx), gz)) for row in weights]
-    den = _certified(f, table, pr, n, nums, cd.group_order * phi * pr.den, fden, fbits)
+    den = _certified(table, pr, nums, cd.group_order * phi * pr.den, fden, coords)
     if den is not None:
         return nums, den
     for label, chi in zip(table.labels, table.irreducibles):

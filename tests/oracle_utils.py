@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 import random
 
-from symext.exactnum import as_cyclotomic
+from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact
 from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
 from symext.groupdata import ClassFunction
 from symext.lambdaops import LambdaSequence, power_sum_check
@@ -286,3 +286,18 @@ def ratfun(num, den_factors=()):
     g = euclid_gcd(num, den)
     num, den = long_divmod(num, g)[0], long_divmod(den, g)[0]
     return RationalFunction(tuple(c / den[0] for c in num), tuple(c / den[0] for c in den))
+
+
+def reference_over_molien(num, factors, scale):
+    """num / (scale * prod Phi_k over factors) in lowest terms, trying every
+    copy of every Phi_k in turn."""
+    num, den = [int(x) for x in strip(num)], [1]
+    for k in factors:
+        try:
+            num = poly_div_exact(num, cyclotomic_polynomial(k))
+        except ArithmeticError:
+            den = poly_mul(den, cyclotomic_polynomial(k))
+    s = den[0]
+    return RationalFunction(
+        tuple(Fraction(x, s * scale) for x in num), tuple(Fraction(x, s) for x in den)
+    )

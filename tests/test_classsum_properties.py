@@ -13,6 +13,7 @@ values, and virtual characters with few or one nonzero multiplicity.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from oracle_utils import reference_inner_product, reference_validate_table
 from symext import groupdata
 from symext.catalog import get_group
-from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, pack_bounds, totient
+from symext.exactnum import Cyclotomic, _coords, as_cyclotomic, divisors, totient
 from symext.groupdata import (
     CharacterTable,
     ClassData,
@@ -196,14 +197,15 @@ def test_a_candidate_moved_by_one_is_not_certified(tfc, data):
     assume(any(coeffs))
     nums, den = groupdata._decompose(f, table)
     pr = table._packed
-    fden, fbits = pack_bounds(f.values, pr.order)
-    args = (f, table, pr, pr.order, nums, den // fden, fden, fbits)
+    fden = lcm(*(v.den for v in f.values))
+    coords = [[x * (fden // v.den) for x in _coords(v, pr.order)] for v in f.values]
+    args = (table, pr, nums, den // fden, fden, coords)
     assert groupdata._certified(*args) == den
     nonzero = [j for j, x in enumerate(nums) if x]
     for j in [data.draw(st.sampled_from(nonzero)), data.draw(st.integers(0, len(nums) - 1))]:
         moved = list(nums)
         moved[j] += data.draw(st.sampled_from([1, -1]))
-        assert groupdata._certified(*args[:4], moved, *args[5:]) is None
+        assert groupdata._certified(*args[:2], moved, *args[3:]) is None
 
 
 @settings(deadline=None, max_examples=40)

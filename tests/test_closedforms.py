@@ -243,6 +243,31 @@ def test_central_char_spec_validation():
         central_char_spec(cd, spec, {0: 1, 1: eta}, 3)  # wrong support
 
 
+@pytest.mark.parametrize("z1, z2", [(0, "eta2"), (0, 0), ("eta", "eta")])
+def test_central_char_spec_rejects_a_zero_or_non_reciprocal_value(z1, z2):
+    # a zero value once reached Cyclotomic.inverse() and raised ZeroDivisionError
+    cd = get_group("Hp", 3).classes
+    spec = subgroup_spec(cd, (0, 1, 2))
+    eta = Cyclotomic.root_of_unity(3)
+    named = {0: 0, "eta": eta, "eta2": eta**2}
+    with pytest.raises(InvalidCentralCharError, match="is not the reciprocal"):
+        central_char_spec(cd, spec, {0: 1, 1: named[z1], 2: named[z2]}, 3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_central_characters_are_the_powers_of_one_root(p):
+    eta = Cyclotomic.root_of_unity(p)
+    specs = central_characters("Hp", p)
+    assert list(specs) == [f"zeta_{s}" for s in range(1, p)]
+    for s in range(1, p):
+        got = specs[f"zeta_{s}"].zeta
+        want = {h: eta ** (s * h) for h in range(p)}
+        assert list(got) == list(want)
+        assert [(v.order, v.num, v.den) for v in got.values()] == [
+            (v.order, v.num, v.den) for v in want.values()
+        ]
+
+
 def test_central_forms_heisenberg():
     hp = get_group("Hp", 3)
     cd = hp.classes

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from symext.exactnum import (
     Cyclotomic,
@@ -152,3 +154,20 @@ def test_power_and_division():
 def test_repr_readable():
     assert repr(Cyclotomic.from_rational(Fraction(3, 2))) == "3/2"
     assert "z4" in repr(zeta(4))
+
+
+@given(st.integers())
+@example(0)
+@example(1)
+@example(-1)
+@example(2**100)
+@example(-(2**100))
+def test_from_rational_of_an_int_matches_the_fraction_path(q):
+    a, b = Cyclotomic.from_rational(q), Cyclotomic.from_rational(Fraction(q))
+    assert (a.order, a.num, a.den) == (b.order, b.num, b.den)
+
+
+def test_from_rational_of_a_bool_stores_an_int():
+    v = Cyclotomic.from_rational(True)
+    assert (v.order, v.num, v.den) == (1, (1,), 1)
+    assert type(v.num[0]) is int

@@ -3,7 +3,8 @@
 ``genfun_rationals`` must return every form in lowest terms with den(0) = 1,
 checked with Euclid over Fraction (``oracle_utils.euclid_gcd``).  The display
 factoring ``factored_denominator`` is compared with trial division by 1 - t^a
-using generic long division over Fraction.
+using generic long division over Fraction, and ``_over_molien`` with the
+loop that tries every copy of every cyclotomic factor.
 """
 
 from fractions import Fraction
@@ -13,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext.catalog import get_group
-from symext.genfun import EXT, SYM, RationalFunction, genfun_rationals, poly_mul
+from symext.exactnum import cyclotomic_polynomial
+from symext.genfun import EXT, SYM, RationalFunction, _over_molien, genfun_rationals, poly_mul
 from symext.groupdata import regular_character
 
-from oracle_utils import euclid_gcd, long_divmod, strip
+from oracle_utils import euclid_gcd, long_divmod, reference_over_molien, strip
 
 
 def divide_out_one_minus_t_powers(den):
@@ -52,7 +54,7 @@ def test_genfun_rationals_are_in_lowest_terms(fam, param):
                 assert euclid_gcd(rf.num, rf.den) == [1]
 
 
-coeff = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+coeff = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
 @settings(deadline=None)
@@ -73,3 +75,19 @@ def test_factored_denominator_matches_generic_division(powers, extra):
         for _ in range(e):
             rebuilt = poly_mul(rebuilt, [1] + [0] * (a - 1) + [-1])
     assert rebuilt == list(rf.den)
+
+
+orders = st.lists(st.integers(min_value=1, max_value=12), max_size=6)
+
+
+@settings(deadline=None)
+@given(orders, orders, orders, st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 12))
+def test_over_molien_matches_the_every_copy_loop(shared, planted, extra, cofactor, scale):
+    # num carries the shared factors, which the denominator also lists, the
+    # planted ones, which it lists only where extra draws them, and a random
+    # integer cofactor
+    num = cofactor
+    for k in shared + planted:
+        num = poly_mul(num, cyclotomic_polynomial(k))
+    factors = shared + extra
+    assert _over_molien(num, factors, scale) == reference_over_molien(num, factors, scale)
