@@ -843,8 +843,8 @@ def _one_dim_check(table: CharacterTable) -> bool:
 def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     """The certified symmetric-power table of every irreducible, with each
     per-class S^n recomputed from psi by the power-sum identity.  One share
-    for lambda/S and one for the routes serve every irreducible, and both
-    are freed on return.
+    serves the lambda, S and power-sum series of every irreducible, and is
+    freed on return.
 
     ``certify`` runs once per character orbit (``character_orbits``).  Any
     other chi_j = chi_r o u has S^n(chi_j)(c) compared with S^n(chi_r)(c^u) at
@@ -855,12 +855,12 @@ def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     only when every unit image of every row was looked up and found to be a
     row; otherwise every chi is its own orbit and is certified.
     """
-    cd, seqs, routes, syms = table.classes, SeriesShare(), SeriesShare(), {}
+    cd, share, syms = table.classes, SeriesShare(), {}
     orbit, _ = table.character_orbits()
     for j, (chi, (r, u)) in enumerate(zip(table.irreducibles, orbit)):
         try:
-            seq = LambdaSequence.compute(chi, degree, expect_character=True, share=seqs)
-            power_sum_check(seq, routes)
+            seq = LambdaSequence.compute(chi, degree, expect_character=True, share=share)
+            power_sum_check(seq)
             if r == j:
                 MultiplicityTable.certify(seq, table, SYM)
                 syms[j] = seq.syms
@@ -889,9 +889,7 @@ def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
     m = spec.multiplier
     bound = min(degree, 2 * m)
     seq = LambdaSequence.compute(forms.character(), bound)
-    lams, syms = seq.lambdas, seq.syms
-    if m > bound:
-        lams = LambdaSequence.compute(forms.character(), m, lambda_only=True).lambdas
+    lams = seq.lambdas if m <= bound else LambdaSequence.compute(forms.character(), m).lambdas
     closed = [c for c in range(cd.class_count) if m % forms.coset_orders[c] == 0]
     ok = True
     for c in closed:
@@ -901,7 +899,7 @@ def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
     qo = spec.subgroup.quotient_order
     for n in range(1, min(qo + 5, bound) + 1):
         if gcd(n, qo) == 1 and (
-            syms[n] != forms.shortcut(n, SYM) or lams[n] != forms.shortcut(n, EXT)
+            seq.syms[n] != forms.shortcut(n, SYM) or lams[n] != forms.shortcut(n, EXT)
         ):
             ok = False
     missing = [cd.names[c] for c in range(cd.class_count) if c not in closed]

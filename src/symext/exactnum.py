@@ -496,12 +496,12 @@ class Cyclotomic:
     # -- comparison / display -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Cyclotomic):
+            a, b = Cyclotomic._common(self, other)
+            return a.den == b.den and a.num == b.num
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and Fraction(self.num[0], self.den) == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.den == b.den and a.num == b.num
+        return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]  # cross-order equality is not hash-friendly
 

@@ -193,7 +193,7 @@ def multiplicity_table(
     _op_check(op)
     if M < 0:
         raise ValueError("degree must be nonnegative")
-    seq = LambdaSequence.compute(chi, M, expect_character=True, lambda_only=op == EXT)
+    seq = LambdaSequence.compute(chi, M, expect_character=True)
     return MultiplicityTable.certify(seq, table, op)
 
 
@@ -217,7 +217,7 @@ def genfun_series(
         power_sum_check(seq)
         column = MultiplicityTable.certify(seq, table, op).column(j)
         return [Fraction(m) for m in column]
-    seq = LambdaSequence.compute(chi, M, lambda_only=op == EXT)
+    seq = LambdaSequence.compute(chi, M)
     return [decompose(f, table)[j] for f in (seq.syms if op == SYM else seq.lambdas)]
 
 
@@ -247,8 +247,7 @@ def genfun_rationals(
     d = integral_degree(chi)
     factors = _molien_factors(chi)
     if op == EXT:
-        seq = LambdaSequence.compute(chi, d, lambda_only=True)
-        rows = [decompose(f, table) for f in seq.lambdas]
+        rows = [decompose(f, table) for f in LambdaSequence.compute(chi, d).lambdas]
         return [RationalFunction(tuple(_trim([r[j] for r in rows])), (Fraction(1),)) for j in js]
     den = [1]
     for k in factors:

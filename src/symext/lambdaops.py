@@ -8,13 +8,15 @@ The power operations are evaluated pointwise on conjugacy classes:
 * S^n from the lambda values through S^n = sum_{j>=1} (-1)^(j+1) lambda^j S^(n-j).
 
 The lambda recurrence stops once lambda_t(c) is shown to be a polynomial
-(``_scalar_lambdas``), and a lambda-only sequence runs no S recurrence.
+(``_scalar_lambdas``), and ``LambdaSequence.syms`` runs the S recurrence
+only when it is first read.
 
 ``power_sum_check`` recomputes S^n from psi alone as an independent route
-and compares every class against it.  Every per-class series is a function
-of the psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, so each runs
-once per distinct sequence in a ``SeriesShare`` (a Galois image of the
-series at the representative off the representatives).
+and compares every class against it.  The lambda series at a class is a
+function of its psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, the S
+series of its lambda column, and the power-sum series of its psi-sequence;
+a sequence's ``SeriesShare`` runs each once per distinct key (a Galois image
+of the series at the representative off the representatives).
 Every step of the three recurrences is one packed integer dot product
 (``_recurrence``), and all divisions are by integers, hence exact.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
@@ -25,7 +27,8 @@ the group order, recovered here by divisor recursion on the psi values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from functools import cached_property
+from math import lcm
 from operator import is_
 from typing import Sequence
 
@@ -178,14 +181,15 @@ def _scalar_syms(lam: Sequence[Cyclotomic], M: int) -> list[Cyclotomic]:
 
 
 class SeriesShare:
-    """The per-class series of one request, keyed by their psi-sequence.
+    """The per-class series of one request, keyed by the column they are a
+    function of: psi^1..psi^M at c for the lambda and the power-sum series,
+    lambda^1..lambda^M at c for the S series.
 
-    A series at class c depends on psi^1..psi^M at c alone, so every class
-    with one sequence, of one character or of several, reads one column of
-    ``cols``.  Each value (order, num, den) is interned to a small id in
-    ``ids``, and a key is one int: the ids in four-byte slots under a top
-    byte naming the route (``tag``), so it also fixes M.  Make one share per
-    request and drop it after: it grows with every new sequence and is never
+    Every class with one key, of one character or of several, reads one
+    column of ``cols``.  Each value (order, num, den) is interned to a small
+    id in ``ids``, and a key is one int: the ids in four-byte slots under a
+    top byte naming the route (``tag``), so it also fixes M.  Make one share
+    per request and drop it after: it grows with every new key and is never
     pruned.
     """
 
@@ -195,15 +199,15 @@ class SeriesShare:
         self.ids: dict[tuple, int] = {}
         self.cols: dict[int, object] = {}
 
-    def columns(self, cd, orbits, psi_cols, route, tag: int) -> list[list[Cyclotomic]]:
-        """The series route(psi_cols[c]) for every class c: read off the
-        share if c's psi-sequence is in it under ``tag``, else computed at the
+    def columns(self, cd, orbits, key_cols, route, tag: int) -> list[list[Cyclotomic]]:
+        """The series route(key_cols[c]) for every class c: read off the
+        share if c's key column is in it under ``tag``, else computed at the
         representative r of c's orbit (``orbits``, as ``galois_orbits``
-        gives them) and sigma_u of r's series at c = r^u, since
-        chi(r^u) = sigma_u(chi(r)); then added to the share."""
+        gives them) and sigma_u of r's series at c = r^u, since the key
+        column at r^u is sigma_u of the one at r; then added to the share."""
         # every key before any route: keys made amid route temporaries cost 0.3 MB RSS
         ids, slots, keys, out, top = self.ids, {}, [], [], tag.to_bytes(1, "little")
-        for col in psi_cols:
+        for col in key_cols:
             parts = []
             for v in col[1:]:
                 s = slots.get(id(v))
@@ -215,7 +219,7 @@ class SeriesShare:
         for c, ((r, u), key) in enumerate(zip(orbits, keys)):
             col = self.cols.get(key)
             if col is None:
-                col = self.cols[key] = route(psi_cols[c]) if r == c else [
+                col = self.cols[key] = route(key_cols[c]) if r == c else [
                     cd.galois_image(v, u) for v in out[r]]
             out.append(col)
         return out
@@ -231,28 +235,18 @@ def _psi_columns(chi: ClassFunction, M: int) -> list[list]:
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """chi together with its lambda/S values up to a degree bound (psi^n of
-    chi is ``adams(base, n)``).
+    """chi together with its lambda values up to a degree bound, and its S
+    values when first read (psi^n of chi is ``adams(base, n)``).
 
-    A lambda-only sequence is built with ``syms=None`` and has no ``syms``
-    attribute: reading it raises AttributeError.  S is a function of lambda,
-    so it is neither shown nor compared.
+    S is a function of lambda, and ``share`` holds the series the sequence
+    reads and adds, so neither is shown nor compared.
     """
 
     base: ClassFunction
     degree_bound: int
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
-    syms: tuple[ClassFunction, ...] | None = field(repr=False, compare=False)  # S^0 .. S^M
     orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
-
-    def __post_init__(self):
-        if self.syms is None:
-            object.__delattr__(self, "syms")
-
-    def __getattr__(self, name: str):  # only for attributes that are not set
-        if name == "syms":
-            raise AttributeError("a lambda-only LambdaSequence has no S values")
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    share: SeriesShare = field(repr=False, compare=False)
 
     @classmethod
     def compute(
@@ -261,28 +255,22 @@ class LambdaSequence:
         M: int,
         expect_character: bool = False,
         share: SeriesShare | None = None,
-        lambda_only: bool = False,
     ) -> "LambdaSequence":
-        """Fill psi, lambda and S values pointwise per class up to degree M;
-        with ``lambda_only`` no S recurrence runs.
+        """Fill psi and lambda values pointwise per class up to degree M.
 
         With ``expect_character`` the degree bound lambda^n = 0 for
         n > chi(identity) is asserted, which catches corrupted tables; leave
         it off for virtual characters, where the bound does not apply.
-        Columns are read from and added to ``share`` (a fresh one if None).
+        Columns are read from and added to ``share`` (a fresh one if None),
+        which the sequence keeps for ``syms`` and ``power_sum_check``.
         """
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
         cd = chi.data
-        psi_vals = _psi_columns(chi, M)
         share = SeriesShare() if share is None else share
         orbits = cd.galois_orbits(chi.values)
-
-        def route(psi):  # lambda^0..lambda^M, then S^0..S^M unless lambda_only
-            lam = _scalar_lambdas(psi, M)
-            return lam if lambda_only else lam + _scalar_syms(lam, M)
-
-        cols = share.columns(cd, orbits, psi_vals, route, 2 if lambda_only else 1)
+        route = lambda psi: _scalar_lambdas(psi, M)
+        cols = share.columns(cd, orbits, _psi_columns(chi, M), route, 1)
         if expect_character:
             try:
                 d = integral_degree(chi)
@@ -291,19 +279,23 @@ class LambdaSequence:
             for n in range(d + 1, M + 1):
                 if any(not col[n].is_zero() for col in cols):
                     raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
-        mk = lambda n: ClassFunction(cd, [col[n] for col in cols])
-        return cls(
-            base=chi,
-            degree_bound=M,
-            lambdas=tuple(mk(n) for n in range(M + 1)),
-            syms=None if lambda_only else tuple(mk(n) for n in range(M + 1, 2 * M + 2)),
-            orbits=orbits,
-        )
+        lambdas = tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
+        return cls(base=chi, degree_bound=M, lambdas=lambdas, orbits=orbits, share=share)
+
+    @cached_property
+    def syms(self) -> tuple[ClassFunction, ...]:
+        """S^0 .. S^M, run at the first read from the lambda column at each
+        class and keyed by it in ``share``; lambda at r^u is sigma_u(lambda
+        at r), so ``orbits`` carries the S series too."""
+        cd, M = self.base.data, self.degree_bound
+        lam_cols = list(zip(*(f.values for f in self.lambdas)))
+        cols = self.share.columns(cd, self.orbits, lam_cols, lambda lam: _scalar_syms(lam, M), 2)
+        return tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
 
 
 def exterior_powers(chi: ClassFunction, M: int, expect_character: bool = False):
     """lambda^0(chi) .. lambda^M(chi) as class functions."""
-    return list(LambdaSequence.compute(chi, M, expect_character, lambda_only=True).lambdas)
+    return list(LambdaSequence.compute(chi, M, expect_character).lambdas)
 
 
 def symmetric_powers(chi: ClassFunction, M: int, expect_character: bool = False):
@@ -332,7 +324,7 @@ def char_poly(chi: ClassFunction, c: int) -> list[Cyclotomic]:
     return _scalar_lambdas(psi, d)
 
 
-def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> None:
+def power_sum_check(seq: LambdaSequence) -> None:
     """Recompute every S^n of ``seq`` from its psi values and compare exactly.
 
     The second route is Newton's power-sum identity
@@ -341,10 +333,10 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     agreement on S certifies the lambda values as well.
 
     The route is a function of the psi-sequence at a class, read off
-    ``seq.base`` and keyed in ``share`` (a fresh one if None) apart from
-    ``compute``'s columns, so it runs at most once per distinct sequence
-    and once per rational class (``seq.orbits``; an incompatible chi makes
-    every class its own orbit).  At a class c = r^u with a new sequence the
+    ``seq.base`` and keyed in ``seq.share`` apart from the lambda and S
+    columns, so it runs at most once per distinct sequence and once per
+    rational class (``seq.orbits``; an incompatible chi makes every class its
+    own orbit).  At a class c = r^u with a new sequence the
     route is sigma_u of the route at r.  Every step of the route is ring
     operations and a division by an integer, so it commutes with sigma_u,
     and psi at r^u is sigma_u(psi at r): the image is the route at c.  The
@@ -353,39 +345,29 @@ def power_sum_check(seq: LambdaSequence, share: SeriesShare | None = None) -> No
     since its reconstruction sum_j q_j chi_j is compatible and is compared
     with S^n at every class.
     """
-    cd, M = seq.base.data, seq.degree_bound
-    share = SeriesShare() if share is None else share
+    cd, M, syms = seq.base.data, seq.degree_bound, seq.syms
     psi_cols = _psi_columns(seq.base, M)
 
     def power_sums(psi):
         given = _given(psi, signed=False, zeros_count=True)
         return _recurrence(given, M, divide=True, out_first=False)
 
-    for c, route in enumerate(share.columns(cd, seq.orbits, psi_cols, power_sums, 3)):
+    for c, route in enumerate(seq.share.columns(cd, seq.orbits, psi_cols, power_sums, 3)):
         for n in range(1, M + 1):
-            if route[n] != seq.syms[n].values[c]:
+            if route[n] != syms[n].values[c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "
-                    f"{route[n]!r}, the lambda route {seq.syms[n].values[c]!r}"
+                    f"{route[n]!r}, the lambda route {syms[n].values[c]!r}"
                 )
 
 
 def is_periodic(f: ClassFunction) -> bool:
-    """Whether psi^n(f) = psi^gcd(n, |G|)(f) for every n up to the group order.
-    Power maps depend only on n mod the exponent e, so each distinct pair
-    (n mod e, gcd(n, |G|) mod e) of unequal parts is checked once."""
-    cd = f.data
-    order, e, seen = cd.group_order, cd.exponent, set()
-    for n in range(1, order + 1):
-        a, b = n % e, gcd(n, order) % e
-        if a == b or (a, b) in seen:
-            continue
-        seen.add((a, b))
-        pm_n, pm_d = cd.power_map(a), cd.power_map(b)
-        for c in range(cd.class_count):
-            if pm_n[c] != pm_d[c] and f.values[pm_n[c]] != f.values[pm_d[c]]:
-                return False
-    return True
+    """Whether psi^n(f) = psi^gcd(n, |G|)(f) for every n.  g^n and
+    g^gcd(n, |G|) generate one cyclic group, as the order of g divides |G|,
+    so they are rationally conjugate; and each unit u mod the exponent is
+    some n <= |G| with gcd(n, |G|) = 1, so f(g^u) = f(g) is needed too.  So f
+    is periodic iff it is constant on every rational class."""
+    return all(f.values[c] == f.values[r] for c, (r, _) in enumerate(f.data.rational_classes()[0]))
 
 
 @dataclass(frozen=True)

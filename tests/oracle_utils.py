@@ -11,9 +11,11 @@ algorithm over Fraction, which the package does not use.
 row without the character orbits, so it runs the package's recurrences and
 certifies every irreducible.  ``reference_lambda_values`` is Newton's
 lambda recurrence run at every step with no stop rule, in plain
-``Cyclotomic`` arithmetic.
+``Cyclotomic`` arithmetic.  ``with_syms`` plants S values in a sequence, the
+mutant that the checks reading S must reject.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
@@ -209,6 +211,13 @@ def reference_dual_route_check(table, degree):
         except Exception as exc:
             return False, f"{label}: {exc}"
     return True, ""
+
+
+def with_syms(seq, syms):
+    """A copy of ``seq`` (its share too) that reads ``syms`` as its S values."""
+    out = dataclasses.replace(seq)
+    out.__dict__["syms"] = tuple(syms)
+    return out
 
 
 def perm_matrix(images):

@@ -10,7 +10,6 @@ report FAIL.
 """
 
 import contextlib
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import reference_dual_route_check
+from oracle_utils import reference_dual_route_check, with_syms
 from symext import cli
 from symext.catalog import get_group
 from symext.closedforms import OneDimForms, one_dim_forms
@@ -141,10 +140,10 @@ def test_verify_catches_a_moved_sym_value_off_the_representative(monkeypatch, gr
             return seq
         syms = list(seq.syms)
         syms[2] = ClassFunction(chi.data, [v + (c == 1) for c, v in enumerate(syms[2].values)])
-        return dataclasses.replace(seq, syms=tuple(syms))
+        return with_syms(seq, syms)
 
     monkeypatch.setattr(LambdaSequence, "compute", classmethod(moved))
-    monkeypatch.setattr(cli, "power_sum_check", lambda seq, share=None: None)
+    monkeypatch.setattr(cli, "power_sum_check", lambda seq: None)
     code, out = run_cli(["verify", "--group", group])
     assert code == EXIT_VERIFY
     row = _row(out, "dual-route-coefficients")

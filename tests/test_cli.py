@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from oracle_utils import with_syms
 from symext import catalog, cli, groupdata, lambdaops, permgroup
 from symext.catalog import NoModelError, central_characters, get_group
 from symext.closedforms import (
@@ -670,7 +671,7 @@ def test_the_numerator_degree_certificate_exits_3(monkeypatch):
     def bumped(cls, chi, M, expect_character=False):
         seq = real(cls, chi, M, expect_character)
         top = seq.syms[M] + ClassFunction.constant(chi.data, 1)
-        return dataclasses.replace(seq, syms=seq.syms[:M] + (top,))
+        return with_syms(seq, seq.syms[:M] + (top,))
 
     monkeypatch.setattr(LambdaSequence, "compute", classmethod(bumped))
     code, out, err = run_cli(["genfun", "--group", "S3", "--char", "chi3", "--irr", "chi1"])
@@ -778,13 +779,13 @@ def test_a_moved_power_of_a_pulled_character_fails_the_transfer(monkeypatch):
 
     class Moved(LambdaSequence):
         @classmethod
-        def compute(cls, chi, M, expect_character=False, share=None, lambda_only=False):
-            seq = real(chi, M, expect_character, share, lambda_only)
+        def compute(cls, chi, M, expect_character=False, share=None):
+            seq = real(chi, M, expect_character, share)
             if share is not None or chi != chi5:
                 return seq
             syms = list(seq.syms)
             syms[3] = ClassFunction(chi.data, [syms[3].values[0] + 1, *syms[3].values[1:]])
-            return dataclasses.replace(seq, syms=tuple(syms))
+            return with_syms(seq, syms)
 
     monkeypatch.setattr(cli, "LambdaSequence", Moved)
     code, out, _ = run_cli(["verify", "--group", "S4"])

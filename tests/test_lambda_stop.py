@@ -1,4 +1,4 @@
-"""The stop rule of the lambda route, lambda-only sequences and zero rows.
+"""The stop rule of the lambda route, S on first read, and zero rows.
 
 ``_scalar_lambdas`` ends Newton's recurrence once p zero values in a row,
 p the least period of the psi-sequence, show lambda_t(c) to be a polynomial,
@@ -7,8 +7,13 @@ and pads with zeros.  Every value it gives is compared here with
 and ``.order``: on builtin characters, on random virtual ones, on psi-sequences
 made from random eigenvalues, and on sequences with a wrong or a copied value
 past the first period.  The degree-bound check must name the same first n as
-the reference.  The operation counts are deterministic: an exterior table
-runs no S recurrence and at most chi(1) + e lambda steps per representative.
+the reference.  ``LambdaSequence.syms`` must equal ``_scalar_syms`` of the
+reference lambda values at each class, by ``repr`` and ``.order``, on
+builtin and virtual characters.  The operation counts are
+deterministic: an exterior table runs no S recurrence and at most
+chi(1) + e lambda steps per representative, and the first read of ``syms``
+runs the S route once per distinct lambda column at the representatives,
+the second none.
 A zero row decomposes to zeros without the certificate; any other row is
 certified.
 """
@@ -39,6 +44,7 @@ from symext.lambdaops import (
     LambdaSequence,
     SeriesShare,
     _scalar_lambdas,
+    _scalar_syms,
     exterior_powers,
 )
 
@@ -63,14 +69,15 @@ def reference(psi, M):
 
 def assert_matches_reference(f, M):
     seq = LambdaSequence.compute(f, M)
-    alone = LambdaSequence.compute(f, M, lambda_only=True)
+    seq.syms  # the share now holds S columns, keyed by lambda columns
+    again = LambdaSequence.compute(f, M, share=seq.share)
     wants = {}  # the reference once per psi-sequence
     for c in range(f.data.class_count):
         psi = psi_at(f, c, M)
         ids = tuple(map(id, psi))
         want = wants[ids] = wants.get(ids) or key(reference(psi, M))
         assert key(f2.values[c] for f2 in seq.lambdas) == want, c
-        assert key(f2.values[c] for f2 in alone.lambdas) == want, c
+        assert key(f2.values[c] for f2 in again.lambdas) == want, c
 
 
 @pytest.mark.parametrize("family, param", BUILTINS)
@@ -95,7 +102,7 @@ def test_hp7_central_character_runs_through_its_zero_runs(scale):
     f = forms.character() * scale
     assert f.data.exponent == 7
     assert_matches_reference(f, 21)
-    seq = LambdaSequence.compute(f, 21, lambda_only=True)
+    seq = LambdaSequence.compute(f, 21)
     off = [c for c, h in enumerate(forms.coset_orders) if h == 7]
     assert off and all(seq.lambdas[7].values[c] for c in off)
     assert all(seq.lambdas[14].values[c] for c in off) == (scale != 1)
@@ -178,8 +185,6 @@ def test_the_degree_bound_names_the_reference_n(name):
     assert n is not None
     with pytest.raises(InvalidCharacterError, match=rf"^lambda\^{n} is nonzero"):
         LambdaSequence.compute(f, 300, expect_character=True)
-    with pytest.raises(InvalidCharacterError, match=rf"^lambda\^{n} is nonzero"):
-        LambdaSequence.compute(f, 300, expect_character=True, lambda_only=True)
     if name == "Hp7-central-8/7":
         assert n == 14 > f.data.exponent
 
@@ -242,27 +247,55 @@ def test_lambda_steps_per_representative_are_at_most_degree_plus_exponent(monkey
     assert len(steps) == 4 * 300 + 23
 
 
-def test_syms_of_a_lambda_only_sequence_raise():
-    chi = get_group("S3").character("chi3")
-    seq = LambdaSequence.compute(chi, 5, lambda_only=True)
-    with pytest.raises(AttributeError, match="lambda-only"):
-        seq.syms
-    assert not hasattr(seq, "syms") and len(seq.lambdas) == 6
-    with pytest.raises(AttributeError, match="no attribute 'other'"):
-        seq.other
-    assert len(LambdaSequence.compute(chi, 5).syms) == 6
-
-
-def test_a_lambda_only_column_is_never_served_to_the_full_route():
-    table = get_group("D2n", 5)
-    share = SeriesShare()
+@pytest.mark.parametrize("family, param", [("D2n", 5), ("Q4n", 3), ("Hp", 3)])
+def test_syms_run_the_s_route_once_per_lambda_column_on_first_read(family, param, monkeypatch):
+    table = get_group(family, param)
+    routes = count_calls(monkeypatch, lambdaops, "_scalar_syms")
+    carried = False
     for chi in table.irreducibles:
-        alone = LambdaSequence.compute(chi, 8, share=share, lambda_only=True)
-        full = LambdaSequence.compute(chi, 8, share=share)
-        fresh = LambdaSequence.compute(chi, 8)
-        for got, want in ((alone.lambdas, fresh.lambdas), (full.lambdas, fresh.lambdas),
-                          (full.syms, fresh.syms)):
-            assert [key(f.values) for f in got] == [key(f.values) for f in want]
+        seq = LambdaSequence.compute(chi, 6)
+        # the route runs at a representative whose lambda column no earlier
+        # class had; any other class with a new column takes a Galois image
+        cols = [tuple(key(f.values[c] for f in seq.lambdas)) for c in range(len(seq.orbits))]
+        runs = sum(r == c and cols[c] not in cols[:c] for c, (r, _) in enumerate(seq.orbits))
+        routes.clear()
+        first = seq.syms
+        assert len(first) == 7 and len(routes) == runs
+        assert seq.syms is first and len(routes) == runs
+        carried |= runs < len(set(cols))
+    assert carried
+
+
+def reference_syms_at(f, c, M):
+    return key(_scalar_syms(reference(psi_at(f, c, M), M), M))
+
+
+def test_a_lambda_column_is_never_served_as_s_from_one_share():
+    # at M = 2 the constant 3 has psi^1..2 = lambda^1..2 = 3, 3 at every class,
+    # and (1, 2, 0) on S3 has at C2 the psi-sequence 2, 1 that is lambda^1..2
+    # of the constant 2: each is one key under the lambda and the S tag
+    cd = get_group("S3").classes
+    jobs = [(ClassFunction.constant(cd, 3), 2), (ClassFunction.constant(cd, 2), 2),
+            (ClassFunction(cd, [1, 2, 0]), 2)]
+    jobs += [(chi, 8) for chi in get_group("D2n", 5).irreducibles]
+    share = SeriesShare()
+    for f, M in jobs:
+        seq = LambdaSequence.compute(f, M, share=share)
+        for c in range(f.data.class_count):
+            assert key(g.values[c] for g in seq.lambdas) == key(reference(psi_at(f, c, M), M))
+            assert key(g.values[c] for g in seq.syms) == reference_syms_at(f, c, M)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(BUILTINS), st.integers(0, 2**16), st.data())
+def test_syms_match_the_s_route_of_the_reference_lambdas(builtin, seed, data):
+    table = get_group(*builtin)
+    virtual = random_virtual(table, random.Random(seed))
+    f = data.draw(st.sampled_from(list(table.irreducibles) + [virtual]))
+    M = data.draw(st.integers(0, 3 * table.classes.exponent))
+    seq = LambdaSequence.compute(f, M)
+    for c in range(f.data.class_count):
+        assert key(g.values[c] for g in seq.syms) == reference_syms_at(f, c, M), c
 
 
 @pytest.mark.parametrize("family, param", BUILTINS)

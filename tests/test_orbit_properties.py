@@ -17,7 +17,6 @@ per rational class; it must reject exactly the class functions whose
 lambda_t is not a polynomial of degree f(e) at every class.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import with_syms
 from symext import groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
@@ -170,9 +170,9 @@ def test_compute_matches_the_class_by_class_loops(kf, M):
 S3, D10 = get_group("S3", None), get_group("D2n", 5)
 
 
-def route_verdict(seq, share=None):
+def route_verdict(seq):
     try:
-        power_sum_check(seq, share)
+        power_sum_check(seq)
     except CrossCheckError as exc:
         return str(exc)
     return "ok"
@@ -187,15 +187,15 @@ def test_a_shared_map_gives_the_values_of_a_fresh_one(kf, kg, Ms, data):
     # one share across two class functions, perhaps of two tables, and mixed
     # degrees: the trivial character at M = 1 and 2 has psi-sequences of one
     # value id repeated, which a key that does not fix M would confuse
-    seqs, routes = SeriesShare(), SeriesShare()
+    share = SeriesShare()
     jobs = [(f, M) for (_, _, f) in (kf, kg) for M in Ms]
     for f, M in jobs:
         alone = LambdaSequence.compute(f, M)
-        shared = LambdaSequence.compute(f, M, share=seqs)
-        assert shared.orbits == alone.orbits
+        shared = LambdaSequence.compute(f, M, share=share)
+        assert shared.orbits == alone.orbits and shared.share is share
         for xs, ys in ((alone.lambdas, shared.lambdas), (alone.syms, shared.syms)):
             assert all(same(x.values, y.values) for x, y in zip(xs, ys)) and len(xs) == len(ys)
-        assert route_verdict(alone) == "ok" == route_verdict(alone, routes)
+        assert route_verdict(alone) == "ok" == route_verdict(shared)
         if M and data is not None:
             # one S^n moved at one class: the same verdict with the share
             n = data.draw(st.integers(1, M))
@@ -203,8 +203,8 @@ def test_a_shared_map_gives_the_values_of_a_fresh_one(kf, kg, Ms, data):
             values = list(alone.syms[n].values)
             values[c] = values[c] + 1
             syms = alone.syms[:n] + (ClassFunction(f.data, values),) + alone.syms[n + 1:]
-            bad = dataclasses.replace(alone, syms=syms)
-            assert route_verdict(bad) == route_verdict(bad, routes) != "ok"
+            assert route_verdict(with_syms(alone, syms)) == route_verdict(
+                with_syms(shared, syms)) != "ok"
 
 
 @settings(deadline=None, max_examples=60)

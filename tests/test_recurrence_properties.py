@@ -14,7 +14,6 @@ deterministic tests at the end move S^n at every other class and count the
 routes it runs.
 """
 
-import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import with_syms
 from symext import lambdaops
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
@@ -194,7 +194,7 @@ def test_power_sum_check_gives_the_verdict_of_the_cyclotomic_loop(kf, M, data):
     values[c] = values[c] + delta
     syms = list(seq.syms)
     syms[n] = ClassFunction(f.data, values)
-    bad = dataclasses.replace(seq, syms=tuple(syms))
+    bad = with_syms(seq, syms)
     got = verdict(power_sum_check, bad)
     assert got != "ok" and got == verdict(reference_power_sum_check, bad)
 
@@ -250,7 +250,7 @@ def moved(seq, n, c, delta):
     values[c] = values[c] + delta
     syms = list(seq.syms)
     syms[n] = ClassFunction(seq.base.data, values)
-    return dataclasses.replace(seq, syms=tuple(syms))
+    return with_syms(seq, syms)
 
 
 @pytest.mark.parametrize("family, param", [("D2n", 12), ("Q4n", 7), ("Hp", 5)])
@@ -303,7 +303,8 @@ def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
     monkeypatch.setattr(lambdaops, "_recurrence", lambda *a, **k: calls.append(1) or real(*a, **k))
     share, seen_shared, shared_runs = SeriesShare(), set(), 0
     for chi in table.irreducibles:
-        seq = LambdaSequence.compute(chi, 6)
+        seq, shared = LambdaSequence.compute(chi, 6), LambdaSequence.compute(chi, 6, share=share)
+        seq.syms, shared.syms  # the S routes run here, not in the counts below
         runs, seen = 0, set()
         for c, (r, _) in enumerate(seq.orbits):
             key = psi_sequence(seq, c)
@@ -315,11 +316,12 @@ def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
         power_sum_check(seq)
         assert len(calls) == runs <= 8
         calls.clear()
-        power_sum_check(seq, share)
+        power_sum_check(shared)
         shared_runs -= len(calls)
     assert shared_runs == 0
     # the trivial character has one psi-sequence at all 28 classes
     seq = LambdaSequence.compute(table.irreducibles[0], 6)
+    seq.syms
     calls.clear()
     power_sum_check(seq)
     assert len(calls) == 1
