@@ -639,9 +639,10 @@ def named_subgroups(family: str, param: int | None = None) -> dict[str, tuple[in
 
 
 def central_characters(
-    family: str, param: int | None = None
+    family: str, param: int | None = None, names: tuple[str, ...] | None = None
 ) -> dict[str, CentralCharSpec]:
-    """Central one-dimensional character specs attached to the builtin group."""
+    """Central one-dimensional character specs attached to the builtin group,
+    only those in ``names`` when it is given (an unknown name is left out)."""
     _check_params(family, param)
     if family != "Hp":
         return {}
@@ -651,6 +652,8 @@ def central_characters(
     spec = subgroup_spec(cd, named_subgroups(family, param)["center"])
     out = {}
     for s in range(1, p):
+        if names is not None and f"zeta_{s}" not in names:
+            continue
         # zeta(0) is the rational 1 at order 1, every other value has order p
         zeta = {h: Cyclotomic.root_of_unity(p if h else 1, s * h % p) for h in range(p)}
         out[f"zeta_{s}"] = central_char_spec(cd, spec, zeta, p)

@@ -179,8 +179,9 @@ class OutputDocument:
 @dataclass
 class GroupContext:
     """A resolved group.  A builtin (family, param) builds its permutation model,
-    natural character and central characters on first read; a spec file or
-    --generators sets the model and central characters at load, validated."""
+    natural character and central characters on first read (``central_spec``
+    only the one it names); a spec file or --generators sets the model and
+    central characters at load, validated."""
 
     name: str
     table: CharacterTable | None = None
@@ -206,6 +207,13 @@ class GroupContext:
     @cached_property
     def central(self) -> dict[str, CentralCharSpec]:
         return catalog.central_characters(*self.builtin) if self.builtin else {}
+
+    def central_spec(self, name: str) -> CentralCharSpec | None:
+        """The central character ``name``; a builtin builds only that one
+        unless ``central`` is built already."""
+        if self.builtin and "central" not in self.__dict__:
+            return catalog.central_characters(*self.builtin, (name,)).get(name)
+        return self.central.get(name)
 
     @property
     def classes(self) -> ClassData:
@@ -644,11 +652,12 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
         forms = burnside_regular_forms(cd, spec, _copies(sel, 2, spec, args.spec))
         _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "central":
-        if len(sel) < 2 or sel[1] not in ctx.central:
+        spec = ctx.central_spec(sel[1]) if len(sel) > 1 else None
+        if spec is None:
             raise InputError(
                 "central:<name> with name one of: " + ", ".join(sorted(ctx.central))
             )
-        forms = central_forms(cd, ctx.central[sel[1]])
+        forms = central_forms(cd, spec)
         _closed_form_lines(lines, table, forms, args.degree, quotient=False)
     elif kind == "onedim":
         if len(sel) < 2:

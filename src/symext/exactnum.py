@@ -245,14 +245,20 @@ def pack(
 
 def packed_dot(xs: Sequence[int], ys: Sequence[int], width: int, n: int) -> list[int]:
     """Coordinates mod Phi_n of sum_c x_c*y_c for values packed at ``width``:
-    one integer dot product, unpacked into 2*phi(n) - 1 slots and folded."""
+    one integer dot product, unpacked into 2*phi(n) - 1 slots; the first
+    phi(n) are coordinates already, and the others are folded onto them."""
     total, half, mask = sum(map(mul, xs, ys)), 1 << (width - 1), (1 << width) - 1
-    slots = []
-    for _ in range(2 * _phi_of(n) - 1):
+    phi, rows, out = _phi_of(n), _power_rows(n), []
+    for _ in range(phi):
         s = ((total + half) & mask) - half
-        slots.append(s)
+        out.append(s)
         total = (total - s) >> width
-    return fold(enumerate(slots), n)
+    for e in range(phi, 2 * phi - 1):
+        s = ((total + half) & mask) - half
+        total = (total - s) >> width
+        for j, r in rows[e % n] if s else ():
+            out[j] += s * r
+    return out
 
 
 def product_order(a: "Cyclotomic", b: "Cyclotomic") -> int:
@@ -290,22 +296,23 @@ class Cyclotomic:
     @staticmethod
     def _raw(order: int, num: Sequence[int], den: int) -> "Cyclotomic":
         # normalize: positive denominator, gcd(all coordinates, den) = 1
-        if den < 0:
-            den = -den
-            num = [-x for x in num]
-        g = den
-        for x in num:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g > 1:
-            den //= g
-            num = [x // g for x in num]
+        if den != 1:
+            if den < 0:
+                den = -den
+                num = [-x for x in num]
+            g = den
+            for x in num:
+                if x:
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+            if g > 1:
+                den //= g
+                num = [x // g for x in num]
         self = object.__new__(Cyclotomic)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
+        _set_order(self, order)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *a):  # pragma: no cover - guard
@@ -530,6 +537,9 @@ class Cyclotomic:
             out += f"+{p}" if not p.startswith("-") else p
         return out
 
+
+# the slot setters, which skip the immutability guard of __setattr__
+_set_order, _set_num, _set_den = (getattr(Cyclotomic, a).__set__ for a in Cyclotomic.__slots__)
 
 
 def as_cyclotomic(x: Scalar) -> Cyclotomic:

@@ -17,8 +17,11 @@ function of its psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, the S
 series of its lambda column, and the power-sum series of its psi-sequence;
 a sequence's ``SeriesShare`` runs each once per distinct key (a Galois image
 of the series at the representative off the representatives).
-Every step of the three recurrences is one packed integer dot product
-(``_recurrence``), and all divisions are by integers, hence exact.  Periodic class
+The three recurrences run in one engine (``_recurrence``) on integer
+coordinates: the given is read once at its working order over its common
+denominator, a step is one integer dot product (of packed coordinates, or
+of plain integers when every value is rational) and one exact division by
+an integer, and its value is built once.  Periodic class
 functions (psi^n = psi^gcd(n,|G|) for all n) additionally carry the finite
 product form lambda_t = prod (1 - (-t)^a_i)^(b_i/a_i) over the divisors of
 the group order, recovered here by divisor recursion on the psi values.
@@ -26,9 +29,10 @@ the group order, recovered here by divisor recursion on the psi values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import is_
 from typing import Sequence
 
@@ -38,7 +42,6 @@ from .exactnum import (
     as_cyclotomic,
     divisors,
     pack,
-    pack_bounds,
     packed_dot,
     slot_width,
 )
@@ -61,34 +64,49 @@ class CrossCheckError(AssertionError):
     """Two independent routes to the same values disagreed."""
 
 
+_ZERO = as_cyclotomic(0)
+
+
 class _Series:
-    """One side of a per-class recurrence: values of Q(zeta_n), rationals at
-    any order, packed for ``packed_dot`` as scale * D * value over their
-    common denominator D; repacked only when the slot width or D must grow.
-    ``terms`` lists the indices of the values that are terms of a step."""
+    """One side of a per-class recurrence at the working order n: its values,
+    and each value * scale as integer coordinates over the common denominator
+    ``den``, packed at ``width`` for ``packed_dot``; at n = 1 the packed int
+    is that one coordinate.  ``top`` bounds the |coordinates|.  The packed
+    ints are scaled when ``den`` grows and repacked when the width grows.
+    ``scales`` is None for all ones, and ``terms`` lists the indices of the
+    values that are terms of a step."""
 
-    def __init__(self, n: int):
-        self.n, self.vals, self.scales, self.terms = n, [], [], []
-        self.den, self.bits, self.width, self.ints = 1, 0, 0, []
+    def __init__(self, n: int, vals: list, scales: list | None, terms: list, den: int, top: int):
+        self.n, self.vals, self.scales, self.terms = n, vals, scales, terms
+        self.den, self.top, self.width = den, top, 0
+        self.ints = pack(vals, 1, den, 0, scales) if n == 1 else []
 
-    def append(self, v: Cyclotomic, scale: int = 1, term: bool = True) -> None:
-        if term:
+    def repack(self, width: int) -> None:
+        self.width, self.ints = width, pack(self.vals, self.n, self.den, width, self.scales)
+
+    def rescale(self, k: int) -> None:
+        self.den, self.top, self.ints = self.den * k, self.top * k, [p * k for p in self.ints]
+
+    def push(self, coords: list[int]) -> None:
+        """Append the value coords / den, packed at the current width."""
+        if any(coords):
             self.terms.append(len(self.vals))
-        self.vals.append(v)
-        self.scales.append(scale)
-        if self.den % v.den:
-            (self.den, self.bits), self.width = pack_bounds(self.vals, self.n), 0
-        else:
-            top = max(map(abs, v.num)) * (self.den // v.den)
-            self.bits = max(self.bits, top.bit_length())
+        self.vals.append(_stored(self.n, coords, self.den))
+        if self.n == 1:
+            self.ints.append(coords[0])
+            return
+        self.top, p = max(self.top, *map(abs, coords)), 0
+        for x in reversed(coords):
+            p = (p << self.width) + x
+        self.ints.append(p)
 
-    def packed(self, width: int) -> list[int]:
-        if width != self.width:
-            self.width, self.ints = width, []
-        k = len(self.ints)
-        if k < len(self.vals):
-            self.ints += pack(self.vals[k:], self.n, self.den, width, self.scales[k:])
-        return self.ints
+
+def _stored(n: int, coords: list[int], den: int) -> Cyclotomic:
+    """The value of one step, coords / den at order n, or at order 1 when it
+    is rational; built once per step."""
+    if n > 1 and any(coords[1:]):
+        return Cyclotomic._raw(n, coords, den)
+    return Cyclotomic._raw(1, coords[:1], den)
 
 
 def _given(values: Sequence[Cyclotomic], signed: bool, zeros_count: bool) -> _Series:
@@ -97,16 +115,16 @@ def _given(values: Sequence[Cyclotomic], signed: bool, zeros_count: bool) -> _Se
     with ``signed`` term i carries the sign (-1)^(i+1), and a zero value is a
     term only with ``zeros_count``."""
     n = lcm(1, *(v.order for v in values[1:] if not v.is_rational()))
-    out, lifted = _Series(n), {}
-    out.append(as_cyclotomic(0), term=False)
-    for i, v in enumerate(values[1:], 1):
+    lifted = {}
+    for v in values[1:]:
         if id(v) not in lifted:
             lifted[id(v)] = v if v.is_rational() else v.lift(n)
-        out.append(lifted[id(v)], (-1) ** (i + 1) if signed else 1, bool(v) or zeros_count)
-    return out
-
-
-_ZERO = as_cyclotomic(0)
+    den = lcm(1, *(v.den for v in lifted.values()))
+    top = max((max(map(abs, v.num)) * (den // v.den) for v in lifted.values()), default=0)
+    vals = [_ZERO] + [lifted[id(v)] for v in values[1:]]
+    scales = [1] + [(-1) ** (i + 1) if signed else 1 for i in range(1, len(values))]
+    terms = [i for i, v in enumerate(values[1:], 1) if zeros_count or v]
+    return _Series(n, vals, scales, terms, den, top)
 
 
 def _recurrence(
@@ -115,22 +133,37 @@ def _recurrence(
     """out_0 = 1 and out_n = sum x_i*y_(n-i) over the terms x_i, i <= n,
     divided by n if ``divide``, with (x, y) = (out, given) if ``out_first``
     else (given, out); with ``out_first`` the terms are the nonzero out_i.
-    Each step is one ``packed_dot`` at the working order, and its result is
-    stored there, or at order 1 when it is rational.  With ``period`` the
-    steps are those of ``_lambda_steps``, and out is padded with zeros to
-    out_M."""
-    out = _Series(given.n)
-    out.append(as_cyclotomic(1))
+    Each step is one dot product of packed integers, or of plain integers at
+    working order 1, divided exactly by given.den * n into coordinates over
+    out.den; out.den grows by the part of that divisor the coordinates do
+    not share.  With ``period`` the steps are those of ``_lambda_steps``, and
+    out is padded with zeros to out_M."""
+    N = given.n
+    out = _Series(N, [as_cyclotomic(1)], None, [0], 1, 1)
     x, y = (out, given) if out_first else (given, out)
-    k = 0
+    k, w, step = 0, 0, []
     for n in _lambda_steps(out, given, M, period) if period else range(1, M + 1):
-        while k < len(x.terms) and x.terms[k] <= n:
-            k += 1
-        w = max(x.width, y.width, slot_width(x.bits, y.bits, k, given.n))
-        xs, ys, step = x.packed(w), y.packed(w), x.terms[:k]
-        coords = packed_dot([xs[i] for i in step], [ys[n - i] for i in step], w, given.n)
-        v = Cyclotomic._raw(given.n, coords, x.den * y.den * (n if divide else 1))
-        out.append(Cyclotomic._raw(1, v.num[:1], v.den) if v.is_rational() else v, term=bool(v))
+        if k < len(x.terms) and x.terms[k] <= n:
+            k = bisect_right(x.terms, n)
+            step = x.terms[:k]
+        xs, ys = x.ints, y.ints
+        if N == 1:
+            coords = [sum([xs[i] * ys[n - i] for i in step])]
+        else:
+            w = max(w, slot_width(x.top.bit_length(), y.top.bit_length(), k, N))
+            if w != x.width or w != y.width:
+                x.repack(w)
+                y.repack(w)
+                xs, ys = x.ints, y.ints
+            coords = packed_dot([xs[i] for i in step], [ys[n - i] for i in step], w, N)
+        d = given.den * n if divide else given.den
+        if d > 1:
+            g = gcd(d, *coords)
+            if g < d:
+                out.rescale(d // g)
+            if g > 1:
+                coords = [c // g for c in coords]
+        out.push(coords)
     return out.vals + [_ZERO] * (M + 1 - len(out.vals))
 
 
@@ -143,8 +176,9 @@ def _lambda_steps(out: _Series, given: _Series, M: int, period: int):
         if n - out.terms[-1] > period:
             return
         if n > stored:
-            given.vals.append(given.vals[n - stored])
-            given.scales.append(given.scales[n - stored])
+            for xs in (given.vals, given.scales, given.ints):
+                if len(xs) == n:  # ints not packed yet are packed at the first width
+                    xs.append(xs[n - stored])
         yield n
 
 
@@ -178,6 +212,12 @@ def _scalar_syms(lam: Sequence[Cyclotomic], M: int) -> list[Cyclotomic]:
         top -= 1
     given = _given(lam[: top + 1], signed=True, zeros_count=False)
     return _recurrence(given, M, divide=False, out_first=False)
+
+
+def _scalar_power_sums(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
+    # n*S^n = sum psi^i S^(n-i) over 1 <= i <= n, every psi^i a term
+    given = _given(psi, signed=False, zeros_count=True)
+    return _recurrence(given, M, divide=True, out_first=False)
 
 
 class SeriesShare:
@@ -347,12 +387,8 @@ def power_sum_check(seq: LambdaSequence) -> None:
     """
     cd, M, syms = seq.base.data, seq.degree_bound, seq.syms
     psi_cols = _psi_columns(seq.base, M)
-
-    def power_sums(psi):
-        given = _given(psi, signed=False, zeros_count=True)
-        return _recurrence(given, M, divide=True, out_first=False)
-
-    for c, route in enumerate(seq.share.columns(cd, seq.orbits, psi_cols, power_sums, 3)):
+    routes = seq.share.columns(cd, seq.orbits, psi_cols, lambda psi: _scalar_power_sums(psi, M), 3)
+    for c, route in enumerate(routes):
         for n in range(1, M + 1):
             if route[n] != syms[n].values[c]:
                 raise CrossCheckError(

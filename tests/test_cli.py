@@ -1110,6 +1110,19 @@ def test_only_a_request_that_reads_the_model_builds_it(monkeypatch, argv, models
     assert (len(model_calls), len(central_calls)) == (models, centrals)
 
 
+def test_a_central_closed_form_builds_only_the_spec_it_names(monkeypatch):
+    specs = _calls(monkeypatch, catalog, "central_char_spec")
+    argv = ["closedform", "--group", "Hp:7", "--spec", "central:zeta_3", "--degree", "8"]
+    code, out, err = run_cli(argv)
+    assert code == EXIT_OK and err == "" and "extended by zero" in out
+    assert len(specs) == 1 and specs[0][2][1] == Cyclotomic.root_of_unity(7, 3)
+    # an unknown name is listed against every spec, as before
+    code, out, err = run_cli(argv[:4] + ["central:zeta_7"])
+    names = ", ".join(f"zeta_{s}" for s in range(1, 7))
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: central:<name> with name one of: {names}\n"
+
+
 @pytest.mark.parametrize(
     "fault, code, message",
     [(NoModelError, EXIT_INPUT, "error: no permutation model, so no natural character"),

@@ -1,15 +1,18 @@
-"""Property tests of the packed per-class recurrences in lambdaops.
+"""Property tests of the per-class recurrences in lambdaops.
 
-``_scalar_lambdas`` (psi -> lambda), ``_scalar_syms`` (lambda -> S) and the
-power-sum route of ``power_sum_check`` take every step as one packed integer
-dot product.  They are compared here with the plain Cyclotomic-arithmetic
-loops kept below as the reference: the value of every lambda^n and S^n, the
-order it is stored at (order 1 if it is rational, else the working order of
-the given values), and the verdict of the power-sum check with the degree
-and class it names.  The class functions are characters, virtual
-characters, rational values with denominators, rational values stored at
-high orders, and values of mixed orders.  The power-sum check runs its route
-at most once per rational class and once per distinct psi-sequence; the
+``_scalar_lambdas`` (psi -> lambda), ``_scalar_syms`` (lambda -> S) and
+``_scalar_power_sums`` (psi -> S, the route of ``power_sum_check``) run in
+one integer engine.  They are compared here with the plain
+Cyclotomic-arithmetic loops kept below as the reference: the value and
+``repr`` of every lambda^n and S^n, the order it is stored at (order 1 if it
+is rational, else the working order of the given values), and the verdict of
+the power-sum check with the degree and class it names.  The inputs are
+characters, virtual characters, psi-sequences of eigenvalues at the working
+orders 1, 3, 4, 5, 6, 7, 20 and 50, rational values with denominators (psi =
+(q, 0, 0, ...), the Hp:7 central character times 1/7 and 8/7), rational
+values stored at high orders, values of mixed orders, and coordinates at the
+edge of the packed slot width.  The power-sum check runs its route at most
+once per rational class and once per distinct psi-sequence; the
 deterministic tests at the end move S^n at every other class and count the
 routes it runs.
 """
@@ -22,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import with_syms
-from symext import lambdaops
+from symext import cli, lambdaops
 from symext.catalog import get_group
+from symext.closedforms import central_forms
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
 from symext.groupdata import ClassData, ClassFunction, adams
 from symext.lambdaops import (
@@ -31,6 +35,7 @@ from symext.lambdaops import (
     LambdaSequence,
     SeriesShare,
     _scalar_lambdas,
+    _scalar_power_sums,
     _scalar_syms,
     power_sum_check,
 )
@@ -65,19 +70,22 @@ def reference_syms(lam, M):
     return syms
 
 
+def reference_power_sums(psi, M):
+    """h^0..h^M by n*h^n = sum psi^i h^(n-i)."""
+    h = [as_cyclotomic(1)]
+    for n in range(1, M + 1):
+        acc = as_cyclotomic(0)
+        for i in range(1, n + 1):
+            acc = acc + psi[i] * h[n - i]
+        h.append(acc / n)
+    return h
+
+
 def reference_routes(seq):
     """h^0..h^M per class by n*h^n = sum psi^i h^(n-i), from psi alone."""
-    routes = []
-    for c in range(seq.base.data.class_count):
-        psi = [None] + [adams(seq.base, n).values[c] for n in range(1, seq.degree_bound + 1)]
-        h = [as_cyclotomic(1)]
-        for n in range(1, seq.degree_bound + 1):
-            acc = as_cyclotomic(0)
-            for i in range(1, n + 1):
-                acc = acc + psi[i] * h[n - i]
-            h.append(acc / n)
-        routes.append(h)
-    return routes
+    M = seq.degree_bound
+    return [reference_power_sums([None] + [adams(seq.base, n).values[c] for n in range(1, M + 1)], M)
+            for c in range(seq.base.data.class_count)]
 
 
 def reference_power_sum_check(seq, routes=None):
@@ -178,6 +186,79 @@ def test_lambdas_and_syms_match_the_cyclotomic_loops(kf, M):
         assert same(_scalar_syms(short, M), reference_syms(short, M), short)
 
 
+def hp7_central_psi(scale, c, M):
+    """psi at class c of scale times the Hp:7 central character (zeta_1
+    extended by zero, times 7)."""
+    ctx = cli._builtin_context("Hp", 7)
+    return psi_at(central_forms(ctx.classes, ctx.central["zeta_1"]).character() * scale, c, M)
+
+
+@st.composite
+def engine_psi(draw):
+    """(psi, M): the psi-sequence of a (virtual) character with eigenvalues
+    roots of unity of order N, its values at the working order N (1 for N <=
+    2, or for a rational multiset at N = 3, 4 or 6, whose values are rationals
+    stored at order N) and each distinct value one object; perhaps scaled by a
+    non-integral rational.  Or psi = (q, 0, 0, ...), with lambda^n = q^n/n!,
+    or psi at a class of the Hp:7 central character times 1/7 or 8/7."""
+    kind = draw(st.sampled_from(["eigen", "eigen", "eigen", "delta", "hp7"]))
+    if kind == "delta":
+        M = draw(st.integers(0, 30))
+        q = as_cyclotomic(draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 5)])))
+        return [None, q] + [as_cyclotomic(0)] * (M - 1), M
+    if kind == "hp7":
+        M = draw(st.integers(0, 30))
+        scale = draw(st.sampled_from([Fraction(1, 7), Fraction(8, 7)]))
+        return hp7_central_psi(scale, draw(st.integers(0, 54)), M), M
+    N = draw(st.sampled_from([1, 2, 3, 4, 6, 5, 5, 7, 7, 20, 20, 50, 50]))
+    plus = draw(st.lists(st.integers(0, N - 1), max_size=5))
+    minus = draw(st.lists(st.integers(0, N - 1), max_size=2))
+    if N in (3, 4, 6):
+        plus, minus = plus + [-a % N for a in plus], minus + [-a % N for a in minus]
+    scale = draw(st.sampled_from([1, 1, 1, -1, Fraction(1, 2), Fraction(8, 7)]))
+    M = draw(st.integers(0, min(3 * N + 3, 40)))
+    zero, base = as_cyclotomic(0), []
+    for m in range(1, N + 1):
+        v = sum((Cyclotomic.root_of_unity(N, a * m) for a in plus), zero)
+        base.append((v - sum((Cyclotomic.root_of_unity(N, a * m) for a in minus), zero)) * scale)
+    return [None] + [base[(m - 1) % N] for m in range(1, M + 1)], M
+
+
+def matches(got, want, given):
+    """``same``, and equal ``repr`` value by value."""
+    return same(got, want, given) and list(map(repr, got)) == list(map(repr, want))
+
+
+@settings(deadline=None, max_examples=200)
+@given(engine_psi())
+def test_each_route_matches_its_cyclotomic_loop_by_repr_and_order(case):
+    psi, M = case
+    lam = _scalar_lambdas(psi, M)
+    assert matches(lam, reference_lambdas(psi, M), psi)
+    assert matches(_scalar_syms(lam, M), reference_syms(reference_lambdas(psi, M), M), lam)
+    assert matches(_scalar_power_sums(psi, M), reference_power_sums(psi, M), psi)
+
+
+def test_the_denominator_of_a_route_grows_at_order_1_and_above():
+    # psi = (1, 0, 0, ...) has lambda^n = 1/n!
+    psi = [None, as_cyclotomic(1)] + [as_cyclotomic(0)] * 9
+    lam = _scalar_lambdas(psi, 10)
+    assert lam[2] == Fraction(1, 2) and lam[10] == Fraction(1, 3628800)
+    assert matches(lam, reference_lambdas(psi, 10), psi)
+    # off the centre, the 1/7 central character has lambda_t = (1 + t^7)^(1/7)
+    psi = hp7_central_psi(Fraction(1, 7), 7, 14)
+    lam = _scalar_lambdas(psi, 14)
+    assert (lam[7], lam[14]) == (Fraction(1, 7), Fraction(-3, 49))
+    assert matches(lam, reference_lambdas(psi, 14), psi)
+    # psi^m = z^m / 2 at order 5: lambda^2 = -z^2 / 8
+    z = Cyclotomic.root_of_unity(5)
+    psi = [None] + [z**m / 2 for m in range(1, 7)]
+    lam = _scalar_lambdas(psi, 6)
+    assert lam[2] == -(z**2) / 8 and lam[2].order == 5
+    assert matches(lam, reference_lambdas(psi, 6), psi)
+    assert matches(_scalar_power_sums(psi, 6), reference_power_sums(psi, 6), psi)
+
+
 @settings(deadline=None, max_examples=60)
 @given(class_function(), st.integers(1, 8), st.data())
 def test_power_sum_check_gives_the_verdict_of_the_cyclotomic_loop(kf, M, data):
@@ -225,13 +306,24 @@ def cyclic3():
 def test_slot_width_boundary():
     # psi = u, -u, u with u = (q-1)/q: the third psi -> lambda step is
     # 1*psi^3 + lambda^1*psi^2 + lambda^2*psi^1 (signs folded in), three
-    # terms of one sign.  Packed over the denominators q^2 (lambda) and q
-    # (psi) the values have 84 and 42 bits, so the bound is 84 + 42 + 2 + 1 =
-    # 129 bits, and the slot, about 3*q^3 > 2^127, needs every one of them
+    # terms of one sign, over the denominators q^2 (lambda) and q (psi); at
+    # order 1 it is one sum of plain ints, about 3*q^3 > 2^127
     q = 2**42 - 1
     u = Fraction(q - 1, q)
     psi = [None] + [as_cyclotomic(x) for x in (u, -u, u)]
     assert same(_scalar_lambdas(psi, 3), reference_lambdas(psi, 3), psi)
+    # psi = v, v, v with v = +-u(1 + z) in Q(zeta_3), now q = 2^63 - 1: over
+    # their denominators the coordinates have 63 bits (psi) and 126 (lambda^2
+    # and the power sum h^2), so the bound of the third step is 63 + 126 +
+    # bits(3 * phi(3)) + 1 = 193 bits, a 256-bit slot, and the top slot of the
+    # sum has 192 bits (of h^3 at +, of lambda^3 at -): a bound one bit lower
+    # gives 192-bit slots, which overflow
+    q = 2**63 - 1
+    for sign in (1, -1):
+        v = Cyclotomic(3, [Fraction(sign * (q - 1), q)] * 2)
+        psi = [None, v, v, v]
+        assert same(_scalar_lambdas(psi, 3), reference_lambdas(psi, 3), psi)
+        assert same(_scalar_power_sums(psi, 3), reference_power_sums(psi, 3), psi)
     # on Q(zeta_3), 31-bit coordinates move every recurrence past 64-bit slots
     x, y = 2**31 - 1, 2**30 + 1
     f = ClassFunction(cyclic3(), [2, Cyclotomic(3, [x, x]), Cyclotomic(3, [y, -x])])
