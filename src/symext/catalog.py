@@ -22,7 +22,7 @@ from .groupdata import (
     CharacterTable,
     ClassData,
     ClassFunction,
-    complete_power_maps,
+    assemble_table,
     validate_table,
 )
 from .permgroup import GeneratedGroup, Permutation, class_data, enumerate_group, parse_digits
@@ -76,31 +76,12 @@ def _check_params(family: str, param: int | None) -> None:
         raise ValueError(f"Hp parameter must be an odd prime <= {PARAM_CAPS['Hp']}")
 
 
-def _finish_table(
-    name: str,
-    order: int,
-    names: list[str],
-    sizes: list[int],
-    rep_orders: list[int],
-    inverse: list[int],
-    prime_maps: dict[int, list[int]],
-    labels: list[str],
-    rows: list[list],
-) -> CharacterTable:
-    exponent = lcm(*rep_orders)
-    value_rows = [[Cyclotomic._coerce(v) for v in row] for row in rows]
-    maps = complete_power_maps(exponent, prime_maps, value_rows)
-    cd = ClassData(order, exponent, names, sizes, rep_orders, inverse, maps)
-    chis = [ClassFunction(cd, row) for row in value_rows]
-    return CharacterTable(cd, chis, labels, name=name)
-
-
 # ---------------------------------------------------------------------------
 # the five fixed groups
 
 
 def _s3() -> CharacterTable:
-    return _finish_table(
+    return assemble_table(
         "S3",
         order=6,
         names=["C1", "C2", "C3"],
@@ -115,7 +96,7 @@ def _s3() -> CharacterTable:
 
 def _a4() -> CharacterTable:
     w = Cyclotomic.root_of_unity(3)
-    return _finish_table(
+    return assemble_table(
         "A4",
         order=12,
         names=["C1", "C2", "C3", "C4"],
@@ -137,7 +118,7 @@ def _g21() -> CharacterTable:
     w = Cyclotomic.root_of_unity(3)
     a = Cyclotomic.from_terms(7, [(1, 1), (2, 1), (4, 1)])
     b = Cyclotomic.from_terms(7, [(3, 1), (5, 1), (6, 1)])
-    return _finish_table(
+    return assemble_table(
         "G21",
         order=21,
         names=["C1", "C2", "C3", "C4", "C5"],
@@ -157,7 +138,7 @@ def _g21() -> CharacterTable:
 
 
 def _s4() -> CharacterTable:
-    return _finish_table(
+    return assemble_table(
         "S4",
         order=24,
         names=["C1", "C2", "C3", "C4", "C5"],
@@ -179,7 +160,7 @@ def _s4() -> CharacterTable:
 def _a5() -> CharacterTable:
     a = Cyclotomic.from_terms(5, [(1, 1), (4, 1)])
     b = Cyclotomic.from_terms(5, [(2, 1), (3, 1)])
-    return _finish_table(
+    return assemble_table(
         "A5",
         order=60,
         names=["C1", "C2", "C3", "C4", "C5"],
@@ -243,8 +224,8 @@ def _d2n(n: int) -> CharacterTable:
     for j in range(1, n_tau + 1):
         rows.append([cos2[i * j % n] for i in range(half + 1)] + ([0, 0] if even else [0]))
         labels.append(f"tau{j}")
-    return _finish_table(f"D2n:{n}", 2 * n, names, sizes, rep_orders, inverse, prime_maps,
-                         labels, rows)
+    return assemble_table(f"D2n:{n}", 2 * n, names, sizes, rep_orders, inverse, prime_maps,
+                          labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +272,8 @@ def _q4n(n: int) -> CharacterTable:
     for j in range(1, n):
         rows.append([cos2[i * j % (2 * n)] for i in range(n + 1)] + [0, 0])
         labels.append(f"tau{j}")
-    return _finish_table(f"Q4n:{n}", 4 * n, names, sizes, rep_orders, inverse, prime_maps,
-                         labels, rows)
+    return assemble_table(f"Q4n:{n}", 4 * n, names, sizes, rep_orders, inverse, prime_maps,
+                          labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +313,8 @@ def _hp(p: int) -> CharacterTable:
     for s in range(1, p):
         rows.append([p_zeta[s * h % p] for h in range(p)] + [0] * (p * p - 1))
         labels.append(f"tau_{s}")
-    return _finish_table(f"Hp:{p}", p**3, names, sizes, rep_orders, inverse, prime_maps,
-                         labels, rows)
+    return assemble_table(f"Hp:{p}", p**3, names, sizes, rep_orders, inverse, prime_maps,
+                          labels, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .groupdata import (
     ClassFunction,
     NonIntegralMultiplicityError,
     NonRationalMultiplicityError,
-    complete_power_maps,
+    assemble_table,
     decompose,
     power_map_mismatch,
     regular_character,
@@ -385,11 +385,11 @@ def load_group_spec(path: str) -> GroupContext:
             [_parse_cyclo(v, root_order, f"{where}.values[{c}]") for c, v in enumerate(vals)]
         )
     try:
-        maps = complete_power_maps(exponent, prime_maps, value_rows)
+        table = assemble_table(name, order, names, sizes, rep_orders, inverse, prime_maps,
+                               labels, value_rows)
     except (KeyError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    cd = ClassData(order, exponent, names, sizes, rep_orders, inverse, maps)
-    table = CharacterTable(cd, [ClassFunction(cd, row) for row in value_rows], labels, name)
+    cd = table.classes
     problems = validate_table(table)
     if problems:
         raise InputError(
@@ -442,6 +442,8 @@ def load_group_spec(path: str) -> GroupContext:
 
 def cyclo_terms(value: Cyclotomic, root_order: int) -> list[list[int]]:
     """Serialize a value as [exponent, numerator, denominator] triples."""
+    if value.is_rational():  # at any order, as a rational
+        return [[0, value.num[0], value.den]] if value.num[0] else []
     lifted = value.lift(root_order)
     return [
         [i, c.numerator, c.denominator] for i, c in enumerate(lifted.coeffs) if c != 0
@@ -451,7 +453,7 @@ def cyclo_terms(value: Cyclotomic, root_order: int) -> list[list[int]]:
 def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) -> dict:
     """The JSON document for a character table, in group-spec format."""
     cd = table.classes
-    root = cd.exponent
+    root = lcm(cd.exponent, table._columns.n)  # the order of every irrational value divides n
     classes = []
     for c in range(cd.class_count):
         classes.append(
@@ -463,7 +465,7 @@ def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) 
                 "prime_powers": {
                     str(p): m[c]
                     for p, m in sorted(cd.prime_power_maps.items())
-                    if root % p == 0
+                    if cd.exponent % p == 0
                 },
             }
         )

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .exactnum import Cyclotomic, as_cyclotomic, binom, divisors
 from .genfun import RationalFunction
-from .groupdata import CharacterTable, ClassData, ClassFunction, _Columns, decompose
+from .groupdata import CharacterTable, ClassData, ClassFunction, decompose
 
 
 class InvalidSubgroupError(ValueError):
@@ -168,21 +168,16 @@ def one_dim_forms(chi: ClassFunction, table: CharacterTable) -> OneDimForms:
     mults = decompose(chi, table)
     if sorted(mults) != [0] * (len(mults) - 1) + [1]:
         raise NotOneDimensionalError("chi is not an irreducible character")
-    trivial = ClassFunction.constant(chi.data, 1)
-    powers = [trivial]
-    power = chi
-    while power != trivial:
-        powers.append(power)
-        power = power * chi
-        if len(powers) > chi.data.group_order:
-            raise NotOneDimensionalError("chi has no finite multiplicative order")
-    # each power's index, through value ids: the first i with chi^i = chi_j
-    k = len(table.irreducibles)
-    rows = _Columns([f.values for f in (*table.irreducibles, *powers)]).rows
-    first: dict[tuple, int] = {}
-    for i, row in enumerate(rows[k:]):
-        first.setdefault(row, i)
-    return OneDimForms(tuple(powers), tuple(first.get(row) for row in rows[:k]))
+    # the powers of the matched row, each looked up in the table's value ids
+    # as it is formed: exponents[j] is the first i with chi^i = chi_j
+    cols, row = table._columns, table.irreducibles[mults.index(1)]
+    powers, first = [ClassFunction.constant(chi.data, 1)], {}
+    for i in range(chi.data.group_order + 1):
+        first.setdefault(cols.lookup(powers[i].values), i)
+        if i and powers[i] == powers[0]:
+            return OneDimForms(tuple(powers[:i]), tuple(map(first.get, cols.rows)))
+        powers.append(powers[i] * row if i else row)
+    raise NotOneDimensionalError("chi has no finite multiplicative order")
 
 
 # ---------------------------------------------------------------------------

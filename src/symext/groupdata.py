@@ -54,7 +54,7 @@ class ClassData:
     are kept so that the power map for an arbitrary n can be assembled by
     factoring n mod exponent; constructors in this package always provide
     them (spec files may omit unit primes, which are then derived from the
-    character table by Galois matching, see cli module).
+    character table by Galois matching, see ``assemble_table``).
     """
 
     __slots__ = (
@@ -283,7 +283,7 @@ class ClassFunction:
 class CharacterTable:
     """Class data together with the irreducible characters over it."""
 
-    __slots__ = ("classes", "irreducibles", "labels", "name", "_packed", "_orbits")
+    __slots__ = ("classes", "irreducibles", "labels", "name", "_columns", "_packed", "_orbits")
 
     def __init__(
         self,
@@ -291,6 +291,7 @@ class CharacterTable:
         irreducibles: Sequence[ClassFunction],
         labels: Sequence[str],
         name: str = "",
+        columns: _Columns | None = None,
     ):
         if len(irreducibles) != classes.class_count:
             raise ValueError("need as many irreducibles as conjugacy classes")
@@ -300,6 +301,8 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         self.labels = tuple(labels)
         self.name = name
+        # the ids of every value, unless ``assemble_table`` built them first
+        self._columns = columns or _Columns([chi.values for chi in self.irreducibles])
         self._packed: _PackedRows | None = None  # built by decompose
         self._orbits: tuple | None = None  # built by character_orbits
 
@@ -313,13 +316,13 @@ class CharacterTable:
         If for some unit u and row i that function is no row, or u does not
         permute the rows, the table is the identity: every chi_j is its own
         orbit (j, 1) and perms = {1: identity}.  Rows are compared as tuples
-        of value ids (``_Columns``).  On a valid table c -> chi_i(c^u) is the
+        of value ids (``_columns``).  On a valid table c -> chi_i(c^u) is the
         Galois image sigma_u(chi_i), and the orbits are as many as the
         rational classes (Brauer's permutation lemma, Isaacs, Character
         Theory of Finite Groups, Thm 6.32)."""
         if self._orbits is None:
             cd, k = self.classes, self.classes.class_count
-            rows = _Columns([chi.values for chi in self.irreducibles]).rows
+            rows = self._columns.rows
             index = {row: j for j, row in enumerate(rows)}
             perms = {}
             for u in (u for u in range(1, cd.exponent + 1) if gcd(u, cd.exponent) == 1):
@@ -572,6 +575,11 @@ class _Columns:
         w = v.lift(self.n)
         return w.num, w.den
 
+    def lookup(self, values: Iterable[Cyclotomic]) -> tuple:
+        """The ids of values, None for a value in no column; an irrational
+        value must be written at an order dividing n."""
+        return tuple(self.ids.get(self._key(v)) for v in values)
+
     def image(self, c: int, u: int) -> tuple:
         """The ids of sigma_u of column c, u a unit mod n, one ``galois`` per
         irrational value and unit; None for a value in no column."""
@@ -584,25 +592,23 @@ class _Columns:
 
 
 def complete_power_maps(
-    exponent: int,
-    prime_maps: Mapping[int, Sequence[int]],
-    value_rows: Sequence[Sequence[Cyclotomic]],
+    exponent: int, prime_maps: Mapping[int, Sequence[int]], cols: _Columns
 ) -> dict[int, tuple[int, ...]]:
     """Fill in class power maps for every prime below the exponent.
 
     Maps for primes dividing the exponent must already be present (they are
     not determined by character values).  For a prime p coprime to the
     exponent the map is the column permutation induced by the Galois
-    substitution zeta -> zeta^p on the table values; the match is unique
-    because distinct classes have distinct character columns.
+    substitution zeta -> zeta^p on the table values, read off the ids of
+    ``cols``; the match is unique because distinct classes have distinct
+    character columns.
     """
-    out, cols = {p: tuple(m) for p, m in prime_maps.items()}, None
+    out = {p: tuple(m) for p, m in prime_maps.items()}
     for p in primes_below(exponent + 1):
         if p in out:
             continue
         if exponent % p == 0:
             raise KeyError(f"power map for prime {p} (divides exponent) must be given")
-        cols = cols or _Columns(value_rows)
         u = unit_lift(p, exponent, cols.n)
         mapped = []
         for c in range(len(cols.cols)):
@@ -616,12 +622,27 @@ def complete_power_maps(
     return out
 
 
+def assemble_table(name: str, order: int, names: Sequence[str], sizes: Sequence[int],
+                   rep_orders: Sequence[int], inverse: Sequence[int],
+                   prime_maps: Mapping[int, Sequence[int]], labels: Sequence[str],
+                   rows: Sequence[Sequence[Scalar]]) -> CharacterTable:
+    """The table of these classes and value rows: the rows' ids, then the
+    power maps of the unit primes from them (``complete_power_maps``), then
+    the class data, and a table that keeps the same ids.  KeyError or
+    ValueError if a power map is missing or not determined."""
+    exponent = lcm(*rep_orders)
+    value_rows = [[as_cyclotomic(v) for v in row] for row in rows]
+    cols = _Columns(value_rows)
+    maps = complete_power_maps(exponent, prime_maps, cols)
+    cd = ClassData(order, exponent, names, sizes, rep_orders, inverse, maps)
+    return CharacterTable(cd, [ClassFunction(cd, row) for row in value_rows], labels, name, cols)
+
+
 def power_map_mismatch(table: CharacterTable, maps: Mapping[int, Sequence[int]]) -> str | None:
     """A one-line message naming the first prime p and class g of order o
     prime to p where chi(maps[p][g]) = sigma(chi(g)) fails for sigma: zeta_o
     -> zeta_o^p (Isaacs, Character Theory of Finite Groups, ch. 6), else None."""
-    cd = table.classes
-    cols = _Columns([chi.values for chi in table.irreducibles])
+    cd, cols = table.classes, table._columns
     for p, m in maps.items():
         for c, o in enumerate(cd.rep_orders):
             if gcd(p, o) == 1 and cols.image(c, unit_lift(p, o, cols.n)) != cols.cols[m[c]]:
@@ -673,21 +694,20 @@ def validate_table(table: CharacterTable) -> list[str]:
         if any(coords[1:]) or Fraction(coords[0], den * cd.group_order) != want:
             v = inner_product(chis[i], chis[j])
             report.append(f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}")
-    # the inverse map must implement complex conjugation on characters
-    conjugates = {(v.order, v.num, v.den): v for chi in chis for v in chi.values}
-    conjugates = {key: v.conjugate() for key, v in conjugates.items()}
+    # the inverse map must implement complex conjugation, sigma_-1, on
+    # characters: the ids of each conjugated column against the inverse's
+    ids = table._columns
+    conj_ids = [ids.image(c, ids.n - 1) for c in range(k)]
     conj_report = []
-    for j, chi in enumerate(chis):
-        for c, v in enumerate(chi.values):
-            if inv_rows[j][c] != conjugates[v.order, v.num, v.den]:
-                conj_report.append(
-                    f"{table.labels[j]} at inverse of {cd.names[c]} is not the conjugate"
-                )
+    for j, label in enumerate(table.labels):
+        for c in range(k):
+            if conj_ids[c][j] != ids.cols[cd.inverse_class[c]][j]:
+                conj_report.append(f"{label} at inverse of {cd.names[c]} is not the conjugate")
                 break
     # column orthogonality, needed only when the checks above do not imply it
     if report or conj_report:
         cols = [[chi.values[c] for chi in chis] for c in range(k)]
-        conj = [[conjugates[v.order, v.num, v.den] for v in col] for col in cols]
+        conj = [[v.conjugate() for v in col] for col in cols]
         for c, c2, coords, den in _pair_sums(cols, conj):
             want = Fraction(cd.group_order, cd.sizes[c]) if c == c2 else Fraction(0)
             if any(coords[1:]) or Fraction(coords[0], den) != want:

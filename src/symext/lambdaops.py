@@ -317,7 +317,7 @@ class LambdaSequence:
             except NonIntegralDegreeError:
                 d = M
             for n in range(d + 1, M + 1):
-                if any(not col[n].is_zero() for col in cols):
+                if any(col[n] is not _ZERO and col[n] for col in cols):
                     raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
         lambdas = tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
         return cls(base=chi, degree_bound=M, lambdas=lambdas, orbits=orbits, share=share)

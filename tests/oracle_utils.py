@@ -9,7 +9,9 @@ loops.  Expected rational forms are reduced by Euclid's
 algorithm over Fraction, which the package does not use.
 ``reference_dual_route_check`` is the exception: it is verify's dual-route
 row without the character orbits, so it runs the package's recurrences and
-certifies every irreducible.  ``reference_lambda_values`` is Newton's
+certifies every irreducible.  ``reference_one_dim_exponents`` interns the powers of chi
+together with the table's rows in a fresh ``_Columns``, where
+``one_dim_forms`` looks them up in the table's own.  ``reference_lambda_values`` is Newton's
 lambda recurrence run at every step with no stop rule, in plain
 ``Cyclotomic`` arithmetic.  ``with_syms`` plants S values in a sequence, the
 mutant that the checks reading S must reject.
@@ -18,12 +20,12 @@ mutant that the checks reading S must reject.
 import dataclasses
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
+from math import gcd, lcm
 import random
 
 from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact
 from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
-from symext.groupdata import ClassFunction
+from symext.groupdata import ClassFunction, _Columns
 from symext.lambdaops import LambdaSequence, power_sum_check
 
 
@@ -310,3 +312,33 @@ def reference_over_molien(num, factors, scale):
     return RationalFunction(
         tuple(Fraction(x, s * scale) for x in num), tuple(Fraction(x, s) for x in den)
     )
+
+
+def reference_one_dim_exponents(chi, table):
+    """``one_dim_forms(chi, table).exponents`` from one interner over the k
+    rows and the powers chi^0 .. chi^(q-1) of chi itself: for each row, the
+    first i with chi^i = chi_j, None if chi_j is no power of chi."""
+    trivial = ClassFunction.constant(chi.data, 1)
+    powers, power = [trivial], chi
+    while power != trivial:
+        powers.append(power)
+        power = power * chi
+    k = len(table.irreducibles)
+    rows = _Columns([f.values for f in (*table.irreducibles, *powers)]).rows
+    first = {}
+    for i, row in enumerate(rows[k:]):
+        first.setdefault(row, i)
+    return tuple(first.get(row) for row in rows[:k])
+
+
+def cyclic_spec(n, root):
+    """The group-spec document of the cyclic group of order n, with every
+    value written over zeta_root (root a multiple of n)."""
+    classes = [{"name": f"g{i}", "size": 1, "rep_order": n // gcd(i, n), "inverse": -i % n,
+                "prime_powers": {str(p): p * i % n for p in range(2, n + 1)
+                                 if n % p == 0 and all(p % q for q in range(2, p))}}
+               for i in range(n)]
+    irreducibles = [{"values": [[[root // n * (i * j % n), 1, 1]] for i in range(n)]}
+                    for j in range(n)]
+    return {"format_version": 1, "name": f"C{n}", "order": n, "root_order": root,
+            "classes": classes, "irreducibles": irreducibles}

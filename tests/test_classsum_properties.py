@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import reference_inner_product, reference_validate_table
-from symext import groupdata
+from symext import catalog, groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, _coords, as_cyclotomic, divisors, totient
 from symext.groupdata import (
@@ -339,7 +339,8 @@ def test_a_valid_table_runs_only_the_row_class_sums(monkeypatch):
 
 
 def test_the_conjugation_check_conjugates_each_distinct_value_once(monkeypatch):
-    table = get_group("Hp", 7)
+    # a freshly assembled table: the cached one holds the conjugates already
+    table = catalog._hp(7)
     irrational = {(v.order, v.num, v.den) for chi in table.irreducibles for v in chi.values
                   if not v.is_rational()}
     real, calls = Cyclotomic.galois, []

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import gc
 import io
 import json
@@ -9,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from oracle_utils import with_syms
+from oracle_utils import cyclic_spec, with_syms
 from symext import catalog, cli, groupdata, lambdaops, permgroup
 from symext.catalog import NoModelError, central_characters, get_group
 from symext.closedforms import (
@@ -433,6 +434,38 @@ def test_a5_at_root_order_60_decomposes_as_the_builtin(tmp_path):
         outs = [run_cli(["decompose", "--group", group, "--char", char, "--op", op, "--degree", "12"])
                 for group in (str(path), "A5")]
         assert outs[0] == outs[1] and outs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("n, root, dumped", [(8, 16, 16), (2, 4, 2)], ids=["C8-at-16", "C2-at-4"])
+def test_a_table_stored_above_its_exponent_dumps_and_reloads_equal(tmp_path, n, root, dumped):
+    # C8's values stay at order 16, and every value of C2 is rational
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(cyclic_spec(n, root)))
+    table = load_group_spec(str(path)).table
+    doc = dump_group_spec(table)
+    assert doc["root_order"] == dumped
+    path.write_text(json.dumps(doc))
+    assert load_group_spec(str(path)).table == table
+
+
+def test_each_table_builds_one_value_interner(monkeypatch, tmp_path):
+    # the interner that assembly builds for the power maps is the one that
+    # validation, character orbits and the one-dimensional forms read
+    built, tables = [], []
+    cols_init, table_init = groupdata._Columns.__init__, groupdata.CharacterTable.__init__
+    monkeypatch.setattr(groupdata._Columns, "__init__",
+                        lambda self, *a: built.append(self) or cols_init(self, *a))
+    monkeypatch.setattr(groupdata.CharacterTable, "__init__",
+                        lambda self, *a, **kw: tables.append(self) or table_init(self, *a, **kw))
+    monkeypatch.setattr(catalog, "get_group", functools.lru_cache(catalog.get_group.__wrapped__))
+    path = tmp_path / "c8.json"
+    path.write_text(json.dumps(cyclic_spec(8, 16)))
+    for group in ("D2n:50", str(path)):
+        for argv in (["verify", "--group", group],
+                     ["closedform", "--group", group, "--spec", "onedim:chi2", "--degree", "3"]):
+            code, out, err = run_cli(argv)
+            assert code == EXIT_OK and "FAIL" not in out and err == ""
+    assert len(tables) == 3 and [t._columns for t in tables] == built
 
 
 def _a4_with_power(images):

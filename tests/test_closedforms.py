@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from symext.catalog import central_characters, get_group, quotient_transfers
+from symext.catalog import FIXED_FAMILIES, central_characters, get_group, quotient_transfers
+from symext.cli import load_group_spec
 from symext.closedforms import (
     InvalidCentralCharError,
     InvalidSubgroupError,
@@ -26,7 +28,7 @@ from symext.genfun import poly_mul
 from symext.groupdata import ClassFunction, adams, decompose, inner_product
 from symext.lambdaops import LambdaSequence, char_poly, product_form
 
-from oracle_utils import ratfun
+from oracle_utils import cyclic_spec, ratfun, reference_one_dim_exponents
 
 
 def onemt(a):
@@ -198,6 +200,28 @@ def test_one_dim_forms_a4_order3():
     assert forms.order == 3
     # chi2 squared is chi3, so the generating function toward chi3 is t^2/(1-t^3)
     assert forms.genfun(2) == ratfun([0, 0, 1], [onemt(3)])
+
+
+ONE_DIM_GROUPS = ([(f, None) for f in FIXED_FAMILIES] + [("D2n", n) for n in (3, 4, 5, 8, 50, 100)]
+                  + [("Q4n", n) for n in (2, 3, 6, 25, 50)] + [("Hp", p) for p in (3, 5, 7)])
+
+
+def _cyclic_table(tmp_path, n, root):
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(cyclic_spec(n, root)))
+    return load_group_spec(str(path)).table
+
+
+@pytest.mark.parametrize("group", [*ONE_DIM_GROUPS, "C8-at-16"], ids=str)
+def test_one_dim_exponents_are_the_k_plus_q_row_interners(tmp_path, group):
+    # the powers are looked up in the table's value ids; the reference
+    # interns them with the rows in a fresh interner.  C8 stores its values
+    # over zeta_16, above its exponent
+    table = _cyclic_table(tmp_path, 8, 16) if group == "C8-at-16" else get_group(*group)
+    linear = [chi for chi in table.irreducibles if chi.values[0] == 1]
+    assert linear
+    for chi in linear:
+        assert one_dim_forms(chi, table).exponents == reference_one_dim_exponents(chi, table)
 
 
 def test_one_dim_agrees_with_engine():

@@ -138,9 +138,8 @@ def test_complete_power_maps_derives_unit_primes():
     match = model.matching
     assert all(match[builtin[c]] == derived[match[c]] for c in range(5))
     # dropping a required (dividing) prime is an error
-    rows = [list(chi.values) for chi in g21.irreducibles]
     with pytest.raises(KeyError):
-        complete_power_maps(21, {3: g21.classes.prime_power_maps[3]}, rows)
+        complete_power_maps(21, {3: g21.classes.prime_power_maps[3]}, g21._columns)
 
 
 def test_class_function_algebra():
@@ -184,3 +183,7 @@ def test_column_ids_are_equal_exactly_when_the_values_are(grid):
     for v, a in zip(flat, ids):
         for w, b in zip(flat, ids):
             assert (a == b) == (v == w)
+    # a lookup gives the id of an equal value, None if the grid holds none
+    probes = flat + [v.conjugate() for v in flat]
+    for v, a in zip(probes, cols.lookup(probes)):
+        assert a == next((b for w, b in zip(flat, ids) if w == v), None)
