@@ -416,7 +416,8 @@ class Cyclotomic:
         return self + (-o)
 
     def __rsub__(self, other: Scalar) -> "Cyclotomic":
-        return (-self) + other
+        o = Cyclotomic._coerce(other)
+        return NotImplemented if o is NotImplemented else o - self
 
     def __mul__(self, other: Scalar) -> "Cyclotomic":
         o = Cyclotomic._coerce(other)
@@ -471,11 +472,13 @@ class Cyclotomic:
 
     def __rtruediv__(self, other: Scalar) -> "Cyclotomic":
         o = Cyclotomic._coerce(other)
-        return o * self.inverse()
+        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, n: int) -> "Cyclotomic":
         if n < 0:
             return self.inverse() ** (-n)
+        if n and self.is_rational():  # one integer power, at the order the loop gives
+            return Cyclotomic._raw(self.order, (self.num[0] ** n,) + self.num[1:], self.den ** n)
         result = Cyclotomic.from_rational(1)
         base = self
         while n:

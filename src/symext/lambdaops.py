@@ -12,11 +12,11 @@ The lambda recurrence stops once lambda_t(c) is shown to be a polynomial
 only when it is first read.
 
 ``power_sum_check`` recomputes S^n from psi alone as an independent route
-and compares every class against it.  The lambda series at a class is a
-function of its psi-sequence (chi(c), chi(c^2), ..., chi(c^M)) alone, the S
-series of its lambda column, and the power-sum series of its psi-sequence;
-a sequence's ``SeriesShare`` runs each once per distinct key (a Galois image
-of the series at the representative off the representatives).
+and compares every class against it.  The lambda, S and power-sum series
+at a class are functions of its psi-sequence (chi(c), chi(c^2), ...,
+chi(c^M)) alone; ``compute`` keys each class once by it in a
+``SeriesShare``, and each series of an entry runs once (a Galois image of
+the series at the representative off the representatives).
 The three recurrences run in one engine (``_recurrence``) on integer
 coordinates: the given is read once at its working order over its common
 denominator, a step is one integer dot product (of packed coordinates, or
@@ -221,48 +221,46 @@ def _scalar_power_sums(psi: list[Cyclotomic], M: int) -> list[Cyclotomic]:
 
 
 class SeriesShare:
-    """The per-class series of one request, keyed by the column they are a
-    function of: psi^1..psi^M at c for the lambda and the power-sum series,
-    lambda^1..lambda^M at c for the S series.
+    """The per-class series of one request, keyed by psi^1..psi^M at c.
 
     Every class with one key, of one character or of several, reads one
-    column of ``cols``.  Each value (order, num, den) is interned to a small
-    id in ``ids``, and a key is one int: the ids in four-byte slots under a
-    top byte naming the route (``tag``), so it also fixes M.  Make one share
-    per request and drop it after: it grows with every new key and is never
-    pruned.
+    entry of ``entries``: its [lambda, S, power-sum] series, each None until
+    first read.  Each value is interned to a small id in ``ids``, a rational
+    by its value (num, den) at any stored order, since no route lifts one,
+    any other by (order, num, den).  A key is one int: the ids in four-byte
+    slots under one top byte, so it also fixes M.  Make one share per request
+    and drop it after: it grows with every new key and is never pruned.
     """
 
-    __slots__ = ("ids", "cols")
+    __slots__ = ("ids", "entries")
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
-        self.cols: dict[int, object] = {}
+        self.entries: dict[int, list] = {}
 
-    def columns(self, cd, orbits, key_cols, route, tag: int) -> list[list[Cyclotomic]]:
-        """The series route(key_cols[c]) for every class c: read off the
-        share if c's key column is in it under ``tag``, else computed at the
-        representative r of c's orbit (``orbits``, as ``galois_orbits``
-        gives them) and sigma_u of r's series at c = r^u, since the key
-        column at r^u is sigma_u of the one at r; then added to the share."""
-        # every key before any route: keys made amid route temporaries cost 0.3 MB RSS
-        ids, slots, keys, out, top = self.ids, {}, [], [], tag.to_bytes(1, "little")
-        for col in key_cols:
+    def entries_of(self, psi_cols) -> tuple[list, ...]:
+        """The entry of each class, by the key of its psi column."""
+        ids, entries, slots, keys = self.ids, self.entries, {}, []
+        for col in psi_cols:
             parts = []
             for v in col[1:]:
                 s = slots.get(id(v))
                 if s is None:
-                    i = ids.setdefault((v.order, v.num, v.den), len(ids))
-                    s = slots[id(v)] = i.to_bytes(4, "little")
+                    k = (v.num[0], v.den) if v.is_rational() else (v.order, v.num, v.den)
+                    s = slots[id(v)] = ids.setdefault(k, len(ids)).to_bytes(4, "little")
                 parts.append(s)
-            keys.append(int.from_bytes(b"".join(parts) + top, "little"))
-        for c, ((r, u), key) in enumerate(zip(orbits, keys)):
-            col = self.cols.get(key)
-            if col is None:
-                col = self.cols[key] = route(key_cols[c]) if r == c else [
-                    cd.galois_image(v, u) for v in out[r]]
-            out.append(col)
-        return out
+            keys.append(int.from_bytes(b"".join(parts) + b"\1", "little"))
+        return tuple(entries.get(k) or entries.setdefault(k, [None] * 3) for k in keys)
+
+
+def _fill(cd, orbits, entries, slot: int, route) -> list[list[Cyclotomic]]:
+    """Slot ``slot`` of each class's entry, filled where None: route(c) at
+    the representative r of c's orbit (``orbits``), else sigma_u of r's
+    series at c = r^u, as the psi column at r^u is sigma_u of r's."""
+    for c, ((r, u), e) in enumerate(zip(orbits, entries)):
+        if e[slot] is None:
+            e[slot] = route(c) if r == c else [cd.galois_image(v, u) for v in entries[r][slot]]
+    return [e[slot] for e in entries]
 
 
 def _psi_columns(chi: ClassFunction, M: int) -> list[list]:
@@ -278,8 +276,9 @@ class LambdaSequence:
     """chi together with its lambda values up to a degree bound, and its S
     values when first read (psi^n of chi is ``adams(base, n)``).
 
-    S is a function of lambda, and ``share`` holds the series the sequence
-    reads and adds, so neither is shown nor compared.
+    S is a function of lambda; ``share`` and ``entries``, each class's entry
+    in it, hold the series the sequence reads and adds, so none is shown or
+    compared.
     """
 
     base: ClassFunction
@@ -287,6 +286,7 @@ class LambdaSequence:
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
     orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
     share: SeriesShare = field(repr=False, compare=False)
+    entries: tuple[list, ...] = field(repr=False, compare=False)
 
     @classmethod
     def compute(
@@ -301,16 +301,17 @@ class LambdaSequence:
         With ``expect_character`` the degree bound lambda^n = 0 for
         n > chi(identity) is asserted, which catches corrupted tables; leave
         it off for virtual characters, where the bound does not apply.
-        Columns are read from and added to ``share`` (a fresh one if None),
-        which the sequence keeps for ``syms`` and ``power_sum_check``.
+        Each class is keyed once in ``share`` (a fresh one if None), before
+        any route runs: keys made amid route temporaries cost 0.3 MB RSS.
         """
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
         cd = chi.data
         share = SeriesShare() if share is None else share
         orbits = cd.galois_orbits(chi.values)
-        route = lambda psi: _scalar_lambdas(psi, M)
-        cols = share.columns(cd, orbits, _psi_columns(chi, M), route, 1)
+        psi = _psi_columns(chi, M)
+        entries = share.entries_of(psi)
+        cols = _fill(cd, orbits, entries, 0, lambda c: _scalar_lambdas(psi[c], M))
         if expect_character:
             try:
                 d = integral_degree(chi)
@@ -320,16 +321,13 @@ class LambdaSequence:
                 if any(col[n] is not _ZERO and col[n] for col in cols):
                     raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
         lambdas = tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
-        return cls(base=chi, degree_bound=M, lambdas=lambdas, orbits=orbits, share=share)
+        return cls(chi, M, lambdas, orbits, share, entries)
 
     @cached_property
     def syms(self) -> tuple[ClassFunction, ...]:
-        """S^0 .. S^M, run at the first read from the lambda column at each
-        class and keyed by it in ``share``; lambda at r^u is sigma_u(lambda
-        at r), so ``orbits`` carries the S series too."""
-        cd, M = self.base.data, self.degree_bound
-        lam_cols = list(zip(*(f.values for f in self.lambdas)))
-        cols = self.share.columns(cd, self.orbits, lam_cols, lambda lam: _scalar_syms(lam, M), 2)
+        """S^0 .. S^M, run at the first read from each entry's lambda series."""
+        cd, M, entries = self.base.data, self.degree_bound, self.entries
+        cols = _fill(cd, self.orbits, entries, 1, lambda c: _scalar_syms(entries[c][0], M))
         return tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
 
 
@@ -373,21 +371,20 @@ def power_sum_check(seq: LambdaSequence) -> None:
     agreement on S certifies the lambda values as well.
 
     The route is a function of the psi-sequence at a class, read off
-    ``seq.base`` and keyed in ``seq.share`` apart from the lambda and S
-    columns, so it runs at most once per distinct sequence and once per
-    rational class (``seq.orbits``; an incompatible chi makes every class its
-    own orbit).  At a class c = r^u with a new sequence the
-    route is sigma_u of the route at r.  Every step of the route is ring
-    operations and a division by an integer, so it commutes with sigma_u,
-    and psi at r^u is sigma_u(psi at r): the image is the route at c.  The
-    stored S^n is compared at every class.  A wrong image map shared with
-    ``compute`` is not seen here; ``MultiplicityTable.certify`` catches it,
-    since its reconstruction sum_j q_j chi_j is compatible and is compared
-    with S^n at every class.
+    ``seq.base`` into the entry of the class, so it runs at most once per
+    distinct sequence and once per rational class (``seq.orbits``; an
+    incompatible chi makes every class its own orbit).  At a class c = r^u
+    with a new sequence the route is sigma_u of the route at r.  Every step
+    of the route is ring operations and a division by an integer, so it
+    commutes with sigma_u, and psi at r^u is sigma_u(psi at r): the image is
+    the route at c.  The stored S^n is compared at every class.  A wrong
+    image map shared with ``compute`` is not seen here;
+    ``MultiplicityTable.certify`` catches it, since its reconstruction
+    sum_j q_j chi_j is compatible and is compared with S^n at every class.
     """
     cd, M, syms = seq.base.data, seq.degree_bound, seq.syms
-    psi_cols = _psi_columns(seq.base, M)
-    routes = seq.share.columns(cd, seq.orbits, psi_cols, lambda psi: _scalar_power_sums(psi, M), 3)
+    psi = _psi_columns(seq.base, M)
+    routes = _fill(cd, seq.orbits, seq.entries, 2, lambda c: _scalar_power_sums(psi[c], M))
     for c, route in enumerate(routes):
         for n in range(1, M + 1):
             if route[n] != syms[n].values[c]:

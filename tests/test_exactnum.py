@@ -171,3 +171,31 @@ def test_from_rational_of_a_bool_stores_an_int():
     v = Cyclotomic.from_rational(True)
     assert (v.order, v.num, v.den) == (1, (1,), 1)
     assert type(v.num[0]) is int
+
+
+@pytest.mark.parametrize("other", [1.5, "x"])
+def test_reflected_operators_name_an_operand_that_is_not_rational(other):
+    # the reflected operator gives way, so Python names the operator and both types
+    z = zeta(5) + 2
+    for op, apply in [("-", lambda a, b: a - b), ("/", lambda a, b: a / b)]:
+        message = f"unsupported operand type(s) for {op}: '{type(other).__name__}' and 'Cyclotomic'"
+        with pytest.raises(TypeError) as info:
+            apply(other, z)
+        assert str(info.value) == message
+
+
+@given(st.integers(0, 12), st.sampled_from([1, 2, 4, 50]),
+       st.fractions(-5, 5, max_denominator=7))
+@example(0, 50, Fraction(0))
+@example(3, 50, Fraction(0))
+@example(0, 4, Fraction(-2, 3))
+def test_a_power_of_a_rational_is_repeated_multiplication(n, order, q):
+    v = Cyclotomic(order, [q] + [0] * (totient(order) - 1))
+    want = Cyclotomic.from_rational(1)
+    for _ in range(n):
+        want = want * v
+    got = v ** n
+    assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+    if q:
+        inv = v ** -n
+        assert inv * got == 1 and inv.order == got.order

@@ -69,7 +69,7 @@ def reference(psi, M):
 
 def assert_matches_reference(f, M):
     seq = LambdaSequence.compute(f, M)
-    seq.syms  # the share now holds S columns, keyed by lambda columns
+    seq.syms  # the share's entries now hold S series too
     again = LambdaSequence.compute(f, M, share=seq.share)
     wants = {}  # the reference once per psi-sequence
     for c in range(f.data.class_count):
@@ -273,7 +273,7 @@ def reference_syms_at(f, c, M):
 def test_a_lambda_column_is_never_served_as_s_from_one_share():
     # at M = 2 the constant 3 has psi^1..2 = lambda^1..2 = 3, 3 at every class,
     # and (1, 2, 0) on S3 has at C2 the psi-sequence 2, 1 that is lambda^1..2
-    # of the constant 2: each is one key under the lambda and the S tag
+    # of the constant 2: a share keying S by lambda, beside psi, would confuse them
     cd = get_group("S3").classes
     jobs = [(ClassFunction.constant(cd, 3), 2), (ClassFunction.constant(cd, 2), 2),
             (ClassFunction(cd, [1, 2, 0]), 2)]

@@ -14,9 +14,11 @@ values stored at high orders, values of mixed orders, and coordinates at the
 edge of the packed slot width.  The power-sum check runs its route at most
 once per rational class and once per distinct psi-sequence; the
 deterministic tests at the end move S^n at every other class and count the
-routes it runs.
+routes it runs.  ``compute`` keys each class once, by its psi-sequence with
+each rational by value, and ``syms`` and ``power_sum_check`` key none.
 """
 
+import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -417,3 +419,40 @@ def test_power_sum_check_runs_its_route_once_per_rational_class(monkeypatch):
     calls.clear()
     power_sum_check(seq)
     assert len(calls) == 1
+
+
+def test_each_compute_keys_its_classes_once_and_the_reads_key_none(monkeypatch):
+    # syms and power_sum_check read the sequence's entries: they run with no
+    # share at all, and every key pass is one compute's
+    real, passes = SeriesShare.entries_of, []
+    monkeypatch.setattr(SeriesShare, "entries_of", lambda *a: passes.append(1) or real(*a))
+    share = SeriesShare()
+    for chi in list(get_group("D2n", 5).irreducibles) + list(get_group("Hp", 3).irreducibles):
+        for s in (None, share):
+            passes.clear()
+            seq = LambdaSequence.compute(chi, 6, share=s)
+            assert len(passes) == 1
+            bare = dataclasses.replace(seq, share=None)
+            assert bare.syms == seq.syms and verdict(power_sum_check, bare) == "ok"
+            assert len(passes) == 1
+
+
+def test_a_rational_keys_one_entry_at_any_stored_order():
+    # the constant 2 at order 1, at order 6, and at orders 6, 1 and 3 by
+    # class: one psi-sequence by value, so one entry whose lambda, S and
+    # power-sum series are the references' by repr, at order 1
+    cd, M = get_group("S3").classes, 5
+    fs = [ClassFunction(cd, vs) for vs in (
+        [2] * 3, [Cyclotomic.from_terms(6, [(0, 2)])] * 3, [rational_at(2, 6), 2, rational_at(2, 3)])]
+    share = SeriesShare()
+    seqs = [LambdaSequence.compute(f, M, share=share) for f in fs]
+    assert len(share.entries) == 1
+    for seq in seqs:
+        power_sum_check(seq)
+        for c, (lam, sym, psum) in enumerate(seq.entries):
+            psi = psi_at(seq.base, c, M)
+            want = reference_lambdas(psi, M)
+            assert [g.values[c] for g in seq.lambdas] == lam and matches(lam, want, [None])
+            assert [g.values[c] for g in seq.syms] == sym
+            assert matches(sym, reference_syms(want, M), [None])
+            assert matches(psum, reference_power_sums(psi, M), [None])
