@@ -32,7 +32,7 @@ PARAM_FAMILIES = ("D2n", "Q4n", "Hp")
 
 # power-basis arithmetic in Q(zeta_N) slows down as phi(N) grows; these caps
 # keep table construction interactive and are documented in the README
-PARAM_CAPS = {"D2n": 100, "Q4n": 50, "Hp": 7}
+PARAM_CAPS = {"D2n": 100, "Q4n": 50, "Hp": 11}
 
 
 class NoModelError(ValueError):

@@ -88,12 +88,12 @@ EXIT_INTERNAL = 3
 
 # Largest --degree (decompose, closedform, verify) and genfun --series: the
 # recurrences grow about as degree^2 per class, the class sums with the size
-# of the integers; at 1000 the largest builtin regular character takes seconds.
+# of the integers; at 1000 the largest builtin regular character takes minutes.
 MAX_DEGREE = 1000
-# Largest spec-file root_order N and class count k (builtins: 100 and 55):
+# Largest spec-file root_order N and class count k (builtins: 100 and 131):
 # reduction rows cost O(N phi(N)), the table check O(k^3) packed products.
 MAX_ROOT_ORDER = 1000
-MAX_CLASSES = 100
+MAX_CLASSES = 131
 
 
 class InputError(ValueError):

@@ -3,21 +3,28 @@
 Groups are given by generators on points 0..n-1 and closed by breadth-first
 search, which keeps the element order deterministic.  From the enumerated
 group we read off the full conjugacy-class skeleton (sizes, orders, inverse
-pairing, power maps) and the standard permutation characters.  No stabilizer
-chains: the groups of interest are desk-scale and a hard cap guards misuse.
+pairing, power maps) and the standard permutation characters.  The one
+structure kept beside the element list is a base B in Sims's sense: points
+that only the identity fixes all of, the first level of a stabilizer chain.
+If g and h agree on B then g⁻¹h fixes B pointwise, so g = h: an element is
+determined by its images of B.  Conjugates and powers are therefore named by
+|B| images each, not built as whole permutations.  The groups of interest
+are desk-scale and a hard cap guards misuse.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 from .groupdata import ClassData, ClassFunction
 from .exactnum import primes_below
 
 DEFAULT_CAP = 20000
-# Points of a cycle string lie in 0..MAX_POINTS-1 (the largest builtin model
-# acts on 343): a permutation stores one image per point.
+# Points of a cycle string lie in 0..MAX_POINTS-1: a permutation stores one
+# image per point.  The builtin models are built in code, and Hp:11's acts on
+# 1,331 points, more than a cycle string can name.
 MAX_POINTS = 1000
 MAX_DIGITS = 18  # of an input integer: far above every bound checked after the read
 
@@ -70,6 +77,8 @@ class Permutation:
         if re.sub(r"\([^()]*\)|\s", "", text):
             raise ValueError(f"unparsed cycle text: {text!r}")
         n = degree if degree is not None else (max(seen) + 1 if seen else 1)
+        if seen and max(seen) >= n:
+            raise ValueError(f"point {max(seen)} is not in 0..{n - 1}, the points of degree {n}")
         images = list(range(n))
         for pts in cycles:
             for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -84,9 +93,12 @@ class Permutation:
         # (a*b)(x) = a(b(x))
         if len(self.images) != len(other.images):
             raise ValueError(f"degrees differ: {self.degree} and {other.degree}")
-        # a product of permutations is one: skip the check in __init__
+        # a product of permutations is one: skip the check in __init__; with
+        # one index itemgetter returns the image itself, and the only
+        # permutation of degree 1 or 0 is the identity
+        images = other.images
         product = object.__new__(Permutation)
-        product.images = tuple(map(self.images.__getitem__, other.images))
+        product.images = itemgetter(*images)(self.images) if len(images) > 1 else self.images
         return product
 
     def inverse(self) -> "Permutation":
@@ -143,15 +155,19 @@ class Permutation:
 
 
 class GeneratedGroup:
-    """The closure of a generating set, with a position lookup per element."""
+    """The closure of a generating set, with a base and the position of each
+    element keyed by its images of the base."""
 
-    __slots__ = ("degree", "generators", "elements", "element_index", "_classes")
+    __slots__ = ("degree", "generators", "elements", "base", "base_index", "_classes")
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = list(elements)
-        self.element_index = {g: i for i, g in enumerate(self.elements)}
+        self.base = _find_base(self.elements)
+        self.base_index = {
+            tuple(map(g.images.__getitem__, self.base)): i for i, g in enumerate(self.elements)
+        }
         self._classes = None
 
     def conjugacy_classes(self) -> list[list[int]]:
@@ -204,61 +220,99 @@ def enumerate_group(generators, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     return GeneratedGroup(degree, gens, elements)
 
 
+def _find_base(elements: list[Permutation]) -> tuple[int, ...]:
+    """A base, found greedily: the first point moved by some element that
+    fixes the points so far, until only the identity (elements[0]) does."""
+    base = []
+    movers = elements[1:]
+    while movers:
+        point = min(next(x for x, im in enumerate(g.images) if x != im) for g in movers)
+        base.append(point)
+        movers = [g for g in movers if g.images[point] == point]
+    return tuple(base)
+
+
+def _base_cycles(images: tuple[int, ...], base: tuple[int, ...]) -> list[list[int]]:
+    """The cycle through each base point, starting at it.  The element's
+    k-th power sends b to cycle_b[k % len(cycle_b)], and its order is the lcm
+    of these lengths: a power that fixes the base is the identity."""
+    cycles = []
+    for b in base:
+        cycle = [b]
+        x = images[b]
+        while x != b:
+            cycle.append(x)
+            x = images[x]
+        cycles.append(cycle)
+    return cycles
+
+
 def _sorted_classes(group: GeneratedGroup) -> list[list[int]]:
     """Conjugacy classes as sorted index lists, in a deterministic order.
 
-    Each class is the orbit of conjugation by the generators (BFS); classes
-    are sorted by (representative order, size, lexicographically least
-    member), which puts the identity first.
+    Each class is the orbit of conjugation by the generators (BFS), with
+    g·h·g⁻¹ named by its images g[h[g⁻¹[b]]] of the base; classes are sorted
+    by (representative order, size, lexicographically least member), which
+    puts the identity first.
     """
-    index = group.element_index
-    inv_gens = [(g, g.inverse()) for g in group.generators]
+    index, elements = group.base_index, group.elements
+    conjugators = [
+        (g.images.__getitem__, [g.inverse().images[b] for b in group.base])
+        for g in group.generators
+    ]
     unassigned = set(range(len(group)))
     classes: list[list[int]] = []
     while unassigned:
         start = min(unassigned)
         orbit = {start}
-        frontier = [group.elements[start]]
+        frontier = [start]
         while frontier:
             nxt = []
             for h in frontier:
-                for g, gi in inv_gens:
-                    cand = g * h * gi
-                    ci = index[cand]
+                h_at = elements[h].images.__getitem__
+                for g_at, pulled_base in conjugators:
+                    ci = index[tuple(map(g_at, map(h_at, pulled_base)))]
                     if ci not in orbit:
                         orbit.add(ci)
-                        nxt.append(cand)
+                        nxt.append(ci)
             frontier = nxt
         unassigned -= orbit
         classes.append(sorted(orbit))
 
     def sort_key(cls: list[int]):
-        rep = min(group.elements[i].images for i in cls)
-        return (group.elements[cls[0]].order(), len(cls), rep)
+        rep = min(elements[i].images for i in cls)
+        order = lcm(*map(len, _base_cycles(elements[cls[0]].images, group.base)))
+        return (order, len(cls), rep)
 
     classes.sort(key=sort_key)
     return classes
 
 
 def class_data(group: GeneratedGroup) -> ClassData:
-    """Partition the group into conjugacy classes and package the skeleton."""
-    index = group.element_index
+    """Partition the group into conjugacy classes and package the skeleton.
+
+    Each representative's powers are read off its cycles through the base."""
+    index = group.base_index
     classes = group.conjugacy_classes()
     assert group.elements[classes[0][0]] == Permutation.identity(group.degree)
 
     k = len(classes)
-    class_of = {}
+    class_of = [0] * len(group)
     for ci, cls in enumerate(classes):
         for i in cls:
             class_of[i] = ci
-    reps = [group.elements[cls[0]] for cls in classes]
+    cycles = [_base_cycles(group.elements[cls[0]].images, group.base) for cls in classes]
     sizes = [len(cls) for cls in classes]
-    rep_orders = [r.order() for r in reps]
+    rep_orders = [lcm(*map(len, cycs)) for cycs in cycles]
     exponent = lcm(*rep_orders)
-    inverse_class = [class_of[index[r.inverse()]] for r in reps]
+
+    def power_class(cycs: list[list[int]], n: int) -> int:
+        return class_of[index[tuple(cycle[n % len(cycle)] for cycle in cycs)]]
+
+    inverse_class = [power_class(cycs, o - 1) for cycs, o in zip(cycles, rep_orders)]
     prime_maps = {}
     for p in primes_below(exponent + 1):
-        prime_maps[p] = tuple(class_of[index[r**p]] for r in reps)
+        prime_maps[p] = tuple(power_class(cycs, p) for cycs in cycles)
     names = [f"C{i+1}" for i in range(k)]
     return ClassData(
         group_order=len(group),

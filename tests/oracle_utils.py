@@ -14,7 +14,10 @@ together with the table's rows in a fresh ``_Columns``, where
 ``one_dim_forms`` looks them up in the table's own.  ``reference_lambda_values`` is Newton's
 lambda recurrence run at every step with no stop rule, in plain
 ``Cyclotomic`` arithmetic.  ``with_syms`` plants S values in a sequence, the
-mutant that the checks reading S must reject.
+mutant that the checks reading S must reject.  ``reference_sorted_classes``
+and ``reference_class_data`` are the class skeleton of a permutation group
+built from whole permutations: every conjugate, power and inverse is a
+degree-length product, looked up in a dict of all elements.
 """
 
 import dataclasses
@@ -23,9 +26,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 import random
 
-from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact
+from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact, primes_below
 from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
-from symext.groupdata import ClassFunction, _Columns
+from symext.groupdata import ClassData, ClassFunction, _Columns
 from symext.lambdaops import LambdaSequence, power_sum_check
 
 
@@ -342,3 +345,61 @@ def cyclic_spec(n, root):
                     for j in range(n)]
     return {"format_version": 1, "name": f"C{n}", "order": n, "root_order": root,
             "classes": classes, "irreducibles": irreducibles}
+
+
+def reference_sorted_classes(group):
+    """``permgroup._sorted_classes`` on whole permutations: the orbits of
+    conjugation by the generators, sorted by (representative order, size,
+    least member)."""
+    index = {g: i for i, g in enumerate(group.elements)}
+    inv_gens = [(g, g.inverse()) for g in group.generators]
+    unassigned = set(range(len(group)))
+    classes = []
+    while unassigned:
+        start = min(unassigned)
+        orbit = {start}
+        frontier = [group.elements[start]]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g, gi in inv_gens:
+                    cand = g * h * gi
+                    ci = index[cand]
+                    if ci not in orbit:
+                        orbit.add(ci)
+                        nxt.append(cand)
+            frontier = nxt
+        unassigned -= orbit
+        classes.append(sorted(orbit))
+
+    def sort_key(cls):
+        rep = min(group.elements[i].images for i in cls)
+        return (group.elements[cls[0]].order(), len(cls), rep)
+
+    classes.sort(key=sort_key)
+    return classes
+
+
+def reference_class_data(group):
+    """``permgroup.class_data`` on whole permutations: r.order(),
+    r.inverse() and r**p of each representative r."""
+    index = {g: i for i, g in enumerate(group.elements)}
+    classes = reference_sorted_classes(group)
+    class_of = {}
+    for ci, cls in enumerate(classes):
+        for i in cls:
+            class_of[i] = ci
+    reps = [group.elements[cls[0]] for cls in classes]
+    rep_orders = [r.order() for r in reps]
+    exponent = lcm(*rep_orders)
+    return ClassData(
+        group_order=len(group),
+        exponent=exponent,
+        names=[f"C{i+1}" for i in range(len(classes))],
+        sizes=[len(cls) for cls in classes],
+        rep_orders=rep_orders,
+        inverse_class=[class_of[index[r.inverse()]] for r in reps],
+        prime_power_maps={
+            p: tuple(class_of[index[r**p]] for r in reps) for p in primes_below(exponent + 1)
+        },
+    )

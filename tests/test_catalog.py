@@ -58,7 +58,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         get_group("Hp", 4)
     with pytest.raises(ValueError):
-        get_group("Hp", 11)
+        get_group("Hp", 13)
     with pytest.raises(ValueError):
         get_group("Frob20")
     with pytest.raises(ValueError):

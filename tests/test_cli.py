@@ -546,7 +546,7 @@ def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, 
         (lambda doc: {**doc, "classes": []}, "classes must not be empty"),
         (lambda doc: _set_class_field(doc, 1, "size", 0), "classes[1]: size"),
         (lambda doc: _set_class_field(doc, 2, "rep_order", 0), "classes[2]: size"),
-        (lambda doc: {**doc, "classes": doc["classes"] * 34},
+        (lambda doc: {**doc, "classes": doc["classes"] * (MAX_CLASSES // 3 + 1)},
          f"at most {MAX_CLASSES} classes"),
         (lambda doc: _set_field(doc, "root_order", 0), f"root_order must be in 1..{MAX_ROOT_ORDER}"),
         (lambda doc: _set_field(doc, "root_order", 6 * (MAX_ROOT_ORDER // 6 + 1)),
@@ -980,9 +980,37 @@ def test_points_outside_the_cap_are_an_input_error(gens, group):
     ]
 
 
+# verify's report on a group generated without a table
+GENERATED_REPORT = (
+    "check                       status  detail\n"
+    "class-data-structure        ok\n"
+    "power-map-composition       ok\n"
+    "regular-character-periodic  ok\n"
+    "regular-product-form        ok\n"
+    "natural-character-periodic  ok\n"
+)
+
+
 def test_the_point_cap_admits_the_cap():
-    code, _, err = run_cli(["verify", "--generators", f"(0 {permgroup.MAX_POINTS - 1})"])
-    assert code == EXIT_OK and err == ""
+    # an order-2 group on 1000 points, with a base of one point
+    code, out, err = run_cli(["verify", "--generators", f"(0 {permgroup.MAX_POINTS - 1})"])
+    assert code == EXIT_OK and err == "" and out == GENERATED_REPORT
+
+
+def test_the_trivial_group_of_degree_1_verifies():
+    # one point and an empty base; a product of degree 1 is one image
+    code, out, err = run_cli(["verify", "--generators", "()"])
+    assert code == EXIT_OK and err == "" and out == GENERATED_REPORT
+
+
+def test_hp11_is_realized_by_its_affine_action_on_121_points():
+    # the builtin model of Hp:11 acts on 1,331 points, more than a cycle string
+    # can name; (u, v) -> (u + 1, v) and (u, v) -> (u, v + u) on F_11^2 is faithful
+    p = 11
+    shift = permgroup.Permutation([(i + p) % p**2 for i in range(p**2)])
+    shear = permgroup.Permutation([i - i % p + (i + i // p) % p for i in range(p**2)])
+    ctx = cli.resolve_group(argparse.Namespace(group="Hp:11", generators=f"{shift!r};{shear!r}"))
+    assert ctx.model.group.degree == p**2 and len(ctx.model.group) == p**3
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symext.catalog import get_group, get_perm_model
+from oracle_utils import reference_class_data, reference_sorted_classes
+from symext import cli
+from symext.catalog import FIXED_FAMILIES, get_group, get_perm_model
 from symext.groupdata import decompose, integral_multiplicities
 from symext.permgroup import (
     CapExceededError,
@@ -49,6 +51,20 @@ def test_products_of_mixed_degrees_raise(ab):
         a * b
     with pytest.raises(ValueError):
         b * a
+
+
+def test_products_of_degree_one_and_zero():
+    # itemgetter with one index returns the image, not a tuple of it
+    for n in (1, 0):
+        assert (Permutation.identity(n) * Permutation.identity(n)).images == tuple(range(n))
+
+
+@pytest.mark.parametrize("text, degree, point", [("(0 5)", 3, 5), ("(0 1)", 0, 1)])
+def test_a_point_outside_the_given_degree_is_a_value_error(text, degree, point):
+    with pytest.raises(ValueError) as raised:
+        P(text, degree)
+    message = f"point {point} is not in 0..{degree - 1}, the points of degree {degree}"
+    assert str(raised.value) == message
 
 
 def test_permutation_basics():
@@ -149,3 +165,47 @@ def test_regular_decomposes_as_degrees():
 
         mults = integral_multiplicities(decompose(regular_character(tab.classes), tab))
         assert mults == tab.degrees()
+
+
+def _assert_base_skeleton(group):
+    # B is a base: only the identity fixes every point of it
+    fixers = [g for g in group if all(g.images[b] == b for b in group.base)]
+    assert fixers == [Permutation.identity(group.degree)]
+    assert group.conjugacy_classes() == reference_sorted_classes(group)
+    assert class_data(group) == reference_class_data(group)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(perms(n), min_size=1, max_size=3)))
+@example([Permutation.identity(1)])
+@example([Permutation.identity(6)])
+@example([Permutation.identity(4), P("(0 1 2 3)")])
+def test_the_base_skeleton_equals_the_whole_permutation_reference(gens):
+    try:
+        group = enumerate_group(gens, cap=720)
+    except CapExceededError:
+        assume(False)
+    _assert_base_skeleton(group)
+
+
+BASE_SIZES = {"D2n": 2, "Q4n": 1, "Hp": 1}  # Q4n and Hp act regularly
+
+
+@pytest.mark.parametrize(
+    "family, param",
+    [(f, None) for f in FIXED_FAMILIES]
+    + [("D2n", n) for n in (3, 4, 49, 100)]
+    + [("Q4n", n) for n in (2, 3, 50)]
+    + [("Hp", p) for p in (3, 7, 11)],
+)
+def test_every_builtin_model_has_the_reference_skeleton(family, param):
+    group = get_perm_model(family, param).group
+    if family in BASE_SIZES:
+        assert len(group.base) == BASE_SIZES[family]
+    _assert_base_skeleton(group)
+
+
+def test_the_generated_s4_has_the_reference_skeleton():
+    group = cli._enumerate_generators(["(0 1)", "(0 1 2 3)"])
+    assert group.base == (0, 1, 2)
+    _assert_base_skeleton(group)
