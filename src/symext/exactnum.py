@@ -92,7 +92,12 @@ def unit_lift(u: int, m: int, n: int) -> int:
 
 
 def primes_below(n: int) -> list[int]:
-    return [p for p in range(2, n) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    """The primes p < n, by a sieve."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p, prime in enumerate(sieve) if prime]
 
 
 def binom(r: RationalLike, n: int) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -126,15 +127,21 @@ class ClassData:
         if self._orbits is None:
             e, k = self.exponent, self.class_count
             orbit, stabs = [None] * k, {}
+            units = [u for u in range(1, e + 1) if gcd(u, e) == 1]
+            maps = [self.power_map(u) for u in units]
             for r in range(k):
                 if orbit[r] is None:
                     gens, span = stabs.setdefault(r, []), {1 % e}
-                    for u in (u for u in range(1, e + 1) if gcd(u, e) == 1):
-                        c = self.power_map(u)[r]
+                    for u, pm in zip(units, maps):
+                        c = pm[r]
                         orbit[c] = orbit[c] or (r, u)
                         if c == r and u % e not in span:
                             gens.append(u)
-                            span = {x * pow(u, i, e) % e for x in span for i in range(e)}
+                            cosets, x = [1], u % e  # u^i below the order of u mod span
+                            while x not in span:
+                                cosets.append(x)
+                                x = x * u % e
+                            span = {s * x % e for s in span for x in cosets}
             self._orbits = (tuple(orbit), stabs)
         return self._orbits
 
@@ -283,7 +290,8 @@ class ClassFunction:
 class CharacterTable:
     """Class data together with the irreducible characters over it."""
 
-    __slots__ = ("classes", "irreducibles", "labels", "name", "_columns", "_packed", "_orbits")
+    __slots__ = ("classes", "irreducibles", "labels", "name", "_columns", "_packed", "_orbits",
+                 "_route")
 
     def __init__(
         self,
@@ -303,8 +311,9 @@ class CharacterTable:
         self.name = name
         # the ids of every value, unless ``assemble_table`` built them first
         self._columns = columns or _Columns([chi.values for chi in self.irreducibles])
-        self._packed: _PackedRows | None = None  # built by decompose
+        self._packed: _PackedRows | None = None  # built by validate_table or decompose
         self._orbits: tuple | None = None  # built by character_orbits
+        self._route: tuple | None = None  # built by _rational_orbit
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(int(chi.values[0].to_rational()) for chi in self.irreducibles)
@@ -428,27 +437,84 @@ class _PackedRows:
         """(weights, classes): per row j, the integers |r| |O_r| sum_a x_a
         T_(a+b) for every r in classes and b < phi(N), where x are the
         coordinates of den * chi_j(r) and T_m = Tr(zeta_N^m) is the Ramanujan
-        sum c_N(m).  The classes are the representatives r of the rational
-        classes O_r when every row is Galois compatible, else every class c,
-        as its own orbit O_c = {c}."""
+        sum c_N(m); one trace vector per distinct value.  The classes are the
+        representatives r of the rational classes O_r when ``_rational_orbit``
+        finds them, else every class c, as its own orbit O_c = {c}."""
         if self.weights is None:
-            cd, n, weights = table.classes, self.order, []
-            orbit, phi = cd.rational_classes()[0], totient(n)
-            if any(cd.galois_orbits(chi.values) is not orbit for chi in table.irreducibles):
-                orbit = tuple((c, 1) for c in range(cd.class_count))
+            cd, n, weights, vectors = table.classes, self.order, [], {}
+            orbit = _rational_orbit(table) or tuple((c, 1) for c in range(cd.class_count))
             counts = Counter(r for r, _ in orbit)  # |O_r| by representative r
-            trace = [sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
-                     for m in range(2 * phi - 1)]
-            for chi in table.irreducibles:
+            trace, phi = _ramanujan_sums(n), totient(n)
+            for chi, ids in zip(table.irreducibles, table._columns.rows):
                 w = []
                 for r, size in counts.items():
-                    v = chi.values[r].lift(n)
-                    s = cd.sizes[r] * size * (self.den // v.den)
-                    w += [s * sum(x * trace[a + b] for a, x in enumerate(v.num) if x)
-                          for b in range(phi)]
+                    if ids[r] not in vectors:
+                        v = chi.values[r].lift(n)
+                        s, xs = self.den // v.den, [(a, x) for a, x in enumerate(v.num) if x]
+                        vectors[ids[r]] = [s * sum(x * trace[a + b] for a, x in xs)
+                                           for b in range(phi)]
+                    s = cd.sizes[r] * size
+                    w += [s * t for t in vectors[ids[r]]]
                 weights.append(w)
             self.weights = weights, list(counts)
         return self.weights
+
+
+def _packed_rows(table: CharacterTable) -> _PackedRows:
+    """The table's packed rows, at the lcm order of its values unless a
+    decomposition needed a larger one."""
+    if table._packed is None:
+        table._packed = _PackedRows(
+            table, lcm(*(v.order for chi in table.irreducibles for v in chi.values)))
+    return table._packed
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(n: int) -> tuple[int, ...]:
+    """T_m = Tr(zeta_n^m) = sum_(d | gcd(m, n)) mu(n/d) d for m < 2 phi(n) - 1."""
+    return tuple(sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
+                 for m in range(2 * totient(n) - 1))
+
+
+def _trace_terms(coords, classes: Sequence[int], inverse: Sequence[int], phi: int):
+    """(idx, xs): the nonzero coordinates xs of coords[r^-1] for each r of
+    the ``trace_weights`` classes, and their positions idx in its rows."""
+    idx, xs = [], []
+    for p, r in enumerate(classes):
+        for a, x in enumerate(coords[inverse[r]]):
+            if x:
+                idx.append(p * phi + a)
+                xs.append(x)
+    return idx, xs
+
+
+def _rational_orbit(table: CharacterTable, clean: bool | None = None) -> tuple | None:
+    """The orbit table of ``ClassData.rational_classes`` if the table's
+    inner products are sums over its rational classes, else None; read once
+    per table.  They are when ``clean`` (default: the class data has no
+    structural problem and chi(c^-1) = conj chi(c) holds throughout), the
+    irrational values have orders dividing the exponent e, each unit prime
+    p < e has a power map that is sigma_p on the value ids of every column,
+    and the class sizes are constant on each rational class: then every
+    row is Galois compatible, chi(c^u) = sigma_u(chi(c)), and with the
+    conjugation identity so is each term |c| chi_i(c) chi_j(c^-1) of
+    |G| <chi_i, chi_j>, which is therefore rational."""
+    if table._route is None:
+        cd, cols, e = table.classes, table._columns, table.classes.exponent
+        if clean is None:
+            clean = not cd.structural_problems() and not _conjugation_report(table)
+        units = [p for p in primes_below(e + 1) if e % p]
+        maps = cd.prime_power_maps
+        # a check depends only on p mod n and the map of p
+        ok = (clean and e % cols.n == 0 and all(p in maps for p in units)
+              and all(cols.image(c, u) == cols.cols[m[c]]
+                      for u, m in {(p % cols.n, maps[p]) for p in units}
+                      for c in range(cd.class_count)))
+        orbit = cd.rational_classes()[0] if ok else ()
+        if not all(cd.sizes[c] == cd.sizes[r] for c, (r, _) in enumerate(orbit)):
+            orbit = ()
+        table._route = orbit
+    return table._route or None
 
 
 def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coords):
@@ -513,23 +579,16 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     cd = table.classes
     if not any(f.values):
         return [0] * cd.class_count, 1
-    pr = table._packed or _PackedRows(
-        table, lcm(*(v.order for chi in table.irreducibles for v in chi.values))
-    )
+    pr = _packed_rows(table)
     n = lcm(pr.order, *(v.order for v in f.values))
     if n != pr.order:
-        pr = _PackedRows(table, n)
-    table._packed = pr
+        pr = table._packed = _PackedRows(table, n)
     fden = lcm(*(v.den for v in f.values))
     coords = [_coords(v, n) if v.den == fden else [x * (fden // v.den) for x in _coords(v, n)]
               for v in f.values]
     weights, classes = pr.trace_weights(table)
-    idx, gz, phi = [], [], totient(n)
-    for p, r in enumerate(classes):
-        for a, x in enumerate(coords[cd.inverse_class[r]]):
-            if x:
-                idx.append(p * phi + a)
-                gz.append(x)
+    phi = totient(n)
+    idx, gz = _trace_terms(coords, classes, cd.inverse_class, phi)
     nums = [sum(map(mul, map(row.__getitem__, idx), gz)) for row in weights]
     den = _certified(table, pr, nums, cd.group_order * phi * pr.den, fden, coords)
     if den is not None:
@@ -581,14 +640,32 @@ class _Columns:
         return tuple(self.ids.get(self._key(v)) for v in values)
 
     def image(self, c: int, u: int) -> tuple:
-        """The ids of sigma_u of column c, u a unit mod n, one ``galois`` per
-        irrational value and unit; None for a value in no column."""
+        """The ids of sigma_u of column c, u a unit mod n; None for a value
+        in no column."""
+        u %= self.n
+        if u == 1 % self.n:
+            return self.cols[c]
+        return tuple(map(self._images(u).__getitem__, self.cols[c]))
+
+    def _images(self, u: int) -> list:
+        """The id of sigma_u of every value, for 1 < u < n a unit mod n: one
+        ``galois`` per irrational value and prime u; for a composite u = p v
+        the list of p read at the list of v, where sigma_v stays in the table."""
         if u not in self.images:
-            images = (None if isinstance(num, int) else Cyclotomic._raw(self.n, num, den).galois(u)
-                      for num, den in self.ids)
-            self.images[u] = [i if w is None else self.ids.get((w.num, w.den))
-                              for i, w in enumerate(images)]
-        return tuple(self.images[u][i] for i in self.cols[c])
+            p = min(prime_factors(u))
+            if p == u:
+                out = [i if isinstance(num, int) else self._galois_id(num, den, u)
+                       for i, (num, den) in enumerate(self.ids)]
+            else:
+                first, rest, keys = self._images(p), self._images(u // p), list(self.ids)
+                out = [self._galois_id(*keys[i], u) if j is None else first[j]
+                       for i, j in enumerate(rest)]
+            self.images[u] = out
+        return self.images[u]
+
+    def _galois_id(self, num: tuple, den: int, u: int) -> int | None:
+        w = Cyclotomic._raw(self.n, num, den).galois(u)
+        return self.ids.get((w.num, w.den))
 
 
 def complete_power_maps(
@@ -601,24 +678,27 @@ def complete_power_maps(
     exponent the map is the column permutation induced by the Galois
     substitution zeta -> zeta^p on the table values, read off the ids of
     ``cols``; the match is unique because distinct classes have distinct
-    character columns.
+    character columns, and primes alike mod ``cols.n`` share it.
     """
     out = {p: tuple(m) for p, m in prime_maps.items()}
+    by_unit: dict[int, tuple[int, ...]] = {}
     for p in primes_below(exponent + 1):
         if p in out:
             continue
         if exponent % p == 0:
             raise KeyError(f"power map for prime {p} (divides exponent) must be given")
-        u = unit_lift(p, exponent, cols.n)
-        mapped = []
-        for c in range(len(cols.cols)):
-            hits = cols.classes.get(cols.image(c, u), ())
-            if len(hits) != 1:
-                raise ValueError(
-                    f"{p}-power image of class {c} is not determined by the table"
-                )
-            mapped.append(hits[0])
-        out[p] = tuple(mapped)
+        u = unit_lift(p, exponent, cols.n) % cols.n
+        if u not in by_unit:
+            mapped = []
+            for c in range(len(cols.cols)):
+                hits = cols.classes.get(cols.image(c, u), ())
+                if len(hits) != 1:
+                    raise ValueError(
+                        f"{p}-power image of class {c} is not determined by the table"
+                    )
+                mapped.append(hits[0])
+            by_unit[u] = tuple(mapped)
+        out[p] = by_unit[u]
     return out
 
 
@@ -650,6 +730,48 @@ def power_map_mismatch(table: CharacterTable, maps: Mapping[int, Sequence[int]])
     return None
 
 
+def _row_identities(table: CharacterTable) -> Iterator[tuple[int, int, bool]]:
+    """(i, j, whether <chi_i, chi_j> = delta_ij) for every i <= j in order.
+    Where ``_rational_orbit`` finds the rational classes each is one integer
+    dot product: the ``trace_weights`` row of chi_j against the coordinates
+    of den * chi_i at the representatives' inverses is den^2 phi(N) |G|
+    <chi_j, chi_i>, that inner product being rational.  Elsewhere each is a
+    packed class sum over every class."""
+    cd, chis = table.classes, table.irreducibles
+    if _rational_orbit(table):
+        pr = _packed_rows(table)
+        weights, reps = pr.trace_weights(table)
+        n, phi = pr.order, totient(pr.order)
+        unit = cd.group_order * phi * pr.den * pr.den
+        inverses = {cd.inverse_class[r] for r in reps}
+        for i, chi in enumerate(chis):
+            coords = {c: [x * (pr.den // chi.values[c].den) for x in _coords(chi.values[c], n)]
+                      for c in inverses}
+            idx, xs = _trace_terms(coords, reps, cd.inverse_class, phi)
+            for j in range(i, len(chis)):
+                yield i, j, sum(map(mul, map(weights[j].__getitem__, idx), xs)) == unit * (i == j)
+    else:
+        inv_rows = [[chi.values[c] for c in cd.inverse_class] for chi in chis]
+        for i, j, coords, den in _pair_sums([chi.values for chi in chis], inv_rows, cd.sizes):
+            want = int(i == j)
+            yield i, j, not any(coords[1:]) and Fraction(coords[0], den * cd.group_order) == want
+
+
+def _conjugation_report(table: CharacterTable) -> list[str]:
+    """For each irreducible, the first class c where chi(c^-1) is not conj
+    chi(c): the inverse map must implement complex conjugation, sigma_-1,
+    on characters, checked on the ids of each conjugated column."""
+    cd, ids = table.classes, table._columns
+    conj_ids = [ids.image(c, ids.n - 1) for c in range(cd.class_count)]
+    report = []
+    for j, label in enumerate(table.labels):
+        for c, col in enumerate(conj_ids):
+            if col[j] != ids.cols[cd.inverse_class[c]][j]:
+                report.append(f"{label} at inverse of {cd.names[c]} is not the conjugate")
+                break
+    return report
+
+
 def validate_table(table: CharacterTable) -> list[str]:
     """Check every table identity; returns the list of violations (empty = pass).
 
@@ -657,6 +779,9 @@ def validate_table(table: CharacterTable) -> list[str]:
     data, the degree checks, the row identities <chi_i, chi_j> = delta_ij,
     the column identities sum_j chi_j(c) conj chi_j(c2) = delta |G|/|c|, and
     for each irreducible the first class where chi(c^-1) is not conj chi(c).
+
+    The row identities run over the rational classes where
+    ``_rational_orbit`` finds them, else over every class.
 
     The column loop runs only when an earlier check, or the conjugation
     check, has failed: otherwise it could report nothing (Isaacs, Character
@@ -672,6 +797,8 @@ def validate_table(table: CharacterTable) -> list[str]:
     cd = table.classes
     k = cd.class_count
     chis = table.irreducibles
+    conj_report = _conjugation_report(table)
+    _rational_orbit(table, not report and not conj_report)
     # degrees and the sum-of-squares identity
     degs = []
     for j, chi in enumerate(chis):
@@ -687,23 +814,10 @@ def validate_table(table: CharacterTable) -> list[str]:
             degs.append(int(d))
     if len(degs) == k and sum(d * d for d in degs) != cd.group_order:
         report.append("sum of squared degrees differs from the group order")
-    # row orthogonality, as packed class sums
-    inv_rows = [[chi.values[c] for c in cd.inverse_class] for chi in chis]
-    for i, j, coords, den in _pair_sums([chi.values for chi in chis], inv_rows, cd.sizes):
-        want = 1 if i == j else 0
-        if any(coords[1:]) or Fraction(coords[0], den * cd.group_order) != want:
-            v = inner_product(chis[i], chis[j])
+    for i, j, ok in _row_identities(table):
+        if not ok:
+            v, want = inner_product(chis[i], chis[j]), int(i == j)
             report.append(f"<{table.labels[i]},{table.labels[j]}> = {v!r}, expected {want}")
-    # the inverse map must implement complex conjugation, sigma_-1, on
-    # characters: the ids of each conjugated column against the inverse's
-    ids = table._columns
-    conj_ids = [ids.image(c, ids.n - 1) for c in range(k)]
-    conj_report = []
-    for j, label in enumerate(table.labels):
-        for c in range(k):
-            if conj_ids[c][j] != ids.cols[cd.inverse_class[c]][j]:
-                conj_report.append(f"{label} at inverse of {cd.names[c]} is not the conjugate")
-                break
     # column orthogonality, needed only when the checks above do not imply it
     if report or conj_report:
         cols = [[chi.values[c] for chi in chis] for c in range(k)]

@@ -46,13 +46,13 @@ def parse_digits(text: str, where: str) -> int | None:
 class Permutation:
     """A bijection of {0..n-1}, stored as the tuple of images."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images)-1}: {images}")
-        self.images = images
+        self.images, self._hash = images, None
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
@@ -99,6 +99,7 @@ class Permutation:
         images = other.images
         product = object.__new__(Permutation)
         product.images = itemgetter(*images)(self.images) if len(images) > 1 else self.images
+        product._hash = None
         return product
 
     def inverse(self) -> "Permutation":
@@ -115,7 +116,7 @@ class Permutation:
             for a, b in zip(cyc, cyc[s:] + cyc[:s]):
                 images[a] = b
         power = object.__new__(Permutation)
-        power.images = tuple(images)
+        power.images, power._hash = tuple(images), None
         return power
 
     def order(self) -> int:
@@ -145,7 +146,10 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        # hashed once: a set lookup would hash the whole image tuple each time
+        if self._hash is None:
+            self._hash = hash(self.images)
+        return self._hash
 
     def __repr__(self) -> str:
         cycs = self._cycles()

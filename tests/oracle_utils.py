@@ -28,7 +28,8 @@ import random
 
 from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact, primes_below
 from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
-from symext.groupdata import ClassData, ClassFunction, _Columns
+from symext.catalog import get_group
+from symext.groupdata import CharacterTable, ClassData, ClassFunction, _Columns
 from symext.lambdaops import LambdaSequence, power_sum_check
 
 
@@ -403,3 +404,14 @@ def reference_class_data(group):
             p: tuple(class_of[index[r**p]] for r in reps) for p in primes_below(exponent + 1)
         },
     )
+
+
+def a4_with_an_identity_5_power_map():
+    """A4 with the identity as its 5-power map: sigma_5 swaps w and w^2, so
+    chi2 and chi3 are not Galois compatible."""
+    a4 = get_group("A4")
+    cd0 = a4.classes
+    cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
+                   cd0.inverse_class, {**cd0.prime_power_maps, 5: range(cd0.class_count)})
+    return CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in a4.irreducibles],
+                          a4.labels)

@@ -18,7 +18,11 @@ from math import lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import reference_inner_product, reference_validate_table
+from oracle_utils import (
+    a4_with_an_identity_5_power_map,
+    reference_inner_product,
+    reference_validate_table,
+)
 from symext import catalog, groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, _coords, as_cyclotomic, divisors, totient
@@ -281,12 +285,31 @@ MIX = [[-1, 1 - SQRT_M1, 1 + SQRT_M1], [1 + SQRT_M1, -1, 1 - SQRT_M1],
        [1 - SQRT_M1, 1 + SQRT_M1, -1]]
 
 
+def rational_class_members(cd):
+    """The classes of each rational class, keyed by its representative."""
+    members = {}
+    for c, (r, _) in enumerate(cd.rational_classes()[0]):
+        members.setdefault(r, []).append(c)
+    return members
+
+
+def with_sizes(cd, sizes):
+    return ClassData(cd.group_order, cd.exponent, cd.names, sizes, cd.rep_orders,
+                     cd.inverse_class, cd.prime_power_maps)
+
+
 @st.composite
 def altered_table(draw):
     """A builtin table with one value moved by +-1 or a root of unity, two
     value columns swapped, one row scaled, or three rows of one degree mixed
-    by MIX; the class data is kept.  Mixed rows keep the degrees and the row
-    identities, but not chi(c^-1) = conj chi(c) nor the column identities."""
+    by MIX; or with the two columns of a rational class of two classes
+    swapped, or the sizes of two classes of two rational classes exchanged.
+    Mixed rows keep the degrees and the row identities, but not chi(c^-1) =
+    conj chi(c) nor the column identities.  Columns swapped inside a
+    rational class {c, c^u} keep every row Galois compatible, so the row
+    identities run over the rational classes; exchanged sizes break the
+    constant size of a rational class of more classes than c and c^-1, and
+    keep the structural checks (equal sum, size of c^-1 that of c)."""
     table = get_group(*draw(st.sampled_from(BUILTINS)))
     cd, k = table.classes, table.classes.class_count
     rows = [list(chi.values) for chi in table.irreducibles]
@@ -296,7 +319,15 @@ def altered_table(draw):
     index = st.integers(0, k - 1)
     degrees = table.degrees()
     triples = [t for t in combinations(range(k), 3) if len({degrees[j] for j in t}) == 1]
-    kind = draw(st.sampled_from(["move", "swap", "scale"] + ["mix"] * bool(triples)))
+    members, inv = rational_class_members(cd), cd.inverse_class
+    rep = [r for r, _ in cd.rational_classes()[0]]
+    galois_pairs = [cs for cs in members.values() if len(cs) == 2]
+    size_pairs = [(c, c2) for c, c2 in combinations(range(1, k), 2)
+                  if rep[c] != rep[c2] and cd.sizes[c] != cd.sizes[c2]
+                  and (inv[c] == c) == (inv[c2] == c2) and not set(members[rep[c]]) <= {c, inv[c]}]
+    kind = draw(st.sampled_from(["move", "swap", "scale"] + ["mix"] * bool(triples)
+                                + ["galois swap"] * bool(galois_pairs)
+                                + ["sizes"] * bool(size_pairs)))
     if kind == "mix":
         t = draw(st.sampled_from(triples))
         mixed = [[sum((a * rows[j][c] for a, j in zip(m, t)), as_cyclotomic(0))
@@ -306,10 +337,19 @@ def altered_table(draw):
     elif kind == "move":
         j, c = draw(index), draw(index)
         rows[j][c] = rows[j][c] + draw(unit)
-    elif kind == "swap":
-        c, c2 = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    elif kind in ("swap", "galois swap"):
+        if kind == "swap":
+            c, c2 = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        else:
+            c, c2 = draw(st.sampled_from(galois_pairs))
         for row in rows:
             row[c], row[c2] = row[c2], row[c]
+    elif kind == "sizes":
+        sizes = list(cd.sizes)
+        c, c2 = draw(st.sampled_from(size_pairs))
+        for a, b in {(c, c2), (inv[c], inv[c2])}:
+            sizes[a], sizes[b] = sizes[b], sizes[a]
+        cd = with_sizes(cd, sizes)
     else:
         j, s = draw(index), draw(st.sampled_from([2, 3]).map(as_cyclotomic) | unit)
         rows[j] = [v * s for v in rows[j]]
@@ -322,20 +362,96 @@ def test_validate_table_reports_what_the_column_loop_reference_reports(table):
     assert validate_table(table) == reference_validate_table(table)
 
 
+def test_an_inverse_map_off_the_power_maps_reports_what_the_reference_reports():
+    # Hp:5 with the inverse map conjugated by the transposition of the central
+    # classes C(1) and C(2): still a size- and order-preserving involution, so
+    # the structural checks pass, but no power map, so chi(c^-1) = conj chi(c)
+    # fails, and the row identities are no sums over the rational classes
+    table = get_group("Hp", 5)
+    cd, swap = table.classes, list(range(table.classes.class_count))
+    swap[1], swap[2] = 2, 1
+    inverse = [swap[cd.inverse_class[swap[c]]] for c in range(cd.class_count)]
+    cd = ClassData(cd.group_order, cd.exponent, cd.names, cd.sizes, cd.rep_orders, inverse,
+                   cd.prime_power_maps)
+    bad = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in table.irreducibles],
+                         table.labels)
+    assert cd.structural_problems() == []
+    report = validate_table(bad)
+    assert report == reference_validate_table(bad)
+    assert any("is not the conjugate" in line for line in report)
+    assert any(line.startswith("<") for line in report)
+
+
+def test_a_value_moved_off_a_representative_reports_what_the_reference_reports():
+    # D2n:5 with chi_j(c) + 1 for c = r^2, in the rational class of r: a real
+    # value, so chi(c^-1) = conj chi(c) still holds, but only the row of chi_j
+    # stops being Galois compatible, and the row identities run over every class
+    table = get_group("D2n", 5)
+    cd = table.classes
+    c = next(c for c, (r, _) in enumerate(cd.rational_classes()[0]) if r != c)
+    for j in range(1, cd.class_count):
+        rows = [list(chi.values) for chi in table.irreducibles]
+        rows[j][c] = rows[j][c] + 1
+        bad = CharacterTable(cd, [ClassFunction(cd, r) for r in rows], table.labels)
+        report = validate_table(bad)
+        assert report == reference_validate_table(bad)
+        assert any(line.startswith(f"<{table.labels[j]},") for line in report), j
+
+
+def test_sizes_exchanged_across_rational_classes_report_what_the_reference_reports():
+    # A5 with the sizes 15 of C2 and 12 of C5 exchanged: the sum and the
+    # structural checks hold, but C4 and C5, one rational class, differ in
+    # size, and the row identities run over every class
+    table = get_group("A5")
+    cd = with_sizes(table.classes, [1, 12, 20, 12, 15])
+    bad = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in table.irreducibles],
+                         table.labels)
+    assert cd.structural_problems() == []
+    report = validate_table(bad)
+    assert report == reference_validate_table(bad)
+    assert any(line.startswith("<") for line in report)
+
+
+def test_builtins_at_their_family_caps_validate_without_a_class_sum(monkeypatch):
+    real, calls = groupdata.packed_dot, []
+    monkeypatch.setattr(groupdata, "packed_dot", lambda *a: calls.append(a) or real(*a))
+    for selector in [(f, None) for f in catalog.FIXED_FAMILIES] + list(catalog.PARAM_CAPS.items()):
+        catalog.get_group.__wrapped__(*selector)  # a fresh build; raises if invalid
+        assert calls == [], selector
+
+
 def test_valid_builtin_tables_report_nothing():
     for selector in BUILTINS:
         table = get_group(*selector)
         assert validate_table(table) == reference_validate_table(table) == [], selector
 
 
-def test_a_valid_table_runs_only_the_row_class_sums(monkeypatch):
-    # the column identities follow from the row identities and the conjugation
-    # check, so a valid table runs k(k+1)/2 packed class sums, not k(k+1)
-    table = get_group("D2n", 50)
-    k, real, calls = table.classes.class_count, groupdata.packed_dot, []
+def _a5_at_root_order_60():
+    # irrational values of order 60, which does not divide the exponent 30
+    a5 = get_group("A5")
+    cd = a5.classes
+    return CharacterTable(cd, [ClassFunction(cd, [v.lift(60) for v in chi.values])
+                               for chi in a5.irreducibles], a5.labels)
+
+
+def _packed_dot_calls(monkeypatch, table):
+    real, calls = groupdata.packed_dot, []
     monkeypatch.setattr(groupdata, "packed_dot", lambda *a: calls.append(a) or real(*a))
     assert validate_table(table) == []
-    assert len(calls) == k * (k + 1) // 2
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_a_valid_table_runs_only_the_row_class_sums(monkeypatch):
+    # the column identities follow from the row identities and the conjugation
+    # check, so a valid table runs no column class sum.  Compatible rows check
+    # each row identity as a trace dot product over the rational classes, with
+    # no packed class sum; rows that are not compatible run the k(k+1)/2 row
+    # class sums, not k(k+1)
+    assert _packed_dot_calls(monkeypatch, get_group("D2n", 50)) == 0
+    for table in (_a5_at_root_order_60(), a4_with_an_identity_5_power_map()):
+        k = table.classes.class_count
+        assert _packed_dot_calls(monkeypatch, table) == k * (k + 1) // 2
 
 
 def test_the_conjugation_check_conjugates_each_distinct_value_once(monkeypatch):
@@ -346,4 +462,8 @@ def test_the_conjugation_check_conjugates_each_distinct_value_once(monkeypatch):
     real, calls = Cyclotomic.galois, []
     monkeypatch.setattr(Cyclotomic, "galois", lambda v, u: calls.append(v) or real(v, u))
     assert validate_table(table) == []
-    assert len(calls) == len(irrational) == 12
+    # Hp:7 has exponent 7 and unit primes 2, 3 and 5: reading compatibility
+    # takes sigma_2, sigma_3 and sigma_5 of each distinct irrational value
+    # once, and the conjugation sigma_6 = sigma_2 sigma_3 composes their id
+    # lists (_hp gives every prime map, so assembly takes none)
+    assert len(irrational) == 12 and len(calls) == 3 * 12

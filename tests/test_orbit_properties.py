@@ -24,14 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import with_syms
+from oracle_utils import a4_with_an_identity_5_power_map, with_syms
 from symext import groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
 from symext.genfun import EXT, SYM, genfun_rationals, genfun_series
 from symext.groupdata import (
-    CharacterTable,
-    ClassData,
     ClassFunction,
     NonRationalMultiplicityError,
     decompose,
@@ -256,12 +254,8 @@ def test_identity_value_outside_its_stabilizers_fixed_field():
 def test_rows_that_are_not_galois_compatible_decompose_as_the_reference():
     # A4 with an identity 5-power map: sigma_5 swaps w and w^2, so chi2 and
     # chi3 are incompatible, and the trace weights run over every class
-    a4 = get_group("A4")
-    cd0 = a4.classes
-    cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
-                   cd0.inverse_class, {**cd0.prime_power_maps, 5: range(cd0.class_count)})
-    table = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in a4.irreducibles],
-                           a4.labels)
+    table = a4_with_an_identity_5_power_map()
+    cd = table.classes
     assert cd.galois_orbits(table.irreducibles[1].values) is not cd.rational_classes()[0]
     chi4, w = table.irreducibles[3], Cyclotomic.root_of_unity(3)
     for chi in table.irreducibles:
@@ -273,12 +267,8 @@ def test_rows_that_are_not_galois_compatible_decompose_as_the_reference():
 def test_incompatible_rows_decompose_a_rational_combination_without_inner_products(monkeypatch):
     # the A4 table above: the per-class trace candidate is <chi_j, f> itself
     # when that is rational, so the certificate passes at once
-    a4 = get_group("A4")
-    cd0 = a4.classes
-    cd = ClassData(cd0.group_order, cd0.exponent, cd0.names, cd0.sizes, cd0.rep_orders,
-                   cd0.inverse_class, {**cd0.prime_power_maps, 5: range(cd0.class_count)})
-    table = CharacterTable(cd, [ClassFunction(cd, chi.values) for chi in a4.irreducibles],
-                           a4.labels)
+    table = a4_with_an_identity_5_power_map()
+    cd = table.classes
     monkeypatch.setattr(groupdata, "inner_product", None)  # any call raises TypeError
     chi1, chi2, chi3, chi4 = table.irreducibles
     f = chi1 * Fraction(1, 2) + chi2 * 3 + chi3 * 3 - chi4
