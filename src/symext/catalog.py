@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 
 from .closedforms import CentralCharSpec, central_char_spec, subgroup_spec
@@ -320,7 +320,7 @@ def _hp(p: int) -> CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def get_group(family: str, param: int | None = None) -> CharacterTable:
     """The builtin character table for a family selector; always validated."""
     _check_params(family, param)
@@ -547,6 +547,7 @@ def _regular_action_hp(p: int) -> list[Permutation]:
     return [left((1, 0, 0)), left((0, 0, 1))]
 
 
+@cache
 def get_perm_model(family: str, param: int | None = None) -> PermModel:
     """Generators realizing the builtin group, with the class matching."""
     _check_params(family, param)

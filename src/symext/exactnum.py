@@ -16,8 +16,8 @@ unity of any order.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -67,6 +67,7 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@cache
 def totient(n: int) -> int:
     phi = n
     for p in prime_factors(n):
@@ -116,21 +117,6 @@ def binom(r: RationalLike, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction tables
 
-# reentrant: Phi_N computation recurses into proper divisors under the lock
-_cache_lock = threading.RLock()
-_phi_cache: dict[int, tuple[int, ...]] = {}
-# _power_cache[N][m] = nonzero (j, coordinate) pairs of z^m, m < N, on the power basis
-_power_cache: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-_totient_cache: dict[int, int] = {}
-
-
-def _phi_of(n: int) -> int:
-    t = _totient_cache.get(n)
-    if t is None:
-        t = totient(n)
-        _totient_cache[n] = t
-    return t
-
 
 def poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     # den is monic; division of integer polynomials stays integral
@@ -148,51 +134,38 @@ def poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     return out
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree; computed once and cached."""
+    """Integer coefficients of Phi_n, ascending degree."""
     if n < 1:
         raise ValueError("order must be a positive integer")
-    got = _phi_cache.get(n)
-    if got is not None:
-        return got
-    with _cache_lock:
-        got = _phi_cache.get(n)
-        if got is not None:
-            return got
-        if n == 1:
-            poly = (-1, 1)
-        else:
-            # (x^n - 1) / prod of Phi_d over proper divisors d of n
-            acc = [-1] + [0] * (n - 1) + [1]
-            for d in divisors(n)[:-1]:
-                acc = poly_div_exact(acc, cyclotomic_polynomial(d))
-            poly = tuple(acc)
-        _phi_cache[n] = poly
-        return poly
+    if n == 1:
+        return (-1, 1)
+    # (x^n - 1) / prod of Phi_d over proper divisors d of n
+    acc = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        acc = poly_div_exact(acc, cyclotomic_polynomial(d))
+    return tuple(acc)
 
 
+@cache
 def _power_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Rows m < n -> the nonzero (j, coordinate) pairs of z^m mod Phi_n."""
-    rows = _power_cache.get(n)
-    if rows is not None:
-        return rows
-    with _cache_lock:
-        deg, phi = _phi_of(n), cyclotomic_polynomial(n)
-        row, rows = [1] + [0] * (deg - 1), []
-        for _ in range(n):
-            rows.append(tuple((j, r) for j, r in enumerate(row) if r))
-            top, row = row[-1], [0] + row[:-1]
-            if top:
-                # z^deg = -(phi_0 + phi_1 z + ... + phi_{deg-1} z^{deg-1})
-                for j in range(deg):
-                    row[j] -= top * phi[j]
-        _power_cache[n] = rows
-        return rows
+    deg, phi = totient(n), cyclotomic_polynomial(n)
+    row, rows = [1] + [0] * (deg - 1), []
+    for _ in range(n):
+        rows.append(tuple((j, r) for j, r in enumerate(row) if r))
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            # z^deg = -(phi_0 + phi_1 z + ... + phi_{deg-1} z^{deg-1})
+            for j in range(deg):
+                row[j] -= top * phi[j]
+    return rows
 
 
 def fold(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
     """Integer coordinates of sum x*z^e over (e, x) pairs, reduced mod Phi_n."""
-    out = [0] * _phi_of(n)
+    out = [0] * totient(n)
     rows = _power_rows(n)
     for e, x in terms:
         if x:
@@ -231,7 +204,7 @@ def slot_width(xbits: int, ybits: int, terms: int, n: int) -> int:
     """Slot width for a sum of ``terms`` products of packed values at order n
     with coordinates below 2^xbits and 2^ybits: every slot of the sum is below
     terms * phi(n) * 2^(xbits + ybits) in magnitude."""
-    return -(-(xbits + ybits + (terms * _phi_of(n)).bit_length() + 1) // 64) * 64
+    return -(-(xbits + ybits + (terms * totient(n)).bit_length() + 1) // 64) * 64
 
 
 def pack(
@@ -253,7 +226,7 @@ def packed_dot(xs: Sequence[int], ys: Sequence[int], width: int, n: int) -> list
     one integer dot product, unpacked into 2*phi(n) - 1 slots; the first
     phi(n) are coordinates already, and the others are folded onto them."""
     total, half, mask = sum(map(mul, xs, ys)), 1 << (width - 1), (1 << width) - 1
-    phi, rows, out = _phi_of(n), _power_rows(n), []
+    phi, rows, out = totient(n), _power_rows(n), []
     for _ in range(phi):
         s = ((total + half) & mask) - half
         out.append(s)
@@ -286,7 +259,7 @@ class Cyclotomic:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Sequence[RationalLike]):
-        deg = _phi_of(order)
+        deg = totient(order)
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}")
         coeffs = [Fraction(c) for c in coeffs]

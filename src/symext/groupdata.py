@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -424,14 +424,14 @@ def inner_product(f: ClassFunction, f2: ClassFunction) -> Cyclotomic:
 class _PackedRows:
     """A table's irreducible values at one order over one denominator, packed
     for ``decompose`` and held as per-class columns; repacked only when wider
-    slots are needed."""
+    slots are needed.  ``bits``, the bit length of the largest coordinate,
+    is scanned by the first ``_certified`` call."""
 
     __slots__ = ("order", "den", "bits", "packed", "weights")
 
     def __init__(self, table: CharacterTable, order: int):
-        self.order, self.packed, self.weights = order, (0, []), None
-        values = [v for chi in table.irreducibles for v in chi.values]
-        self.den, self.bits = pack_bounds(values, order)
+        self.order, self.packed, self.weights, self.bits = order, (0, []), None, None
+        self.den = lcm(*(v.den for chi in table.irreducibles for v in chi.values))
 
     def trace_weights(self, table: CharacterTable) -> tuple[list[list[int]], list[int]]:
         """(weights, classes): per row j, the integers |r| |O_r| sum_a x_a
@@ -469,7 +469,7 @@ def _packed_rows(table: CharacterTable) -> _PackedRows:
     return table._packed
 
 
-@lru_cache(maxsize=None)
+@cache
 def _ramanujan_sums(n: int) -> tuple[int, ...]:
     """T_m = Tr(zeta_n^m) = sum_(d | gcd(m, n)) mu(n/d) d for m < 2 phi(n) - 1."""
     return tuple(sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
@@ -524,6 +524,8 @@ def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coord
     on packed integers at a width that holds both sides, each class's sum
     running over the j with nums_j != 0 only."""
     k, scale = table.classes.class_count, d * pr.den
+    if pr.bits is None:
+        pr.bits = pack_bounds([v for chi in table.irreducibles for v in chi.values], pr.order)[1]
     fbits = max(abs(x) for xs in coords for x in xs).bit_length()
     w = max(slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
             slot_width(scale.bit_length(), fbits, 1, 1))

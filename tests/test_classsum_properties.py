@@ -420,6 +420,23 @@ def test_builtins_at_their_family_caps_validate_without_a_class_sum(monkeypatch)
         assert calls == [], selector
 
 
+def test_a_cold_build_scans_no_coordinate_bound_until_the_first_decompose(monkeypatch):
+    # validation packs no class sum here, so the table's packed rows take only
+    # the common denominator; the coordinates' bit bound is scanned once, when
+    # the first decompose certifies its candidate
+    for selector in [("D2n", 50), ("Hp", 7)]:
+        real, calls = groupdata.pack_bounds, []
+        monkeypatch.setattr(groupdata, "pack_bounds", lambda *a: calls.append(a) or real(*a))
+        table = catalog.get_group.__wrapped__(*selector)
+        assert calls == [], selector
+        chis = table.irreducibles
+        f = chis[1] * chis[-1] + chis[-2] * chis[-2]
+        assert decompose(f, table) == tuple(
+            reference_inner_product(f, chi).to_rational() for chi in chis), selector
+        assert len(calls) == 1, selector
+        monkeypatch.undo()
+
+
 def test_valid_builtin_tables_report_nothing():
     for selector in BUILTINS:
         table = get_group(*selector)

@@ -957,6 +957,7 @@ def test_only_a_missing_model_is_skipped(monkeypatch, fault):
 
 
 def test_a_model_build_finds_the_classes_once(monkeypatch):
+    catalog.get_perm_model.cache_clear()  # a fresh build, not the process's cached model
     calls = []
     real = permgroup._sorted_classes
     monkeypatch.setattr(permgroup, "_sorted_classes", lambda g: calls.append(g) or real(g))
@@ -1169,6 +1170,14 @@ def test_only_a_request_that_reads_the_model_builds_it(monkeypatch, argv, models
     code, out, err = run_cli(argv)
     assert code == EXIT_OK and err == ""
     assert (len(model_calls), len(central_calls)) == (models, centrals)
+
+
+def test_the_permutation_model_is_built_once_per_process(monkeypatch):
+    catalog.get_perm_model.cache_clear()
+    calls = [_calls(monkeypatch, module, "enumerate_group") for module in (catalog, cli)]
+    first, second = run_cli(["verify", "--group", "S4"]), run_cli(["verify", "--group", "S4"])
+    assert first == second and first[0] == EXIT_OK and first[2] == ""
+    assert sum(map(len, calls)) == 1
 
 
 def test_a_central_closed_form_builds_only_the_spec_it_names(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from symext.exactnum import (
     Cyclotomic,
     NotRationalError,
+    _power_rows,
     binom,
     cyclotomic_polynomial,
     divisors,
@@ -40,6 +42,67 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_the_cyclotomic_polynomials_of_the_divisors_multiply_to_x_n_minus_1():
+    for n in range(1, 201):
+        acc = [1]
+        for d in divisors(n):
+            acc = _poly_mul(acc, cyclotomic_polynomial(d))
+        assert acc == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_power_rows_are_the_remainders_of_the_powers_mod_phi_n():
+    for n in range(1, 61):
+        phi, deg = cyclotomic_polynomial(n), totient(n)
+        for m in range(n):
+            # z^m as a polynomial, reduced by long division by the monic Phi_n
+            rem = [0] * m + [1]
+            for top in range(m, deg - 1, -1):
+                c = rem[top]
+                for j, p in enumerate(phi):
+                    rem[top - deg + j] -= c * p
+            coords = (rem + [0] * deg)[:deg]
+            assert _power_rows(n)[m] == tuple((j, x) for j, x in enumerate(coords) if x), (n, m)
+
+
+def _field_tables(orders):
+    out = []
+    for n in orders:
+        z = Cyclotomic.root_of_unity(n)
+        prod = (z + Fraction(1, 3)) * (z**2 - 2)
+        out.append((cyclotomic_polynomial(n), tuple(_power_rows(n)), prod.order, prod.num, prod.den))
+    return out
+
+
+def test_the_field_tables_built_cold_in_four_threads_equal_a_single_threaded_build():
+    caches = (cyclotomic_polynomial, _power_rows, totient)
+    for f in caches:
+        f.cache_clear()
+    orders = range(1, 121)
+    want = _field_tables(orders)
+    for f in caches:
+        f.cache_clear()
+    start, got = threading.Barrier(4), [None] * 4
+
+    def build(i):
+        start.wait()
+        got[i] = _field_tables(orders)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == [want] * 4
 
 
 def test_from_terms_examples():
