@@ -655,6 +655,8 @@ def cmd_closedform(args) -> tuple[OutputDocument, int]:
         _closed_form_lines(lines, table, forms, args.degree, quotient=True)
     elif kind == "central":
         spec = ctx.central_spec(sel[1]) if len(sel) > 1 else None
+        if spec is None and not ctx.central:
+            raise InputError(f"group {ctx.name} has no central:<name> spec")
         if spec is None:
             raise InputError(
                 "central:<name> with name one of: " + ", ".join(sorted(ctx.central))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -105,13 +105,7 @@ def binom(r: RationalLike, n: int) -> Fraction:
     """Generalized binomial coefficient r(r-1)...(r-n+1)/n! for rational r."""
     if n < 0:
         return Fraction(0)
-    num = Fraction(1)
-    for i in range(n):
-        num *= Fraction(r) - i
-    den = 1
-    for i in range(2, n + 1):
-        den *= i
-    return num / den
+    return prod((Fraction(r) - i for i in range(n)), start=Fraction(1)) / factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +155,13 @@ def _power_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
             for j in range(deg):
                 row[j] -= top * phi[j]
     return rows
+
+
+@cache
+def _galois_rows(n: int, u: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows i < phi(n) -> the row of z^(i*u) mod Phi_n, for u mod n: sigma_u."""
+    rows = _power_rows(n)
+    return tuple(rows[i * u % n] for i in range(totient(n)))
 
 
 def fold(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
@@ -263,13 +264,10 @@ class Cyclotomic:
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for order {order}")
         coeffs = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = tuple(int(c * den) for c in coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        den = lcm(*(c.denominator for c in coeffs))
+        _set_order(self, order)
+        _set_num(self, tuple(int(c * den) for c in coeffs))
+        _set_den(self, den)
 
     @staticmethod
     def _raw(order: int, num: Sequence[int], den: int) -> "Cyclotomic":
@@ -469,11 +467,21 @@ class Cyclotomic:
     # -- Galois action -------------------------------------------------------
 
     def galois(self, u: int) -> "Cyclotomic":
-        """Apply the automorphism zeta -> zeta^u; u must be a unit mod order."""
-        if gcd(u, self.order) != 1:
+        """Apply the automorphism zeta -> zeta^u; u must be a unit mod order.
+        sigma_u maps Z[zeta], with its integral power basis, onto itself, so its
+        coordinate map is in GL(phi, Z) and a normalized value stays normalized."""
+        n = self.order
+        if gcd(u, n) != 1:
             raise ValueError("exponent must be coprime to the order")
-        acc = fold(((i * u, x) for i, x in enumerate(self.num)), self.order)
-        return Cyclotomic._raw(self.order, acc, self.den)
+        acc = [0] * len(self.num)
+        for x, row in zip(self.num, _galois_rows(n, u % n)):
+            for j, r in row if x else ():
+                acc[j] += x * r
+        out = object.__new__(Cyclotomic)
+        _set_order(out, n)
+        _set_num(out, tuple(acc))
+        _set_den(out, self.den)
+        return out
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, i.e. the automorphism zeta -> zeta^(-1)."""

@@ -227,13 +227,26 @@ class ClassData:
 class ClassFunction:
     """A function on conjugacy classes with exact cyclotomic values."""
 
-    __slots__ = ("data", "values")
+    __slots__ = ("data", "values", "_orbits")
 
     def __init__(self, data: ClassData, values: Iterable[Scalar]):
-        self.data = data
+        self.data, self._orbits = data, None
         self.values = tuple(v if type(v) is Cyclotomic else as_cyclotomic(v) for v in values)
         if len(self.values) != data.class_count:
             raise ValueError("one value per conjugacy class required")
+
+    @classmethod
+    def _trusted(cls, data: ClassData, values: tuple[Cyclotomic, ...]) -> "ClassFunction":
+        """A class function of ``values``, already one Cyclotomic per class."""
+        f = object.__new__(cls)
+        f.data, f.values, f._orbits = data, values, None
+        return f
+
+    @property
+    def galois_orbits(self) -> tuple[tuple[int, int], ...]:
+        """``data.galois_orbits(values)``, found on the first read and kept."""
+        self._orbits = self._orbits or self.data.galois_orbits(self.values)
+        return self._orbits
 
     @staticmethod
     def constant(data: ClassData, value: Scalar) -> "ClassFunction":
@@ -260,9 +273,7 @@ class ClassFunction:
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
             self._check(other)
-            return ClassFunction(
-                self.data, [a * b for a, b in zip(self.values, other.values)]
-            )
+            return ClassFunction(self.data, [a * b for a, b in zip(self.values, other.values)])
         other = as_cyclotomic(other)
         return ClassFunction(self.data, [a * other for a in self.values])
 
@@ -277,9 +288,7 @@ class ClassFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.data == other.data and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        return self.data == other.data and all(a == b for a, b in zip(self.values, other.values))
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -12,11 +12,13 @@ The lambda recurrence stops once lambda_t(c) is shown to be a polynomial
 only when it is first read.
 
 ``power_sum_check`` recomputes S^n from psi alone as an independent route
-and compares every class against it.  The lambda, S and power-sum series
+and checks every class against it.  The lambda, S and power-sum series
 at a class are functions of its psi-sequence (chi(c), chi(c^2), ...,
 chi(c^M)) alone; ``compute`` keys each class once by it in a
 ``SeriesShare``, and each series of an entry runs once (a Galois image of
-the series at the representative off the representatives).
+the series at the representative off the representatives).  The degree
+bound and the power-sum comparison run once per entry too, each later class
+of an entry shown by ``is`` to hold the values already compared.
 The three recurrences run in one engine (``_recurrence``) on integer
 coordinates: the given is read once at its working order over its common
 denominator, a step is one integer dot product (of packed coordinates, or
@@ -228,15 +230,25 @@ class SeriesShare:
     first read.  Each value is interned to a small id in ``ids``, a rational
     by its value (num, den) at any stored order, since no route lifts one,
     any other by (order, num, den).  A key is one int: the ids in four-byte
-    slots under one top byte, so it also fixes M.  Make one share per request
-    and drop it after: it grows with every new key and is never pruned.
+    slots under one top byte, so it also fixes M.  By id, ``tops`` holds each
+    lambda series' ``top``, ``compared`` the S series ``power_sum_check`` has
+    compared in full.  Make one share per request and drop it after: it grows
+    with every new key and is never pruned.
     """
 
-    __slots__ = ("ids", "entries")
+    __slots__ = ("ids", "entries", "tops", "compared")
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
         self.entries: dict[int, list] = {}
+        self.tops: dict[int, int] = {}
+        self.compared: set[int] = set()
+
+    def top(self, lam: list) -> int:
+        """The last n with lam[n] != 0 in an entry's lambda series, scanned once."""
+        if id(lam) not in self.tops:
+            self.tops[id(lam)] = max((n for n, v in enumerate(lam) if v), default=0)
+        return self.tops[id(lam)]
 
     def entries_of(self, psi_cols) -> tuple[list, ...]:
         """The entry of each class, by the key of its psi column."""
@@ -284,31 +296,28 @@ class LambdaSequence:
     base: ClassFunction
     degree_bound: int
     lambdas: tuple[ClassFunction, ...]  # lambda^0 .. lambda^M
-    orbits: tuple[tuple[int, int], ...]  # cd.galois_orbits(base.values)
+    orbits: tuple[tuple[int, int], ...]  # base.galois_orbits
     share: SeriesShare = field(repr=False, compare=False)
     entries: tuple[list, ...] = field(repr=False, compare=False)
 
     @classmethod
-    def compute(
-        cls,
-        chi: ClassFunction,
-        M: int,
-        expect_character: bool = False,
-        share: SeriesShare | None = None,
-    ) -> "LambdaSequence":
+    def compute(cls, chi: ClassFunction, M: int, expect_character: bool = False,
+                share: SeriesShare | None = None) -> "LambdaSequence":
         """Fill psi and lambda values pointwise per class up to degree M.
 
         With ``expect_character`` the degree bound lambda^n = 0 for
-        n > chi(identity) is asserted, which catches corrupted tables; leave
-        it off for virtual characters, where the bound does not apply.
-        Each class is keyed once in ``share`` (a fresh one if None), before
-        any route runs: keys made amid route temporaries cost 0.3 MB RSS.
+        n > chi(identity) is asserted (the classes are scanned for the first
+        such n only if some entry's ``top`` is above it), which catches
+        corrupted tables; leave it off for virtual characters, where the
+        bound does not apply.  Each class is keyed once in ``share`` (a fresh
+        one if None), before any route runs: keys made amid route
+        temporaries cost 0.3 MB RSS.
         """
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
         cd = chi.data
         share = SeriesShare() if share is None else share
-        orbits = cd.galois_orbits(chi.values)
+        orbits = chi.galois_orbits
         psi = _psi_columns(chi, M)
         entries = share.entries_of(psi)
         cols = _fill(cd, orbits, entries, 0, lambda c: _scalar_lambdas(psi[c], M))
@@ -317,10 +326,11 @@ class LambdaSequence:
                 d = integral_degree(chi)
             except NonIntegralDegreeError:
                 d = M
-            for n in range(d + 1, M + 1):
-                if any(col[n] is not _ZERO and col[n] for col in cols):
-                    raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
-        lambdas = tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
+            if max(map(share.top, cols)) > d:
+                n = next(n for n in range(d + 1, M + 1)
+                         if any(col[n] is not _ZERO and col[n] for col in cols))
+                raise InvalidCharacterError(f"lambda^{n} is nonzero beyond the degree {d}")
+        lambdas = tuple(ClassFunction._trusted(cd, f) for f in zip(*cols))
         return cls(chi, M, lambdas, orbits, share, entries)
 
     @cached_property
@@ -328,7 +338,7 @@ class LambdaSequence:
         """S^0 .. S^M, run at the first read from each entry's lambda series."""
         cd, M, entries = self.base.data, self.degree_bound, self.entries
         cols = _fill(cd, self.orbits, entries, 1, lambda c: _scalar_syms(entries[c][0], M))
-        return tuple(ClassFunction(cd, [col[n] for col in cols]) for n in range(M + 1))
+        return tuple(ClassFunction._trusted(cd, f) for f in zip(*cols))
 
 
 def exterior_powers(chi: ClassFunction, M: int, expect_character: bool = False):
@@ -377,21 +387,30 @@ def power_sum_check(seq: LambdaSequence) -> None:
     with a new sequence the route is sigma_u of the route at r.  Every step
     of the route is ring operations and a division by an integer, so it
     commutes with sigma_u, and psi at r^u is sigma_u(psi at r): the image is
-    the route at c.  The stored S^n is compared at every class.  A wrong
-    image map shared with ``compute`` is not seen here;
-    ``MultiplicityTable.certify`` catches it, since its reconstruction
+    the route at c.  A wrong image map shared with ``compute`` is not seen
+    here; ``MultiplicityTable.certify`` catches it, since its reconstruction
     sum_j q_j chi_j is compatible and is compared with S^n at every class.
+    Every class is checked, once per entry: an entry's S series is compared
+    in full once, noted in ``share.compared``, and a later class whose
+    S^1..S^M are each the entry's object (``is``) holds the values compared.
+    Any other class, and every class without a share, is compared in full.
     """
-    cd, M, syms = seq.base.data, seq.degree_bound, seq.syms
+    cd, M, share = seq.base.data, seq.degree_bound, seq.share
     psi = _psi_columns(seq.base, M)
-    routes = _fill(cd, seq.orbits, seq.entries, 2, lambda c: _scalar_power_sums(psi[c], M))
-    for c, route in enumerate(routes):
+    _fill(cd, seq.orbits, seq.entries, 2, lambda c: _scalar_power_sums(psi[c], M))
+    vals = [f.values for f in seq.syms]
+    for c, (_, sym, route) in enumerate(seq.entries):
+        own = share is not None and all(vals[n][c] is sym[n] for n in range(1, M + 1))
+        if own and id(sym) in share.compared:
+            continue
         for n in range(1, M + 1):
-            if route[n] != syms[n].values[c]:
+            if route[n] != vals[n][c]:
                 raise CrossCheckError(
                     f"S^{n} at class {cd.names[c]}: the power-sum route gives "
-                    f"{route[n]!r}, the lambda route {syms[n].values[c]!r}"
+                    f"{route[n]!r}, the lambda route {vals[n][c]!r}"
                 )
+        if own:
+            share.compared.add(id(sym))
 
 
 def is_periodic(f: ClassFunction) -> bool:

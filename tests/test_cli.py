@@ -1193,6 +1193,40 @@ def test_a_central_closed_form_builds_only_the_spec_it_names(monkeypatch):
     assert err == f"error: central:<name> with name one of: {names}\n"
 
 
+@pytest.mark.parametrize("group", ["S4", "A5", "D2n:5"])
+def test_a_group_without_central_specs_says_so_in_one_line(group):
+    for spec in ("central:x", "central"):
+        code, out, err = run_cli(["closedform", "--group", group, "--spec", spec])
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: group {group} has no central:<name> spec\n"
+
+
+def test_verify_compares_each_series_entry_once(monkeypatch):
+    # D2n:50 at the default degree 10: the dual-route row's 28 irreducibles
+    # read 784 class columns but 29 share entries, and power_sum_check
+    # compares S^1..S^10 of each entry with its power-sum series once
+    real_eq, real_check, inside, calls = Cyclotomic.__eq__, cli.power_sum_check, [], []
+
+    def counted_eq(a, b):
+        calls.extend(inside)
+        return real_eq(a, b)
+
+    def check(seq):
+        inside.append(seq)
+        try:
+            real_check(seq)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(Cyclotomic, "__eq__", counted_eq)
+    monkeypatch.setattr(cli, "power_sum_check", check)
+    code, out, _ = run_cli(["verify", "--group", "D2n:50"])
+    assert code == EXIT_OK and "FAIL" not in out
+    shares = {id(seq.share) for seq in calls}
+    assert len(shares) == 1 and len(calls) == 290 == 29 * 10
+    assert len(calls[0].share.compared) == 29
+
+
 @pytest.mark.parametrize(
     "fault, code, message",
     [(NoModelError, EXIT_INPUT, "error: no permutation model, so no natural character"),

@@ -14,6 +14,7 @@ from symext.exactnum import (
     binom,
     cyclotomic_polynomial,
     divisors,
+    fold,
     moebius,
     prime_factors,
     primes_below,
@@ -205,6 +206,29 @@ def test_galois_action():
     assert x.galois(2) == zeta(5, 2) + 3
     with pytest.raises(ValueError):
         zeta(6).galois(3)
+
+
+def structure(v):
+    return v.order, v.num, v.den
+
+
+@given(st.integers(1, 120), st.data())
+def test_galois_is_the_folded_power_map_at_every_unit(n, data):
+    # the cached coordinate table gives the normalized fold of x_i z^(i u) at
+    # u, at u above the order and at a negative u of the same class, and
+    # sigma_u after sigma_w is sigma_(u w)
+    phi = totient(n)
+    draw = data.draw
+    v = Cyclotomic._raw(n, draw(st.lists(st.integers(-60, 60), min_size=phi, max_size=phi)),
+                        draw(st.integers(1, 36)))
+    k = draw(st.integers(1, 5))
+    units = [u for u in range(1, n + 1) if gcd(u, n) == 1]
+    w = draw(st.sampled_from(units))
+    for u in units:
+        want = Cyclotomic._raw(n, fold(((i * u, x) for i, x in enumerate(v.num)), n), v.den)
+        for image in (v.galois(u), v.galois(u + k * n), v.galois(u - (k + 1) * n)):
+            assert structure(image) == structure(want)
+        assert structure(v.galois(u).galois(w)) == structure(v.galois(u * w))
 
 
 def test_power_and_division():

@@ -7,7 +7,7 @@ and pads with zeros.  Every value it gives is compared here with
 and ``.order``: on builtin characters, on random virtual ones, on psi-sequences
 made from random eigenvalues, and on sequences with a wrong or a copied value
 past the first period.  The degree-bound check must name the same first n as
-the reference.  ``LambdaSequence.syms`` must equal ``_scalar_syms`` of the
+the reference, also through a share that holds another character's entries.  ``LambdaSequence.syms`` must equal ``_scalar_syms`` of the
 reference lambda values at each class, by ``repr`` and ``.order``, on
 builtin and virtual characters.  The operation counts are
 deterministic: an exterior table runs no S recurrence and at most
@@ -325,3 +325,31 @@ def test_a_row_zero_but_at_one_class_is_certified(family, param, monkeypatch):
             with pytest.raises(NonIntegralMultiplicityError):
                 integral_decompose(f, table)
         assert len(certified) > before
+
+
+def test_the_degree_bound_through_one_share_names_the_fresh_n():
+    # D2n:50 at M = 10: tau1 + tau2 (degree 4) first, then the row with 2 at
+    # the identity.  At the 20 rotations of order 25 and 50 the row reads
+    # the first character's entries, whose last nonzero lambda^n (4) is
+    # already found; at C5, of order 10, it runs to lambda^10.  Through the
+    # share it names the first n past 2 that a fresh share and the reference
+    # name
+    table, M = get_group("D2n", 50), 10
+    high = table.irreducibles[4] + table.irreducibles[5]
+    row = ClassFunction(high.data, [2] + list(high.values[1:]))
+    share = SeriesShare()
+    seq = LambdaSequence.compute(high, M, expect_character=True, share=share)
+    tops = dict(share.tops)
+    messages = []
+    for s in (share, None):
+        with pytest.raises(InvalidCharacterError) as info:
+            LambdaSequence.compute(row, M, expect_character=True, share=s)
+        messages.append(str(info.value))
+    n = first_violation(row, M, row.data.power_map)
+    assert messages == [f"lambda^{n} is nonzero beyond the degree 2"] * 2 and n == 3
+    again = LambdaSequence.compute(row, M, share=share)
+    shared = [c for c, r in enumerate(high.data.rep_orders) if r in (25, 50)]
+    assert len(shared) == 20
+    assert all(again.entries[c] is seq.entries[c] and tops[id(seq.entries[c][0])] == 4
+               for c in shared)
+    assert share.top(again.entries[5][0]) == M

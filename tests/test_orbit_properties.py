@@ -308,3 +308,24 @@ def test_unit_lift_is_a_unit_in_the_same_class(m, n, u):
     if gcd(u, gcd(m, n)) == 1:
         v = unit_lift(u, m, n)
         assert v % m == u % m and gcd(v, n) == 1
+
+
+def test_a_class_function_finds_its_orbit_table_once(monkeypatch):
+    # compute reads the table kept on the class function, so each function
+    # finds it once however often it is computed; the lambda and S functions
+    # of a sequence find their own on their first read
+    table = get_group("D2n", 12)
+    cd, calls = table.classes, []
+    real = groupdata.ClassData.galois_orbits
+    monkeypatch.setattr(groupdata.ClassData, "galois_orbits",
+                        lambda self, values: calls.append(values) or real(self, values))
+    fs = [ClassFunction(cd, chi.values) for chi in table.irreducibles]
+    fs.append(ClassFunction(cd, [2, Cyclotomic.root_of_unity(3)] + [0] * (cd.class_count - 2)))
+    share = SeriesShare()
+    for f in fs:
+        for M in (3, 6, 6):
+            assert LambdaSequence.compute(f, M, share=share).orbits is f.galois_orbits
+    assert calls == [f.values for f in fs]
+    seq = LambdaSequence.compute(fs[-1], 4)
+    for g in seq.lambdas + seq.syms:
+        assert g.galois_orbits == real(cd, g.values)

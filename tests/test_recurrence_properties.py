@@ -13,8 +13,9 @@ orders 1, 3, 4, 5, 6, 7, 20 and 50, rational values with denominators (psi =
 values stored at high orders, values of mixed orders, and coordinates at the
 edge of the packed slot width.  The power-sum check runs its route at most
 once per rational class and once per distinct psi-sequence; the
-deterministic tests at the end move S^n at every other class and count the
-routes it runs.  ``compute`` keys each class once, by its psi-sequence with
+deterministic tests at the end move S^n at every other class, and at
+classes whose share entry was already compared, and count the routes it
+runs.  ``compute`` keys each class once, by its psi-sequence with
 each rational by value, and ``syms`` and ``power_sum_check`` key none.
 """
 
@@ -456,3 +457,37 @@ def test_a_rational_keys_one_entry_at_any_stored_order():
             assert [g.values[c] for g in seq.syms] == sym
             assert matches(sym, reference_syms(want, M), [None])
             assert matches(psum, reference_power_sums(psi, M), [None])
+
+
+def test_a_move_at_a_class_whose_entry_was_compared_is_caught():
+    # D2n:50 at M = 6: the trivial character reads one entry at all 28
+    # classes, and chi2 reads it again at the rotations.  An entry is compared
+    # in full once; a moved S^n is no longer the entry's object, so it is
+    # compared in full at its class, in one call, in a later one through the
+    # share, and without a share
+    table, M, one = get_group("D2n", 50), 6, as_cyclotomic(1)
+    names, share = table.classes.names, SeriesShare()
+    trivial = LambdaSequence.compute(table.irreducibles[0], M, share=share)
+    bad = moved(trivial, 1, 1, one)  # class 0 compares the entry in this call
+    assert verdict(power_sum_check, bad) == f"S^1 at class {names[1]}"
+    assert verdict(reference_power_sum_check, bad) == f"S^1 at class {names[1]}"
+    assert share.compared == {id(trivial.entries[0][1])}
+    assert verdict(power_sum_check, trivial) == "ok" and len(share.compared) == 1
+    for c, n in ((0, 1), (1, 1), (27, M)):  # the entry is compared before the call
+        assert verdict(power_sum_check, moved(trivial, n, c, one)) == f"S^{n} at class {names[c]}"
+    chi2 = LambdaSequence.compute(table.irreducibles[1], M, share=share)
+    compared = [c for c, e in enumerate(chi2.entries) if id(e[1]) in share.compared]
+    assert compared == list(range(26))  # the rotations
+    for c in (0, 25):
+        for n in (1, M):
+            bad = moved(chi2, n, c, Cyclotomic.root_of_unity(50))
+            assert verdict(power_sum_check, bad) == f"S^{n} at class {names[c]}"
+            assert verdict(reference_power_sum_check, bad) == f"S^{n} at class {names[c]}"
+    assert verdict(power_sum_check, chi2) == "ok" and len(share.compared) == 2
+    for seq in (trivial, chi2):
+        bare = dataclasses.replace(seq, share=None)
+        assert verdict(power_sum_check, bare) == "ok"
+        for c in (0, 13, 27):
+            bad = moved(bare, M, c, one)
+            assert bad.share is None
+            assert verdict(power_sum_check, bad) == f"S^{M} at class {names[c]}"
