@@ -23,30 +23,26 @@ from math import gcd, lcm
 
 from . import catalog
 from .catalog import NoModelError, PermModel, get_perm_model, parse_group_selector
+from .checks import verify_checks
 from .closedforms import (
     CentralCharSpec,
     CentralForms,
     InvalidCentralCharError,
     InvalidSubgroupError,
-    MapInconsistentError,
     NonIntegerExponentError,
     NormalSubgroupSpec,
     burnside_regular_forms,
     central_char_spec,
     central_forms,
-    expand_product_form,
     one_dim_forms,
-    quotient_pullback,
     subgroup_spec,
 )
 from .exactnum import Cyclotomic
 from .genfun import (
     EXT,
     SYM,
-    MultiplicityTable,
     format_poly,
     genfun_rational,
-    genfun_rationals,
     genfun_series,
     multiplicity_table,
 )
@@ -61,16 +57,6 @@ from .groupdata import (
     power_map_mismatch,
     regular_character,
     validate_table,
-)
-from .lambdaops import (
-    CrossCheckError,
-    InvalidCharacterError,
-    LambdaSequence,
-    SeriesShare,
-    char_poly,
-    is_periodic,
-    power_sum_check,
-    product_form,
 )
 from .permgroup import (
     CapExceededError,
@@ -141,14 +127,11 @@ class OutputDocument:
 
     def to_plain(self) -> str:
         header, rows = self.rows_for_tabulation()
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        return "".join(
+            "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+            for r in (header, *rows)
+        )
 
     def to_csv(self) -> str:
         header, rows = self.rows_for_tabulation()
@@ -158,9 +141,7 @@ class OutputDocument:
                 return '"' + cell.replace('"', '""') + '"'
             return cell
 
-        lines = [",".join(esc(c) for c in header)]
-        lines += [",".join(esc(c) for c in r) for r in rows]
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(esc, r)) + "\n" for r in (header, *rows))
 
     def render(self, fmt: str) -> str:
         if fmt == "plain":
@@ -228,10 +209,6 @@ class GroupContext:
             if self.natural is None:
                 raise InputError("no permutation model, so no natural character")
             return self.natural
-        if self.table is None:
-            raise InputError(
-                "character selection beyond regular/natural needs a character table"
-            )
         try:
             return self.table.character(selector)
         except KeyError:
@@ -281,10 +258,9 @@ def _parse_cyclo(value, root_order: int, where: str) -> Cyclotomic:
     ):
         raise InputError(f"{where}: a value is a list of [exponent, num, den] triples")
     terms = [[_integer(x, where) for x in t] for t in value]
-    try:
-        return Cyclotomic.from_terms(root_order, [(e, Fraction(n, d)) for e, n, d in terms])
-    except ZeroDivisionError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    if any(d == 0 for _, _, d in terms):
+        raise InputError(f"{where}: a term has denominator 0")
+    return Cyclotomic.from_terms(root_order, [(e, Fraction(n, d)) for e, n, d in terms])
 
 
 def _multiplier(m: int, where: str) -> int:
@@ -415,27 +391,22 @@ def load_group_spec(path: str) -> GroupContext:
     for cname, cc in _object(raw.get("central_chars", {}), f"{path}: central_chars").items():
         where = f"{path}: central_chars[{cname!r}]"
         sub = _object(cc, where).get("subgroup")
-        if isinstance(sub, str):
-            if sub not in ctx.subgroups:
-                raise InputError(f"{where}: unknown subgroup {sub!r}")
-            spec = ctx.subgroups[sub]
-        else:
-            try:
-                spec = subgroup_spec(cd, _indices(sub, f"{where}.subgroup"))
-            except InvalidSubgroupError as exc:
-                raise InputError(f"{where}: {exc}") from exc
-        zeta = {}
-        for c_raw, e in _object(cc.get("zeta", {}), f"{where}.zeta").items():
-            c = parse_digits(c_raw, f"{where}.zeta key")
-            if c is None:
-                raise InputError(f"{where}.zeta: key {c_raw!r} is not a class index")
-            zeta[c] = Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
-        multiplier = _multiplier(
-            _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"
-        )
+        if isinstance(sub, str) and sub not in ctx.subgroups:
+            raise InputError(f"{where}: unknown subgroup {sub!r}")
         try:
+            spec = (ctx.subgroups[sub] if isinstance(sub, str)
+                    else subgroup_spec(cd, _indices(sub, f"{where}.subgroup")))
+            zeta = {}
+            for c_raw, e in _object(cc.get("zeta", {}), f"{where}.zeta").items():
+                c = parse_digits(c_raw, f"{where}.zeta key")
+                if c is None:
+                    raise InputError(f"{where}.zeta: key {c_raw!r} is not a class index")
+                zeta[c] = Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
+            multiplier = _multiplier(
+                _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"
+            )
             ctx.central[cname] = central_char_spec(cd, spec, zeta, multiplier)
-        except InvalidCentralCharError as exc:
+        except (InvalidSubgroupError, InvalidCentralCharError) as exc:
             raise InputError(f"{where}: {exc}") from exc
     return ctx
 
@@ -454,36 +425,18 @@ def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) 
     """The JSON document for a character table, in group-spec format."""
     cd = table.classes
     root = lcm(cd.exponent, table._columns.n)  # the order of every irrational value divides n
-    classes = []
-    for c in range(cd.class_count):
-        classes.append(
-            {
-                "name": cd.names[c],
-                "size": cd.sizes[c],
-                "rep_order": cd.rep_orders[c],
-                "inverse": cd.inverse_class[c],
-                "prime_powers": {
-                    str(p): m[c]
-                    for p, m in sorted(cd.prime_power_maps.items())
-                    if cd.exponent % p == 0
-                },
-            }
-        )
+    maps = [(str(p), m) for p, m in sorted(cd.prime_power_maps.items()) if cd.exponent % p == 0]
+    classes = [
+        {"name": cd.names[c], "size": cd.sizes[c], "rep_order": cd.rep_orders[c],
+         "inverse": cd.inverse_class[c], "prime_powers": {p: m[c] for p, m in maps}}
+        for c in range(cd.class_count)
+    ]
     irreducibles = [
-        {
-            "name": lbl,
-            "values": [cyclo_terms(v, root) for v in chi.values],
-        }
+        {"name": lbl, "values": [cyclo_terms(v, root) for v in chi.values]}
         for lbl, chi in zip(table.labels, table.irreducibles)
     ]
-    doc = {
-        "format_version": 1,
-        "name": table.name or "group",
-        "order": cd.group_order,
-        "root_order": root,
-        "classes": classes,
-        "irreducibles": irreducibles,
-    }
+    doc = {"format_version": 1, "name": table.name or "group", "order": cd.group_order,
+           "root_order": root, "classes": classes, "irreducibles": irreducibles}
     if generators:
         doc["generators"] = generators
     return doc
@@ -740,189 +693,10 @@ def _cyc_poly_str(coeffs) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"check": name, "ok": bool(ok), "detail": detail})
-
-    cd = ctx.classes
-    if ctx.table is not None:
-        # validated at load: get_group (exit 3) and load_group_spec (exit 2) raise
-        record("table-identities", True)
-    else:
-        problems = cd.structural_problems()
-        record("class-data-structure", not problems, "; ".join(problems[:4]))
-    # power maps compose
-    ok = True
-    for n in (2, 3, 5, 6):
-        for m in (2, 3, 5):
-            lhs = cd.power_map(n * m)
-            via = cd.power_map(n)
-            rhs = tuple(cd.power_map(m)[via[c]] for c in range(cd.class_count))
-            if lhs != rhs:
-                ok = False
-    record("power-map-composition", ok)
-    reg = regular_character(cd)
-    record("regular-character-periodic", is_periodic(reg))
-    # product form reconstructs the per-class polynomials of the regular character
-    pf = product_form(reg)
-    # reg is rational, so lambda_t is constant on a rational class
-    reps = [r for r, _ in cd.rational_classes()[0]]
-    polys = {r: char_poly(reg, r) for r in set(reps)}
-    ok = all(expand_product_form(pf, c, len(polys[r]) - 1) == polys[r] for c, r in enumerate(reps))
-    record("regular-product-form", ok)
-    if ctx.natural is not None:
-        record("natural-character-periodic", is_periodic(ctx.natural))
-    if ctx.table is None:
-        return checks
-    table = ctx.table
-    qs = decompose(reg, table)
-    record(
-        "regular-degree-multiplicities",
-        list(qs) == [chi.values[0].to_rational() for chi in table.irreducibles],
-    )
-    record("dual-route-coefficients", *_dual_route_check(table, degree))
-    record("one-dimensional-forms", _one_dim_check(table))
-    for name, spec in sorted(ctx.subgroups.items()):
-        forms = burnside_regular_forms(cd, spec, 1)
-        record(f"quotient-permutation-forms:{name}", *_closed_form_check(forms, degree))
-    for name, spec in sorted(ctx.central.items()):
-        record(f"central-forms:{name}", *_closed_form_check(central_forms(cd, spec), degree))
-    for name, (qtable, qmap) in sorted(ctx.transfers.items()):
-        try:
-            qt = quotient_pullback(ctx.table, qtable, qmap)
-        except MapInconsistentError as exc:
-            record(f"quotient-transfer:{name}", False, str(exc))
-            continue
-        # decompositions are unique: with every pulled irreducible a row of G and
-        # S^i(pull chi_q) = pull S^i(chi_q) at every class, S^i(chi_q) = sum_j q_j
-        # chi_q,j pulls back to S^i(pull chi_q) = sum_j q_j pull chi_q,j, so each
-        # multiplicity transfers, and every row of G not pulled back has 0
-        ok = all(phi in table.irreducibles for phi in qt.pulled_irreducibles())
-        for chi_q in qtable.irreducibles:
-            seq_q = LambdaSequence.compute(chi_q, degree, True)
-            seq_g = LambdaSequence.compute(qt.pull(chi_q), degree, True)
-            if any(qt.pull(f) != g for f, g in zip(seq_q.syms, seq_g.syms)):
-                ok = False
-        record(f"quotient-transfer:{name}", ok)
-    if ctx.model is not None:
-        derived = ctx.model.data
-        match = ctx.model.matching
-        ok = all(
-            derived.sizes[match[c]] == cd.sizes[c]
-            and derived.rep_orders[match[c]] == cd.rep_orders[c]
-            for c in range(cd.class_count)
-        )
-        record("permutation-model-classes", ok)
-    return checks
-
-
-def _one_dim_check(table: CharacterTable) -> bool:
-    """The shortcut forms of every linear character against the engine: S^i
-    to degree 12 at every class, and the rational form toward every chi_j.
-    ``one_dim_forms`` and ``genfun_rationals`` run, and the forms are
-    compared, once per character orbit.  Any other chi = chi_r o u compares
-    its S^i(c) with chi_r^i(c^u) at every class.  Its forms are chi_r's with
-    chi_i renamed chi_pi(i) (S^n(chi) = S^n(chi_r) o u = sum_i q_i chi_pi(i),
-    pi a bijection), so comparing them again would read no value of chi."""
-    ok, share, js = True, SeriesShare(), range(table.classes.class_count)
-    orbit, _ = table.character_orbits()
-    forms_of = {}
-    for j, chi in enumerate(table.irreducibles):
-        if chi.values[0] != 1:
-            continue
-        r, u = orbit[j]
-        if r == j:
-            forms_of[j] = one_dim_forms(chi, table)
-            try:
-                rationals = genfun_rationals(chi, table, js, SYM)
-            except CrossCheckError:  # the column fails the numerator-degree certificate
-                rationals = None
-            if rationals != [forms_of[j].genfun(i) for i in js]:
-                ok = False
-        seq = LambdaSequence.compute(chi, 12, expect_character=True, share=share)
-        pm, forms = table.classes.power_map(u), forms_of[r]
-        for i in range(13):  # S^i(chi)(c) against chi_r^i(c^u)
-            if seq.syms[i].values != tuple(map(forms.sym_power(i).values.__getitem__, pm)):
-                ok = False
-    return ok
-
-
-def _dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
-    """The certified symmetric-power table of every irreducible, with each
-    per-class S^n recomputed from psi by the power-sum identity.  One share
-    serves the lambda, S and power-sum series of every irreducible, and is
-    freed on return.
-
-    ``certify`` runs once per character orbit (``character_orbits``).  Any
-    other chi_j = chi_r o u has S^n(chi_j)(c) compared with S^n(chi_r)(c^u) at
-    every class and every n, which certifies it: S^n(chi_r) = sum_i q_i chi_i,
-    q_i nonnegative integers, holds at every class, so S^n(chi_j)(c) =
-    sum_i q_i chi_i(c^u) = sum_i q_i chi_pi(i)(c), with chi_pi(i)(c) =
-    chi_i(c^u).  pi is total: the orbit table holds more than the identity
-    only when every unit image of every row was looked up and found to be a
-    row; otherwise every chi is its own orbit and is certified.
-    """
-    cd, share, syms = table.classes, SeriesShare(), {}
-    orbit, _ = table.character_orbits()
-    for j, (chi, (r, u)) in enumerate(zip(table.irreducibles, orbit)):
-        try:
-            seq = LambdaSequence.compute(chi, degree, expect_character=True, share=share)
-            power_sum_check(seq)
-            if r == j:
-                MultiplicityTable.certify(seq, table, SYM)
-                syms[j] = seq.syms
-                continue
-            pm = cd.power_map(u)
-            for n, (f, g) in enumerate(zip(seq.syms, syms[r])):
-                for c, v in enumerate(f.values):
-                    w = g.values[pm[c]]  # with the share usually the same object
-                    if v is not w and v != w:
-                        raise CrossCheckError(
-                            f"S^{n} at class {cd.names[c]} is not S^{n}({table.labels[r]}) "
-                            f"at its {u}-th power"
-                        )
-        except (CrossCheckError, InvalidCharacterError, NonIntegralMultiplicityError,
-                NonRationalMultiplicityError) as exc:
-            return False, f"{table.labels[j]}: {exc}"
-    return True, ""
-
-
-def _closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
-    """m*zeta_0 against the recurrences: lambda_t at every class with a closed
-    form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
-    coprime-degree rule for n <= min(|G/N| + 5, degree, 2m), off lambda and S
-    to min(degree, 2m), and lambda alone to m if m is larger."""
-    cd, spec = forms.cd, forms.spec
-    m = spec.multiplier
-    bound = min(degree, 2 * m)
-    seq = LambdaSequence.compute(forms.character(), bound)
-    lams = seq.lambdas if m <= bound else LambdaSequence.compute(forms.character(), m).lambdas
-    closed = [c for c in range(cd.class_count) if m % forms.coset_orders[c] == 0]
-    ok = True
-    for c in closed:
-        lam = [f.values[c] for f in lams]
-        if lam[: m + 1] != forms.lambda_poly(c) or any(lam[m + 1 : bound + 1]):
-            ok = False
-    qo = spec.subgroup.quotient_order
-    for n in range(1, min(qo + 5, bound) + 1):
-        if gcd(n, qo) == 1 and (
-            seq.syms[n] != forms.shortcut(n, SYM) or lams[n] != forms.shortcut(n, EXT)
-        ):
-            ok = False
-    missing = [cd.names[c] for c in range(cd.class_count) if c not in closed]
-    return ok, f"no closed form at {', '.join(missing)}" if missing else ""
-
-
 def cmd_verify(args) -> tuple[OutputDocument, int]:
     _degree(args.degree)
     ctx = resolve_group(args)
-    checks = _verify_checks(ctx, args.degree)
+    checks = verify_checks(ctx, args.degree)
     doc = OutputDocument("report", {"group": ctx.name, "checks": checks})
     code = EXIT_OK if all(c["ok"] for c in checks) else EXIT_VERIFY
     return doc, code

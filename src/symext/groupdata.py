@@ -146,8 +146,8 @@ class ClassData:
         return self._orbits
 
     def galois_image(self, v: Cyclotomic, u: int) -> Cyclotomic:
-        """sigma_u(v) for a unit u mod the exponent, by a lift of u prime to v.order."""
-        return v if v.is_rational() else v.galois(unit_lift(u, self.exponent, v.order))
+        """sigma_u(v) for a unit u mod the exponent and v at an order dividing it."""
+        return v if v.is_rational() else v.galois(u)
 
     def galois_orbits(self, values: Sequence[Cyclotomic]) -> tuple[tuple[int, int], ...]:
         """The orbit table of ``rational_classes`` if f(r^u) = sigma_u(f(r)) at

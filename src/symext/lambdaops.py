@@ -229,18 +229,18 @@ class SeriesShare:
     entry of ``entries``: its [lambda, S, power-sum] series, each None until
     first read.  Each value is interned to a small id in ``ids``, a rational
     by its value (num, den) at any stored order, since no route lifts one,
-    any other by (order, num, den).  A key is one int: the ids in four-byte
-    slots under one top byte, so it also fixes M.  By id, ``tops`` holds each
-    lambda series' ``top``, ``compared`` the S series ``power_sum_check`` has
-    compared in full.  Make one share per request and drop it after: it grows
-    with every new key and is never pruned.
+    any other by (order, num, den).  A key is the tuple of a class's ids, so
+    it also fixes M.  By id, ``tops`` holds each lambda series' ``top``,
+    ``compared`` the S series ``power_sum_check`` has compared in full.  Make
+    one share per request and drop it after: it grows with every new key and
+    is never pruned.
     """
 
     __slots__ = ("ids", "entries", "tops", "compared")
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
-        self.entries: dict[int, list] = {}
+        self.entries: dict[tuple, list] = {}
         self.tops: dict[int, int] = {}
         self.compared: set[int] = set()
 
@@ -254,14 +254,14 @@ class SeriesShare:
         """The entry of each class, by the key of its psi column."""
         ids, entries, slots, keys = self.ids, self.entries, {}, []
         for col in psi_cols:
-            parts = []
+            key = []
             for v in col[1:]:
                 s = slots.get(id(v))
                 if s is None:
                     k = (v.num[0], v.den) if v.is_rational() else (v.order, v.num, v.den)
-                    s = slots[id(v)] = ids.setdefault(k, len(ids)).to_bytes(4, "little")
-                parts.append(s)
-            keys.append(int.from_bytes(b"".join(parts) + b"\1", "little"))
+                    s = slots[id(v)] = ids.setdefault(k, len(ids))
+                key.append(s)
+            keys.append(tuple(key))
         return tuple(entries.get(k) or entries.setdefault(k, [None] * 3) for k in keys)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import reference_dual_route_check, with_syms
-from symext import cli
+from symext import checks, cli
 from symext.catalog import get_group
 from symext.closedforms import OneDimForms, one_dim_forms
 from symext.cli import EXIT_OK, EXIT_VERIFY, main
@@ -102,10 +102,10 @@ def test_a_table_whose_unit_image_is_no_row_certifies_every_character(monkeypatc
     wrong = _with_class_data(table, prime_power_maps=maps)
     assert wrong.character_orbits() == (tuple((j, 1) for j in range(4)), {1: (0, 1, 2, 3)})
     calls = _count_certify(monkeypatch)
-    assert cli._dual_route_check(wrong, 2) == (True, "")
+    assert checks.dual_route_check(wrong, 2) == (True, "")
     assert len(calls) == 4
     calls.clear()
-    assert cli._dual_route_check(table, 2) == (True, "") and len(calls) == 3
+    assert checks.dual_route_check(table, 2) == (True, "") and len(calls) == 3
 
 
 @pytest.mark.parametrize("family, param", [("D2n", 10), ("Hp", 3)])
@@ -143,7 +143,7 @@ def test_verify_catches_a_moved_sym_value_off_the_representative(monkeypatch, gr
         return with_syms(seq, syms)
 
     monkeypatch.setattr(LambdaSequence, "compute", classmethod(moved))
-    monkeypatch.setattr(cli, "power_sum_check", lambda seq: None)
+    monkeypatch.setattr(checks, "power_sum_check", lambda seq: None)
     code, out = run_cli(["verify", "--group", group])
     assert code == EXIT_VERIFY
     row = _row(out, "dual-route-coefficients")
@@ -176,9 +176,9 @@ def test_verify_runs_the_one_dimensional_forms_once_per_orbit(monkeypatch):
     # Hp:3: 9 linear characters in 5 orbits (the trivial one and 4 pairs)
     table = get_group("Hp", 3)
     forms, rationals = [], []
-    real_forms, real_rationals = cli.one_dim_forms, cli.genfun_rationals
-    monkeypatch.setattr(cli, "one_dim_forms", lambda chi, t: forms.append(chi) or real_forms(chi, t))
-    monkeypatch.setattr(cli, "genfun_rationals",
+    real_forms, real_rationals = checks.one_dim_forms, checks.genfun_rationals
+    monkeypatch.setattr(checks, "one_dim_forms", lambda chi, t: forms.append(chi) or real_forms(chi, t))
+    monkeypatch.setattr(checks, "genfun_rationals",
                         lambda chi, *a: rationals.append(chi) or real_rationals(chi, *a))
     code, out = run_cli(["verify", "--group", "Hp:3"])
     assert code == EXIT_OK and _row(out, "one-dimensional-forms")[1] == "ok"
@@ -249,5 +249,5 @@ def altered_table(draw):
 @settings(max_examples=40, deadline=None)
 @given(altered_table(), st.integers(1, 6))
 def test_the_per_orbit_check_agrees_with_the_row_wise_reference(table, degree):
-    ok, _ = cli._dual_route_check(table, degree)
+    ok, _ = checks.dual_route_check(table, degree)
     assert ok == reference_dual_route_check(table, degree)[0]

@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 
 from oracle_utils import cyclic_spec, with_syms
-from symext import catalog, cli, groupdata, lambdaops, permgroup
+from symext import catalog, checks, cli, groupdata, lambdaops, permgroup
 from symext.catalog import NoModelError, central_characters, get_group
 from symext.closedforms import (
     CentralForms,
@@ -182,7 +182,7 @@ def test_verify_reports_failures_with_exit_1(monkeypatch):
     import symext.cli as cli
 
     monkeypatch.setattr(
-        cli, "_verify_checks", lambda ctx, degree: [
+        cli, "verify_checks", lambda ctx, degree: [
             {"check": "forced", "ok": False, "detail": "boom"}
         ]
     )
@@ -241,8 +241,8 @@ def test_verify_catches_a_wrong_image_that_compute_and_the_check_share(monkeypat
 def test_verify_runs_char_poly_once_per_rational_class(monkeypatch):
     # D2n:50: 28 classes in 8 rational classes
     calls = []
-    real = cli.char_poly
-    monkeypatch.setattr(cli, "char_poly", lambda chi, c: calls.append(c) or real(chi, c))
+    real = checks.char_poly
+    monkeypatch.setattr(checks, "char_poly", lambda chi, c: calls.append(c) or real(chi, c))
     code, _, _ = run_cli(["verify", "--group", "D2n:50"])
     assert code == EXIT_OK
     orbit = get_group("D2n", 50).classes.rational_classes()[0]
@@ -252,13 +252,13 @@ def test_verify_runs_char_poly_once_per_rational_class(monkeypatch):
 def test_regular_product_form_compares_every_class(monkeypatch):
     cd = get_group("D2n", 12).classes
     c0 = next(c for c, (r, _) in enumerate(cd.rational_classes()[0]) if r != c)
-    real = cli.expand_product_form
+    real = checks.expand_product_form
 
     def wrong(pf, c, degree):
         out = real(pf, c, degree)
         return out[:-1] + [out[-1] + 1] if c == c0 else out
 
-    monkeypatch.setattr(cli, "expand_product_form", wrong)
+    monkeypatch.setattr(checks, "expand_product_form", wrong)
     code, out, _ = run_cli(["verify", "--group", "D2n:12"])
     assert code == EXIT_VERIFY
     assert _row(out, "regular-product-form")[1] == "FAIL"
@@ -772,7 +772,7 @@ def _raise(exc):
 
 
 @pytest.mark.parametrize("owner, name, group", [(MultiplicityTable, "certify", "S3"),
-                                                (cli, "quotient_pullback", "S4")])
+                                                (checks, "quotient_pullback", "S4")])
 def test_a_fault_inside_verify_that_is_no_verdict_exits_3(monkeypatch, owner, name, group):
     monkeypatch.setattr(owner, name, _raise(TypeError("simulated bug")))
     code, out, err = run_cli(["verify", "--group", group])
@@ -781,7 +781,7 @@ def test_a_fault_inside_verify_that_is_no_verdict_exits_3(monkeypatch, owner, na
 
 
 def test_an_inconsistent_quotient_map_is_a_failed_row(monkeypatch):
-    monkeypatch.setattr(cli, "quotient_pullback", _raise(MapInconsistentError(["moved"])))
+    monkeypatch.setattr(checks, "quotient_pullback", _raise(MapInconsistentError(["moved"])))
     code, out, _ = run_cli(["verify", "--group", "S4"])
     assert code == EXIT_VERIFY
     row = next(ln.split() for ln in out.splitlines() if ln.startswith("quotient-transfer:V "))
@@ -820,7 +820,7 @@ def test_a_moved_power_of_a_pulled_character_fails_the_transfer(monkeypatch):
             syms[3] = ClassFunction(chi.data, [syms[3].values[0] + 1, *syms[3].values[1:]])
             return with_syms(seq, syms)
 
-    monkeypatch.setattr(cli, "LambdaSequence", Moved)
+    monkeypatch.setattr(checks, "LambdaSequence", Moved)
     code, out, _ = run_cli(["verify", "--group", "S4"])
     assert code == EXIT_VERIFY
     rows = [ln.split() for ln in out.splitlines()]
@@ -891,7 +891,7 @@ def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
         for idx, degree in (((0, 2), 10), ((0,), 4))
     ]
     for forms, degree in cases:
-        assert cli._closed_form_check(forms, degree) == (True, "")
+        assert checks.closed_form_check(forms, degree) == (True, "")
     if tamper == "degree-bound":
         # lambda^M replaced by chi: for S3/A3, M = 4 exceeds the degree 2 of Pi,
         # and the coprime-degree rule skips n = 4; for S3/1, M = m = 6 and
@@ -910,21 +910,21 @@ def test_closed_form_check_fails_on_a_wrong_form(monkeypatch, tamper):
             CentralForms, tamper, lambda self, *a: wrong[tamper](real(self, *a))
         )
     for forms, degree in cases:
-        assert cli._closed_form_check(forms, degree)[0] is False
+        assert checks.closed_form_check(forms, degree)[0] is False
 
 
 def test_closed_form_check_reads_lambda_t_off_its_one_sequence(monkeypatch):
     def no_char_poly(chi, c):
         raise AssertionError("char_poly called")
 
-    monkeypatch.setattr(cli, "char_poly", no_char_poly)
+    monkeypatch.setattr(checks, "char_poly", no_char_poly)
     monkeypatch.setattr(lambdaops, "char_poly", no_char_poly)
     s3, hp3 = get_group("S3"), get_group("Hp", 3)
     for idx in ((0,), (0, 2)):
         forms = burnside_regular_forms(s3.classes, subgroup_spec(s3.classes, idx))
-        assert cli._closed_form_check(forms, 10) == (True, "")
+        assert checks.closed_form_check(forms, 10) == (True, "")
     for spec in central_characters("Hp", 3).values():
-        assert cli._closed_form_check(central_forms(hp3.classes, spec), 6) == (True, "")
+        assert checks.closed_form_check(central_forms(hp3.classes, spec), 6) == (True, "")
 
 
 @pytest.mark.parametrize("where", ["flag", "spec"])
@@ -1205,7 +1205,7 @@ def test_verify_compares_each_series_entry_once(monkeypatch):
     # D2n:50 at the default degree 10: the dual-route row's 28 irreducibles
     # read 784 class columns but 29 share entries, and power_sum_check
     # compares S^1..S^10 of each entry with its power-sum series once
-    real_eq, real_check, inside, calls = Cyclotomic.__eq__, cli.power_sum_check, [], []
+    real_eq, real_check, inside, calls = Cyclotomic.__eq__, checks.power_sum_check, [], []
 
     def counted_eq(a, b):
         calls.extend(inside)
@@ -1219,7 +1219,7 @@ def test_verify_compares_each_series_entry_once(monkeypatch):
             inside.clear()
 
     monkeypatch.setattr(Cyclotomic, "__eq__", counted_eq)
-    monkeypatch.setattr(cli, "power_sum_check", check)
+    monkeypatch.setattr(checks, "power_sum_check", check)
     code, out, _ = run_cli(["verify", "--group", "D2n:50"])
     assert code == EXIT_OK and "FAIL" not in out
     shares = {id(seq.share) for seq in calls}
@@ -1346,3 +1346,86 @@ def test_verify_runs_each_recurrence_once_per_psi_sequence(monkeypatch):
         assert run_cli(["verify", "--group", "D2n:50"])[0] == EXIT_OK
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 100
+
+
+def _one_input_error_line(code, out, err):
+    return (code == EXIT_INPUT and out == "" and len(err.splitlines()) == 1
+            and err.startswith("error: ") and "Traceback" not in err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["genfun", "--generators", "(0 1);(0 1 2)", "--char", "regular", "--irr", "1"],
+         "genfun needs a character table"),
+        (["closedform", "--generators", "(0 1);(0 1 2)", "--spec", "regular"],
+         "closedform needs a character table"),
+        (["closedform", "--group", "S4", "--spec", "quotient:nope"],
+         "quotient:<subgroup>[:m] with subgroup one of: A4, V, trivial"),
+        (["closedform", "--group", "S4", "--spec", "onedim"], "onedim:<character label>"),
+    ],
+    ids=["genfun-without-table", "closedform-without-table", "unknown-quotient",
+         "onedim-without-label"],
+)
+def test_a_request_the_group_cannot_serve_is_one_input_error_line(argv, message):
+    code, out, err = run_cli(argv)
+    assert _one_input_error_line(code, out, err) and err == f"error: {message}\n"
+
+
+def test_a_directory_as_the_group_is_one_input_error_line(tmp_path):
+    code, out, err = run_cli(["verify", "--group", str(tmp_path)])
+    assert _one_input_error_line(code, out, err) and "cannot read group spec" in err
+
+
+def _central(doc, subgroup, zeta=None):
+    doc["normal_subgroups"] = {"A3": [0, 2]}
+    doc["central_chars"] = {"z": {"subgroup": subgroup, "zeta": zeta or {"0": 0}}}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: _set_value(doc, 1, 1, [[0, 1, 0]]),
+         "irreducibles[1].values[1]: a term has denominator 0"),
+        (lambda doc: _set_field(doc, "normal_subgroups", {"N": [1]}),
+         "normal_subgroups['N']: subgroup must contain the identity class"),
+        (lambda doc: _central(doc, "nope"), "central_chars['z']: unknown subgroup 'nope'"),
+        (lambda doc: _central(doc, [0, 1]),
+         "central_chars['z']: class sizes do not sum to a divisor of |G|"),
+        (lambda doc: _central(doc, "A3", {"0": 0, "2": 1}),
+         "central_chars['z']: zeta at the inverse of C3 is not the reciprocal"),
+        (lambda doc: _central(doc, "A3", {"0": 0, "2": 3}),
+         "central_chars['z']: zeta is not multiplicative along the 2-power map at C3"),
+    ],
+    ids=["zero-denominator", "subgroup-without-identity", "central-unknown-subgroup",
+         "central-invalid-subgroup", "zeta-not-reciprocal", "zeta-not-multiplicative"],
+)
+def test_a_spec_file_defect_is_one_input_error_line(tmp_path, mutate, message):
+    path = tmp_path / "defect.json"
+    path.write_text(json.dumps(mutate(dump_group_spec(get_group("S3")))))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert _one_input_error_line(code, out, err) and err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("group, char, irr", [("S4", "regular", "chi5"), ("A5", "chi4", "chi2"),
+                                              ("Hp:7", "tau_1", "tau_1"),
+                                              ("D2n:50", "natural", "tau1")])
+@pytest.mark.parametrize("op", ["sym", "ext"])
+def test_the_consistency_check_of_a_rational_form_prints_it_unchanged(monkeypatch, group, char,
+                                                                       irr, op):
+    argv = ["genfun", "--group", group, "--char", char, "--irr", irr, "--op", op]
+    code, out, err = run_cli(argv)
+    assert code == EXIT_OK and err == ""
+    assert run_cli(argv + ["--check-consistency"]) == (EXIT_OK, out, "")
+    # a planted rational form, 1 added to its numerator, fails the comparison
+    real = cli.genfun_rational
+
+    def planted(*args):
+        rf = real(*args)
+        return dataclasses.replace(rf, num=(rf.num[0] + 1, *rf.num[1:]) if rf.num else (1,))
+
+    monkeypatch.setattr(cli, "genfun_rational", planted)
+    assert run_cli(argv)[0] == EXIT_OK
+    assert run_cli(argv + ["--check-consistency"]) == (
+        EXIT_INTERNAL, "", "internal error: rational form disagrees with the series routes\n")
