@@ -3,7 +3,9 @@
 ``verify_checks`` runs every identity check attached to a resolved group
 (the CLI's ``GroupContext``: its ``classes``, ``table``, ``natural``,
 ``model``, ``subgroups``, ``central`` and ``transfers``) and returns the rows
-in order, each a dict with ``check``, ``ok`` and ``detail``.
+in order, each a dict with ``check``, ``ok`` and ``detail``.  One
+``SeriesShare`` serves every row's series but the quotient transfers', and
+is dropped on return.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .lambdaops import (
     InvalidCharacterError,
     LambdaSequence,
     SeriesShare,
-    char_poly,
     is_periodic,
     power_sum_check,
     product_form,
@@ -41,6 +42,7 @@ from .lambdaops import (
 
 def verify_checks(ctx, degree: int) -> list[dict]:
     checks: list[dict] = []
+    share = SeriesShare()
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks.append({"check": name, "ok": bool(ok), "detail": detail})
@@ -64,12 +66,12 @@ def verify_checks(ctx, degree: int) -> list[dict]:
     record("power-map-composition", ok)
     reg = regular_character(cd)
     record("regular-character-periodic", is_periodic(reg))
-    # product form reconstructs the per-class polynomials of the regular character
-    pf = product_form(reg)
-    # reg is rational, so lambda_t is constant on a rational class
-    reps = [r for r, _ in cd.rational_classes()[0]]
-    polys = {r: char_poly(reg, r) for r in set(reps)}
-    ok = all(expand_product_form(pf, c, len(polys[r]) - 1) == polys[r] for c, r in enumerate(reps))
+    # product form reconstructs lambda_t of the regular character, a polynomial
+    # of degree |G|, at every class
+    pf, m = product_form(reg), cd.group_order
+    lams = LambdaSequence.compute(reg, m, share=share).lambdas
+    ok = all(expand_product_form(pf, c, m) == [f.values[c] for f in lams]
+             for c in range(cd.class_count))
     record("regular-product-form", ok)
     if ctx.natural is not None:
         record("natural-character-periodic", is_periodic(ctx.natural))
@@ -81,19 +83,20 @@ def verify_checks(ctx, degree: int) -> list[dict]:
         "regular-degree-multiplicities",
         list(qs) == [chi.values[0].to_rational() for chi in table.irreducibles],
     )
-    record("dual-route-coefficients", *dual_route_check(table, degree))
-    record("one-dimensional-forms", one_dim_check(table))
+    record("dual-route-coefficients", *dual_route_check(table, degree, share))
+    record("one-dimensional-forms", one_dim_check(table, share))
     for name, spec in sorted(ctx.subgroups.items()):
         forms = burnside_regular_forms(cd, spec, 1)
-        record(f"quotient-permutation-forms:{name}", *closed_form_check(forms, degree))
+        record(f"quotient-permutation-forms:{name}", *closed_form_check(forms, degree, share))
     for name, spec in sorted(ctx.central.items()):
-        record(f"central-forms:{name}", *closed_form_check(central_forms(cd, spec), degree))
+        record(f"central-forms:{name}", *closed_form_check(central_forms(cd, spec), degree, share))
     for name, (qtable, qmap) in sorted(ctx.transfers.items()):
         try:
             qt = quotient_pullback(ctx.table, qtable, qmap)
         except MapInconsistentError as exc:
             record(f"quotient-transfer:{name}", False, str(exc))
             continue
+        # fresh shares, or a shared entry would be compared with itself;
         # decompositions are unique: with every pulled irreducible a row of G and
         # S^i(pull chi_q) = pull S^i(chi_q) at every class, S^i(chi_q) = sum_j q_j
         # chi_q,j pulls back to S^i(pull chi_q) = sum_j q_j pull chi_q,j, so each
@@ -129,15 +132,17 @@ def _transport_mismatch(syms, rep_syms, pm) -> tuple[int, int] | None:
     return None
 
 
-def one_dim_check(table: CharacterTable) -> bool:
+def one_dim_check(table: CharacterTable, share: SeriesShare | None = None) -> bool:
     """The shortcut forms of every linear character against the engine: S^i
     to degree 12 at every class, and the rational form toward every chi_j.
     ``one_dim_forms`` and ``genfun_rationals`` run, and the forms are
     compared, once per character orbit.  Any other chi = chi_r o u compares
     its S^i(c) with chi_r^i(c^u) at every class.  Its forms are chi_r's with
     chi_i renamed chi_pi(i) (S^n(chi) = S^n(chi_r) o u = sum_i q_i chi_pi(i),
-    pi a bijection), so comparing them again would read no value of chi."""
-    ok, share, js = True, SeriesShare(), range(table.classes.class_count)
+    pi a bijection), so comparing them again would read no value of chi.
+    The series run through ``share``, a fresh one if None."""
+    ok, js = True, range(table.classes.class_count)
+    share = SeriesShare() if share is None else share
     orbit, _ = table.character_orbits()
     forms_of = {}
     for j, chi in enumerate(table.irreducibles):
@@ -159,11 +164,12 @@ def one_dim_check(table: CharacterTable) -> bool:
     return ok
 
 
-def dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
+def dual_route_check(table: CharacterTable, degree: int,
+                     share: SeriesShare | None = None) -> tuple[bool, str]:
     """The certified symmetric-power table of every irreducible, with each
-    per-class S^n recomputed from psi by the power-sum identity.  One share
-    serves the lambda, S and power-sum series of every irreducible, and is
-    freed on return.
+    per-class S^n recomputed from psi by the power-sum identity.  One share,
+    ``share`` or a fresh one if None, serves the lambda, S and power-sum
+    series of every irreducible.
 
     ``certify`` runs once per character orbit (``character_orbits``).  Any
     other chi_j = chi_r o u has S^n(chi_j)(c) compared with S^n(chi_r)(c^u) at
@@ -174,7 +180,8 @@ def dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     only when every unit image of every row was looked up and found to be a
     row; otherwise every chi is its own orbit and is certified.
     """
-    cd, share, syms = table.classes, SeriesShare(), {}
+    cd, syms = table.classes, {}
+    share = SeriesShare() if share is None else share
     orbit, _ = table.character_orbits()
     for j, (chi, (r, u)) in enumerate(zip(table.irreducibles, orbit)):
         try:
@@ -197,16 +204,19 @@ def dual_route_check(table: CharacterTable, degree: int) -> tuple[bool, str]:
     return True, ""
 
 
-def closed_form_check(forms: CentralForms, degree: int) -> tuple[bool, str]:
+def closed_form_check(forms: CentralForms, degree: int,
+                      share: SeriesShare | None = None) -> tuple[bool, str]:
     """m*zeta_0 against the recurrences: lambda_t at every class with a closed
     form, lambda^n = 0 there for m < n <= min(degree, 2m), and the
     coprime-degree rule for n <= min(|G/N| + 5, degree, 2m), off lambda and S
-    to min(degree, 2m), and lambda alone to m if m is larger."""
-    cd, spec = forms.cd, forms.spec
+    to min(degree, 2m), and lambda alone to m if m is larger.  Both run
+    through ``share`` (a fresh one each if None); on the trivial subgroup
+    m*zeta_0 is the regular character, whose lambda to |G| ``verify`` has."""
+    cd, spec, chi = forms.cd, forms.spec, forms.character()
     m = spec.multiplier
     bound = min(degree, 2 * m)
-    seq = LambdaSequence.compute(forms.character(), bound)
-    lams = seq.lambdas if m <= bound else LambdaSequence.compute(forms.character(), m).lambdas
+    seq = LambdaSequence.compute(chi, bound, share=share)
+    lams = seq.lambdas if m <= bound else LambdaSequence.compute(chi, m, share=share).lambdas
     closed = [c for c in range(cd.class_count) if m % forms.coset_orders[c] == 0]
     ok = True
     for c in closed:

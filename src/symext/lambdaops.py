@@ -229,11 +229,11 @@ class SeriesShare:
     entry of ``entries``: its [lambda, S, power-sum] series, each None until
     first read.  Each value is interned to a small id in ``ids``, a rational
     by its value (num, den) at any stored order, since no route lifts one,
-    any other by (order, num, den).  A key is the tuple of a class's ids, so
-    it also fixes M.  By id, ``tops`` holds each lambda series' ``top``,
+    any other by (order, num, den).  A key is the tuple of the ids of chi at
+    c^1..c^M, so it fixes M.  By id, ``tops`` holds each lambda series' top,
     ``compared`` the S series ``power_sum_check`` has compared in full.  Make
-    one share per request and drop it after: it grows with every new key and
-    is never pruned.
+    one per request (``verify`` passes one to its rows) and drop it after:
+    it grows with every new key and is never pruned.
     """
 
     __slots__ = ("ids", "entries", "tops", "compared")
@@ -250,18 +250,13 @@ class SeriesShare:
             self.tops[id(lam)] = max((n for n, v in enumerate(lam) if v), default=0)
         return self.tops[id(lam)]
 
-    def entries_of(self, psi_cols) -> tuple[list, ...]:
-        """The entry of each class, by the key of its psi column."""
-        ids, entries, slots, keys = self.ids, self.entries, {}, []
-        for col in psi_cols:
-            key = []
-            for v in col[1:]:
-                s = slots.get(id(v))
-                if s is None:
-                    k = (v.num[0], v.den) if v.is_rational() else (v.order, v.num, v.den)
-                    s = slots[id(v)] = ids.setdefault(k, len(ids))
-                key.append(s)
-            keys.append(tuple(key))
+    def entries_of(self, values, idx) -> tuple[list, ...]:
+        """The entry of each class c, keyed by the ids of ``values`` at the
+        classes idx[c] (those of c^1..c^M); each value is interned once."""
+        ids, entries = self.ids, self.entries
+        vid = [ids.setdefault((v.num[0], v.den) if v.is_rational() else (v.order, v.num, v.den),
+                              len(ids)) for v in values]
+        keys = [tuple(map(vid.__getitem__, i)) for i in idx]
         return tuple(entries.get(k) or entries.setdefault(k, [None] * 3) for k in keys)
 
 
@@ -273,14 +268,6 @@ def _fill(cd, orbits, entries, slot: int, route) -> list[list[Cyclotomic]]:
         if e[slot] is None:
             e[slot] = route(c) if r == c else [cd.galois_image(v, u) for v in entries[r][slot]]
     return [e[slot] for e in entries]
-
-
-def _psi_columns(chi: ClassFunction, M: int) -> list[list]:
-    """Per class c the psi-sequence [None, chi(c), chi(c^2), .., chi(c^M)], as
-    chi's own value objects (``SeriesShare`` keys them by id)."""
-    cd = chi.data
-    pms = [cd.power_map(n) for n in range(1, M + 1)]
-    return [[None] + [chi.values[pm[c]] for pm in pms] for c in range(cd.class_count)]
 
 
 @dataclass(frozen=True)
@@ -315,12 +302,14 @@ class LambdaSequence:
         """
         if M < 0:
             raise ValueError("degree bound must be nonnegative")
-        cd = chi.data
+        cd, vals = chi.data, chi.values
         share = SeriesShare() if share is None else share
         orbits = chi.galois_orbits
-        psi = _psi_columns(chi, M)
-        entries = share.entries_of(psi)
-        cols = _fill(cd, orbits, entries, 0, lambda c: _scalar_lambdas(psi[c], M))
+        # idx[c]: the classes of c^1..c^M; with M = 0 one empty key per class
+        idx = list(zip(*(cd.power_map(n) for n in range(1, M + 1)))) or [()] * cd.class_count
+        entries = share.entries_of(vals, idx)
+        cols = _fill(cd, orbits, entries, 0,
+                     lambda c: _scalar_lambdas([None, *map(vals.__getitem__, idx[c])], M))
         if expect_character:
             try:
                 d = integral_degree(chi)
@@ -396,8 +385,9 @@ def power_sum_check(seq: LambdaSequence) -> None:
     Any other class, and every class without a share, is compared in full.
     """
     cd, M, share = seq.base.data, seq.degree_bound, seq.share
-    psi = _psi_columns(seq.base, M)
-    _fill(cd, seq.orbits, seq.entries, 2, lambda c: _scalar_power_sums(psi[c], M))
+    pms = [cd.power_map(n) for n in range(1, M + 1)]
+    _fill(cd, seq.orbits, seq.entries, 2,
+          lambda c: _scalar_power_sums([None] + [seq.base.values[pm[c]] for pm in pms], M))
     vals = [f.values for f in seq.syms]
     for c, (_, sym, route) in enumerate(seq.entries):
         own = share is not None and all(vals[n][c] is sym[n] for n in range(1, M + 1))

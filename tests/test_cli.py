@@ -21,7 +21,7 @@ from symext.closedforms import (
     subgroup_spec,
 )
 from symext.genfun import MultiplicityTable
-from symext.groupdata import ClassFunction
+from symext.groupdata import ClassFunction, regular_character
 from symext.lambdaops import LambdaSequence
 from symext.exactnum import Cyclotomic, primes_below
 from symext.cli import (
@@ -238,15 +238,27 @@ def test_verify_catches_a_wrong_image_that_compute_and_the_check_share(monkeypat
     assert row[1] == "FAIL" and "power-sum route" not in " ".join(row)
 
 
-def test_verify_runs_char_poly_once_per_rational_class(monkeypatch):
-    # D2n:50: 28 classes in 8 rational classes
-    calls = []
-    real = checks.char_poly
-    monkeypatch.setattr(checks, "char_poly", lambda chi, c: calls.append(c) or real(chi, c))
+def test_verify_runs_the_regular_lambda_recurrence_once_per_psi_sequence(monkeypatch):
+    # D2n:50: 28 classes in 8 rational classes, whose representatives have 6
+    # distinct psi-sequences of the regular character to |G| = 100.  The
+    # product-form row and the trivial quotient row read one share, and no
+    # row calls char_poly
+    def no_char_poly(chi, c):
+        raise AssertionError("char_poly called")
+
+    monkeypatch.setattr(lambdaops, "char_poly", no_char_poly)
+    calls, real = [], lambdaops._scalar_lambdas
+    monkeypatch.setattr(lambdaops, "_scalar_lambdas",
+                        lambda psi, M: calls.append(M) or real(psi, M))
     code, _, _ = run_cli(["verify", "--group", "D2n:50"])
     assert code == EXIT_OK
-    orbit = get_group("D2n", 50).classes.rational_classes()[0]
-    assert sorted(calls) == sorted({r for r, _ in orbit}) and len(calls) == 8
+    cd = get_group("D2n", 50).classes
+    reg = regular_character(cd)
+    reps = {r for r, _ in cd.rational_classes()[0]}
+    psis = {tuple(reg.values[cd.power_map(n)[r]].to_rational()
+                  for n in range(1, cd.group_order + 1)) for r in reps}
+    assert len(reps) == 8 and len(psis) == 6
+    assert calls.count(cd.group_order) == 6
 
 
 def test_regular_product_form_compares_every_class(monkeypatch):
@@ -262,6 +274,47 @@ def test_regular_product_form_compares_every_class(monkeypatch):
     code, out, _ = run_cli(["verify", "--group", "D2n:12"])
     assert code == EXIT_VERIFY
     assert _row(out, "regular-product-form")[1] == "FAIL"
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    ("series", ["regular-product-form", "quotient-permutation-forms:trivial"]),
+    ("lambda_poly", ["quotient-permutation-forms:trivial"]),
+    ("expand_product_form", ["regular-product-form"]),
+])
+def test_both_regular_rows_bite_through_the_shared_series(monkeypatch, tamper, failing):
+    # D2n:12: the trivial quotient's m*zeta_0 is the regular character, so its
+    # row reads lambda to |G| = 24 off the entries the product-form row filled.
+    # A lambda^1 planted at the identity's entry runs once and fails both rows;
+    # a wrong closed form or a wrong expansion fails its own row alone
+    order, planted = 24, []
+    if tamper == "series":
+        real = lambdaops._scalar_lambdas
+
+        def wrong(psi, M):
+            lam = real(psi, M)
+            if M != order or psi[1] != order:  # the identity, the only class of value |G|
+                return lam
+            planted.append(M)
+            return lam[:1] + [lam[1] + 1] + lam[2:]
+
+        monkeypatch.setattr(lambdaops, "_scalar_lambdas", wrong)
+    elif tamper == "lambda_poly":
+        real = CentralForms.lambda_poly
+
+        def wrong(self, c):
+            p = real(self, c)
+            return p[:-1] + [p[-1] + 1] if self.spec.multiplier == order else p
+
+        monkeypatch.setattr(CentralForms, "lambda_poly", wrong)
+    else:
+        real = checks.expand_product_form
+        monkeypatch.setattr(checks, "expand_product_form",
+                            lambda pf, c, degree: [v + 1 for v in real(pf, c, degree)])
+    code, out, _ = run_cli(["verify", "--group", "D2n:12"])
+    assert code == EXIT_VERIFY
+    rows = [ln.split() for ln in out.splitlines()]
+    assert [r[0] for r in rows if r[1:2] == ["FAIL"]] == failing
+    assert len(planted) == (tamper == "series")
 
 
 def test_output_determinism_and_machine_round_trip():
@@ -917,7 +970,6 @@ def test_closed_form_check_reads_lambda_t_off_its_one_sequence(monkeypatch):
     def no_char_poly(chi, c):
         raise AssertionError("char_poly called")
 
-    monkeypatch.setattr(checks, "char_poly", no_char_poly)
     monkeypatch.setattr(lambdaops, "char_poly", no_char_poly)
     s3, hp3 = get_group("S3"), get_group("Hp", 3)
     for idx in ((0,), (0, 2)):
@@ -1346,6 +1398,16 @@ def test_verify_runs_each_recurrence_once_per_psi_sequence(monkeypatch):
         assert run_cli(["verify", "--group", "D2n:50"])[0] == EXIT_OK
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 100
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+@pytest.mark.parametrize("group", ["D2n:50", "A5", "Hp:7"])
+def test_verify_at_degree_0_and_1_passes_every_row(group, degree):
+    # M = 0 keys every class by the empty psi-sequence, M = 1 by chi(c) alone
+    code, out, err = run_cli(["verify", "--group", group, "--degree", degree])
+    rows = [ln.split() for ln in out.splitlines()[1:]]
+    assert code == EXIT_OK and err == "" and len(rows) > 5
+    assert all(r[1] == "ok" for r in rows)
 
 
 def _one_input_error_line(code, out, err):
