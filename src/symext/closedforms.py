@@ -6,8 +6,10 @@ linear character zeta of a normal subgroup N, times m, extended by zero
 character of the coset action on G/N is the case zeta = 1, m = |G/N|), and
 transfer of the whole computation through a quotient group.  Every per-class
 closed form is a product of binomial series (1 + x*t^a)^r, rational r, all
-expanded by ``binomial_series``.  Each form is checked against the general
-engine in the test suite; here they are just computed.
+expanded by ``binomial_series``; a rational x and the coefficients stay plain
+numbers inside, and each output value is wrapped in a Cyclotomic once.  Each
+form is checked against the general engine in the test suite; here they are
+just computed.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ def binomial_series(r, x, a: int, degree: int) -> list[Cyclotomic]:
     r, x, div = Fraction(r), as_cyclotomic(x), operator.truediv
     if r.denominator == 1:  # exact integer steps, far cheaper than Fraction ones
         r, div = r.numerator, operator.floordiv
+    if x.is_rational():  # plain numbers inside, each coefficient wrapped once
+        x = x.num[0] if x.den == 1 else x.to_rational()
     out = [as_cyclotomic(0)] * (degree + 1)
-    coeff, power = 1, as_cyclotomic(1)  # binom(r, i) and x^i
+    coeff, power = 1, 1  # binom(r, i) and x^i
     for i in range(degree // a + 1):
-        out[i * a] = power * coeff
+        out[i * a] = as_cyclotomic(power * coeff)
         coeff = div(coeff * (r - i), i + 1)
         power = power * x
     return out
@@ -76,8 +80,11 @@ def expand_product_form(pf, c: int, degree: int) -> list[Cyclotomic]:
     (1 - (-t)^a)^(b/a) = (1 - (-1)^a t^a)^(b/a) is a binomial series.
     """
     result = [as_cyclotomic(1)] + [as_cyclotomic(0)] * degree
-    for a, b in pf.exponent_at(c):
+    for l, (a, b) in enumerate(pf.exponent_at(c)):
         factor = binomial_series(b.to_rational() / a, -((-1) ** a), a, degree)
+        if not l:  # the first factor is the product so far
+            result = factor
+            continue
         new = [as_cyclotomic(0)] * (degree + 1)
         for i in range(degree + 1):
             if result[i].is_zero():

@@ -493,7 +493,7 @@ class Cyclotomic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclotomic):
-            a, b = Cyclotomic._common(self, other)
+            a, b = (self, other) if self.order == other.order else Cyclotomic._common(self, other)
             return a.den == b.den and a.num == b.num
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and Fraction(self.num[0], self.den) == other

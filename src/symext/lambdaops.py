@@ -47,7 +47,7 @@ from .exactnum import (
     packed_dot,
     slot_width,
 )
-from .groupdata import ClassFunction, adams
+from .groupdata import ClassFunction
 
 
 class InvalidCharacterError(ValueError):
@@ -438,11 +438,14 @@ def product_form(chi: ClassFunction) -> ProductForm:
         raise NotPeriodicError("class function is not periodic")
     cd = chi.data
     divs = divisors(cd.group_order)
-    bs: list[ClassFunction] = []
+    # on value lists, a rational value a plain number: Python's - serves both kinds
+    vals = [v if not v.is_rational() else v.num[0] if v.den == 1 else v.to_rational()
+            for v in chi.values]
+    bs: list[list] = []
     for l, a in enumerate(divs):
-        b = adams(chi, a)
+        b = [vals[i] for i in cd.power_map(a)]
         for l2 in range(l):
             if a % divs[l2] == 0:
-                b = b - bs[l2]
+                b = [x - y for x, y in zip(b, bs[l2])]
         bs.append(b)
-    return ProductForm(tuple(divs), tuple(bs))
+    return ProductForm(tuple(divs), tuple(ClassFunction(cd, b) for b in bs))

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from symext.catalog import FIXED_FAMILIES, central_characters, get_group, quotient_transfers
 from symext.cli import load_group_spec
@@ -23,7 +25,7 @@ from symext.closedforms import (
     quotient_pullback,
     subgroup_spec,
 )
-from symext.exactnum import Cyclotomic, binom
+from symext.exactnum import Cyclotomic, as_cyclotomic, binom
 from symext.genfun import poly_mul
 from symext.groupdata import ClassFunction, adams, decompose, inner_product
 from symext.lambdaops import LambdaSequence, char_poly, product_form
@@ -75,6 +77,43 @@ def test_binomial_series_integer_exponent_matches_poly_multiplication():
                 for _ in range(e):
                     poly = poly_mul(poly, [1] + [0] * (a - 1) + [x])
                 assert series == poly + [0] * a
+
+
+def reference_binomial_series(r, x, a, degree):
+    # the loop with every coefficient and power a Cyclotomic
+    r, x = Fraction(r), as_cyclotomic(x)
+    out = [as_cyclotomic(0)] * (degree + 1)
+    coeff, power = as_cyclotomic(1), as_cyclotomic(1)
+    for i in range(degree // a + 1):
+        out[i * a] = power * coeff
+        coeff = coeff * (r - i) / (i + 1)
+        power = power * x
+    return out
+
+
+SMALL_FRACTIONS = st.fractions(-4, 4, max_denominator=6)
+
+
+@given(
+    st.one_of(st.integers(-6, 6), SMALL_FRACTIONS),
+    st.one_of(
+        st.integers(-3, 3),
+        SMALL_FRACTIONS,
+        # a rational stored at order > 1, and roots of unity (irrational at e = 1)
+        st.builds(lambda q, n: Cyclotomic.from_rational(q).lift(n), SMALL_FRACTIONS,
+                  st.integers(2, 12)),
+        st.builds(Cyclotomic.root_of_unity, st.sampled_from([3, 4, 5, 8, 12]), st.integers(1, 11)),
+    ),
+    st.integers(1, 4),
+    st.integers(0, 12),
+)
+@example(Fraction(5, 2), Fraction(-2, 3), 2, 12)
+@example(-3, Cyclotomic.from_rational(Fraction(3, 2)).lift(10), 1, 8)
+@example(Fraction(-1, 3), Cyclotomic.root_of_unity(5), 3, 12)
+def test_binomial_series_matches_the_all_cyclotomic_loop(r, x, a, degree):
+    got = binomial_series(r, x, a, degree)
+    assert all(type(v) is Cyclotomic for v in got)
+    assert got == reference_binomial_series(r, x, a, degree)
 
 
 def test_inverse_binomial_coefficient_identity():

@@ -286,3 +286,17 @@ def test_a_power_of_a_rational_is_repeated_multiplication(n, order, q):
     if q:
         inv = v ** -n
         assert inv * got == 1 and inv.order == got.order
+
+
+def test_equality_reads_the_denominator_at_one_order_and_lifts_across_orders():
+    # same order and the same coordinates over another denominator: unequal
+    for a, b in [(Cyclotomic.from_rational(1), Cyclotomic.from_rational(Fraction(1, 2))),
+                 (zeta(5), zeta(5) / 2)]:
+        assert a.order == b.order and a.num == b.num and a.den != b.den
+        assert a != b and b != a
+    # one value at two orders: equal both ways, and a denominator still tells
+    q = Cyclotomic.from_rational(Fraction(-3, 7))
+    for a, b in [(q, q.lift(50)), (zeta(5), zeta(5).lift(10)), (zeta(5), zeta(10, 2))]:
+        assert a.order != b.order
+        assert a == b and b == a
+    assert zeta(5) != (zeta(5) / 2).lift(10) and (zeta(5) / 2).lift(10) != zeta(5)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symext.catalog import get_group, tau_prime
-from symext.exactnum import Cyclotomic
+from symext.cli import GroupContext
+from symext.exactnum import Cyclotomic, divisors
 from symext.groupdata import ClassFunction, adams, decompose, regular_character
 from symext.lambdaops import (
     CrossCheckError,
@@ -319,6 +320,38 @@ def test_product_form_regular_s3():
             if a % a2 == 0:
                 acc = acc + pf.exponents[l2]
         assert adams(pi, a) == acc
+
+
+def reference_product_form(chi):
+    # the divisor recursion on class functions: psi^a less every earlier b
+    divs, bs = divisors(chi.data.group_order), []
+    for l, a in enumerate(divs):
+        b = adams(chi, a)
+        for l2 in range(l):
+            if a % divs[l2] == 0:
+                b = b - bs[l2]
+        bs.append(b)
+    return tuple(divs), tuple(bs)
+
+
+PRODUCT_FORM_BUILTINS = [("S3", None), ("A4", None), ("G21", None), ("S4", None), ("A5", None),
+                         ("D2n", 7), ("D2n", 50), ("Q4n", 3), ("Q4n", 25), ("Hp", 5), ("Hp", 7)]
+
+
+@pytest.mark.parametrize("family, param", PRODUCT_FORM_BUILTINS)
+def test_product_form_matches_the_class_function_recursion(family, param):
+    ctx = GroupContext(family, get_group(family, param), builtin=(family, param))
+    cd = ctx.classes
+    # a periodic function with irrational values: z5 on every other rational class
+    reps = [r for r, _ in cd.rational_classes()[0]]
+    index = {r: i for i, r in enumerate(sorted(set(reps)))}
+    mixed = ClassFunction(cd, [Cyclotomic.root_of_unity(5) if index[r] % 2 else index[r]
+                               for r in reps])
+    cases = [regular_character(cd), ClassFunction.constant(cd, Cyclotomic.root_of_unity(5)), mixed]
+    for chi in cases + [ctx.natural] * (ctx.natural is not None):
+        pf = product_form(chi)
+        assert (pf.divisors, pf.exponents) == reference_product_form(chi)
+        assert all(type(v) is Cyclotomic for b in pf.exponents for v in b.values)
 
 
 def test_periodic_set_is_empirically_closed():
