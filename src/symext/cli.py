@@ -312,6 +312,8 @@ def load_group_spec(path: str) -> GroupContext:
         raise InputError(f"{path}: at most {MAX_CLASSES} classes are supported")
     if not 1 <= root_order <= MAX_ROOT_ORDER:
         raise InputError(f"{path}: root_order must be in 1..{MAX_ROOT_ORDER}")
+    if order < 1:
+        raise InputError(f"{path}: order must be positive")
 
     def class_index(value, where: str) -> int:
         if not 0 <= _integer(value, where) < len(classes):

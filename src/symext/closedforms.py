@@ -243,16 +243,15 @@ class CentralForms:
     coset_orders: tuple[int, ...]
 
     def character(self) -> ClassFunction:
-        return self.zeta0_power(1) * self.spec.multiplier
+        return self.zeta0_power(1, self.spec.multiplier)
 
-    def zeta0_power(self, n: int) -> ClassFunction:
-        z = self.spec.zeta
+    def zeta0_power(self, n: int, scale: Fraction | int = 1) -> ClassFunction:
+        """scale * zeta_0^n, read on N as zeta(g^n): ``central_char_spec``
+        checked that zeta is multiplicative along the power maps."""
+        z, pm, inside = self.spec.zeta, self.cd.power_map(n), self.spec.subgroup.class_indices
+        scale, zero = as_cyclotomic(scale), as_cyclotomic(0)
         return ClassFunction(
-            self.cd,
-            [
-                z[c] ** n if c in self.spec.subgroup.class_indices else 0
-                for c in range(self.cd.class_count)
-            ],
+            self.cd, [z[pm[c]] * scale if c in inside else zero for c in range(self.cd.class_count)]
         )
 
     def _root_at(self, c: int) -> tuple[int, int, Cyclotomic]:
@@ -285,7 +284,7 @@ class CentralForms:
             raise ValueError(f"shortcut needs gcd(n, {qo}) = 1")
         m = self.spec.multiplier
         factor = binom(m + n - 1, n) if op == "sym" else binom(m, n)
-        return self.zeta0_power(n) * factor
+        return self.zeta0_power(n, factor)
 
 
 def central_forms(cd: ClassData, spec: CentralCharSpec) -> CentralForms:

@@ -434,13 +434,46 @@ class _PackedRows:
     """A table's irreducible values at one order over one denominator, packed
     for ``decompose`` and held as per-class columns; repacked only when wider
     slots are needed.  ``bits``, the bit length of the largest coordinate,
-    is scanned by the first ``_certified`` call."""
+    is scanned by the first ``columns`` call."""
 
-    __slots__ = ("order", "den", "bits", "packed", "weights")
+    __slots__ = ("order", "den", "bits", "packed", "weights", "sums")
 
     def __init__(self, table: CharacterTable, order: int):
-        self.order, self.packed, self.weights, self.bits = order, (0, []), None, None
+        self.order, self.packed, self.bits = order, (0, []), None
+        self.weights = self.sums = None  # built by trace_weights and orbit_sums
         self.den = lcm(*(v.den for chi in table.irreducibles for v in chi.values))
+
+    def columns(self, table: CharacterTable, xbits: int, least: int = 0) -> tuple[int, list]:
+        """(w, cols): cols[c][j] is den * chi_j(c) packed at a width w, at
+        least ``least``, whose slots hold a sum of k products of a value
+        below 2^xbits by a coordinate."""
+        if self.bits is None:
+            self.bits = pack_bounds([v for chi in table.irreducibles for v in chi.values],
+                                    self.order)[1]
+        w = max(slot_width(xbits, self.bits, table.classes.class_count, 1), least)
+        if self.packed[0] < w:
+            rows = [pack(chi.values, self.order, self.den, w) for chi in table.irreducibles]
+            self.packed = (w, list(zip(*rows)))
+        return self.packed
+
+    def orbit_sums(self, table: CharacterTable) -> tuple:
+        """(reps, owner, cols) over the orbits O of ``character_orbits``:
+        reps[o] is the first row of orbit o, owner[j] the orbit of chi_j and
+        cols[c][o] = den * rho_O(c), rho_O = sum_(j in O) chi_j, summed from
+        the packed columns; () if no orbit has two rows or a sum is not
+        rational, that is, not within one slot (a sum of at most k rows keeps
+        each slot below half the width)."""
+        if self.sums is None:
+            first: dict[int, int] = {}
+            owner = [first.setdefault(r, len(first)) for r, _ in table.character_orbits()[0]]
+            self.sums = ()
+            if len(first) < len(owner):
+                groups = [[j for j, o in enumerate(owner) if o == i] for i in range(len(first))]
+                w, packed = self.columns(table, 0)
+                cols = [[sum(map(col.__getitem__, js)) for js in groups] for col in packed]
+                if all(abs(x) < 1 << (w - 1) for col in cols for x in col):
+                    self.sums = (list(first), owner, cols)
+        return self.sums
 
     def trace_weights(self, table: CharacterTable) -> tuple[list[list[int]], list[int]]:
         """(weights, classes): per row j, the integers |r| |O_r| sum_a x_a
@@ -531,17 +564,17 @@ def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coord
     every class, else None, for coords[c] the coordinates of fden * f(c) as
     ``_coords`` gives them; checked as sum_j nums_j R_j[c] = d * pr.den * F[c]
     on packed integers at a width that holds both sides, each class's sum
-    running over the j with nums_j != 0 only."""
+    running over the j with nums_j != 0 only.  With fewer nums than rows,
+    nums_o is the numerator of every row of the o-th character orbit O and
+    R_o[c] = den * rho_O(c) is the plain integer of ``orbit_sums``, f being
+    rational: then sum_O q_O rho_O = f is the same identity."""
     k, scale = table.classes.class_count, d * pr.den
-    if pr.bits is None:
-        pr.bits = pack_bounds([v for chi in table.irreducibles for v in chi.values], pr.order)[1]
-    fbits = max(abs(x) for xs in coords for x in xs).bit_length()
-    w = max(slot_width(max(map(abs, nums), default=0).bit_length(), pr.bits, k, 1),
-            slot_width(scale.bit_length(), fbits, 1, 1))
-    if pr.packed[0] < w:
-        rows = [pack(chi.values, pr.order, pr.den, w) for chi in table.irreducibles]
-        pr.packed = (w, list(zip(*rows)))
-    w, cols = pr.packed
+    if len(nums) < k:
+        w, cols = 0, pr.sums[2]
+    else:
+        fbits = max(abs(x) for xs in coords for x in xs).bit_length()
+        w, cols = pr.columns(table, max(map(abs, nums), default=0).bit_length(),
+                             slot_width(scale.bit_length(), fbits, 1, 1))
     js = [j for j, x in enumerate(nums) if x]
     qs = [nums[j] for j in js]
     for col, xs in zip(cols, coords):
@@ -581,10 +614,14 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     over the rational classes of compatible rows it is the same for
     compatible f (as is every rational combination of the rows).  The exact
     reconstruction sum_j q_j chi_j = f, summed over the nonzero q_j,
-    certifies it.  If that fails, the inner products only word the
-    NonRationalMultiplicityError: the first label whose one is not rational,
-    else f outside the span.  The zero function is the zero vector over 1:
-    sum_j 0 * chi_j = 0 holds identically.
+    certifies it.  A rational f (one coordinate per class) tries first the
+    character orbits O of ``orbit_sums``: each sigma_u fixes f, so it
+    permutes the constituents and a rational q_j is constant on O; one
+    candidate per orbit and sum_O q_O rho_O = f on plain integers certify
+    it, and failing that f takes the path above.  If that fails, the inner
+    products only word the NonRationalMultiplicityError: the first label
+    whose one is not rational, else f outside the span.  The zero function is
+    the zero vector over 1: sum_j 0 * chi_j = 0 holds identically.
     """
     f._check(table.irreducibles[0])
     cd = table.classes
@@ -600,8 +637,15 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     weights, classes = pr.trace_weights(table)
     phi = totient(n)
     idx, gz = _trace_terms(coords, classes, cd.inverse_class, phi)
+    d = cd.group_order * phi * pr.den
+    sums = all(len(xs) == 1 for xs in coords) and pr.orbit_sums(table)
+    if sums:
+        nums = [sum(map(mul, map(weights[r].__getitem__, idx), gz)) for r in sums[0]]
+        den = _certified(table, pr, nums, d, fden, coords)
+        if den is not None:
+            return [nums[o] for o in sums[1]], den
     nums = [sum(map(mul, map(row.__getitem__, idx), gz)) for row in weights]
-    den = _certified(table, pr, nums, cd.group_order * phi * pr.den, fden, coords)
+    den = _certified(table, pr, nums, d, fden, coords)
     if den is not None:
         return nums, den
     for label, chi in zip(table.labels, table.irreducibles):

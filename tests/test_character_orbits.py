@@ -7,23 +7,35 @@ per orbit of linear characters; every other character is compared through
 the orbit table at every class and every degree.  Each mutant below moves
 one thing that only one of these comparisons can see, and ``verify`` must
 report FAIL.
+
+``decompose`` certifies a rational class function over the orbit sums
+rho_O = sum_(j in O) chi_j, with one candidate per orbit; the property tests
+at the end check it against the reference inner products.
 """
 
 import contextlib
 import io
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import reference_dual_route_check, with_syms
-from symext import checks, cli
+from oracle_utils import reference_dual_route_check, reference_inner_product, with_syms
+from symext import catalog, checks, cli, groupdata
 from symext.catalog import get_group
+from symext.exactnum import Cyclotomic
 from symext.closedforms import OneDimForms, one_dim_forms
 from symext.cli import EXIT_OK, EXIT_VERIFY, main
 from symext.genfun import MultiplicityTable, RationalFunction
-from symext.groupdata import CharacterTable, ClassData, ClassFunction
+from symext.groupdata import (
+    CharacterTable,
+    ClassData,
+    ClassFunction,
+    NonRationalMultiplicityError,
+    decompose,
+)
 from symext.lambdaops import LambdaSequence
 
 BUILTINS = [("S3", None), ("A4", None), ("G21", None), ("S4", None), ("A5", None),
@@ -251,3 +263,68 @@ def altered_table(draw):
 def test_the_per_orbit_check_agrees_with_the_row_wise_reference(table, degree):
     ok, _ = checks.dual_route_check(table, degree)
     assert ok == reference_dual_route_check(table, degree)[0]
+
+
+# builtins whose character orbits are not all single rows; fresh builds, so
+# no orbit table patched by another test has reached their orbit sums
+ORBIT_TABLES = [("A4", None), ("G21", None), ("A5", None), ("D2n", 5), ("D2n", 8), ("Q4n", 3),
+                ("Q4n", 6), ("Hp", 3), ("Hp", 5)]
+_fresh = {}
+
+
+@st.composite
+def orbit_combination(draw):
+    """(table, f, qs): f = sum_O q_O rho_O with rational values, qs = q_O(j) per row."""
+    selector = draw(st.sampled_from(ORBIT_TABLES))
+    table = _fresh.get(selector) or _fresh.setdefault(
+        selector, catalog.get_group.__wrapped__(*selector))
+    orbit, _ = table.character_orbits()
+    q = {r: draw(st.fractions(-3, 3, max_denominator=4)) for r in sorted({r for r, _ in orbit})}
+    qs = tuple(q[r] for r, _ in orbit)
+    values = [sum((q * chi.values[c] for q, chi in zip(qs, table.irreducibles)), Fraction(0))
+              for c in range(table.classes.class_count)]
+    return table, ClassFunction(table.classes, [v.to_rational() for v in values]), qs
+
+
+def _certified_layouts(f, table):
+    """The outcome of decompose(f, table), and the number of candidates each
+    ``_certified`` call took."""
+    with mock.patch.object(groupdata, "_certified", wraps=groupdata._certified) as spy:
+        try:
+            got = decompose(f, table)
+        except NonRationalMultiplicityError as exc:
+            got = str(exc)
+    return got, [len(call.args[2]) for call in spy.call_args_list]
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_combination())
+def test_a_rational_combination_of_orbit_sums_certifies_once_per_orbit(tfq):
+    # one certificate, over as many candidates as orbits, certifies f
+    table, f, qs = tfq
+    got, layouts = _certified_layouts(f, table)
+    assert got == qs
+    assert layouts == ([len({r for r, _ in table.character_orbits()[0]})] if any(qs) else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_combination(), st.data())
+def test_a_value_moved_inside_a_rational_class_or_off_the_rationals_is_no_combination(tfq, data):
+    # moved by a rational inside a rational class of two or more classes,
+    # f is rational but not Galois fixed; moved by zeta_e anywhere, it has an
+    # irrational value, so it never reaches the orbit sums
+    table, f, _ = tfq
+    cd = table.classes
+    orbit, _ = cd.rational_classes()
+    if data.draw(st.booleans()):
+        c = data.draw(st.sampled_from([c for c, (r, _) in enumerate(orbit) if r != c]))
+        by = Cyclotomic.from_rational(data.draw(st.sampled_from([-2, -1, 1, 2])))
+    else:
+        c = data.draw(st.integers(0, cd.class_count - 1))
+        by = Cyclotomic.root_of_unity(cd.exponent)
+    moved = ClassFunction(cd, [v + by if i == c else v for i, v in enumerate(f.values)])
+    got, layouts = _certified_layouts(moved, table)
+    label, v = next((label, v) for label, chi in zip(table.labels, table.irreducibles)
+                    if not (v := reference_inner_product(chi, moved)).is_rational())
+    assert got == f"inner product with {label} is not rational: {v!r}"
+    assert by.is_rational() or all(n == cd.class_count for n in layouts)

@@ -614,6 +614,8 @@ def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, 
          "class 0 is not a size-1 identity class of order 1"),
         (lambda doc: _set_inverses(doc, [1, 2, 0]), "inverse_class is not an involution at C1"),
         (lambda doc: _set_field(doc, "order", 9), "exponent does not divide the group order"),
+        (lambda doc: _set_field(doc, "order", 0), "order must be positive"),
+        (lambda doc: _set_field(doc, "order", -6), "order must be positive"),
         (lambda doc: _set_power(doc, 0, 3, 1), "3-power map does not fix the identity class"),
         (lambda doc: _set_power(doc, 2, 2, 1), "2-power map sends C3 to a class of wrong order"),
         (lambda doc: _copy_column(doc, 2, 1),
@@ -622,7 +624,8 @@ def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, 
     ids=["inverse-too-large", "inverse-negative", "prime-power-image", "no-classes",
          "zero-size", "zero-order", "too-many-classes", "zero-root-order", "root-order-above-cap",
          "multiplier-above-cap", "multiplier-zero", "sizes-sum", "class-0-not-identity",
-         "inverse-not-involution", "exponent-not-dividing", "power-moves-identity",
+         "inverse-not-involution", "exponent-not-dividing", "zero-group-order",
+         "negative-group-order", "power-moves-identity",
          "power-to-wrong-order", "equal-columns"],
 )
 def test_group_spec_value_out_of_range_is_an_input_error(tmp_path, mutate, message):
