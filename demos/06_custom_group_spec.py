@@ -14,7 +14,8 @@ import tempfile
 from pathlib import Path
 
 from symext import class_data, enumerate_group, get_group, standard_characters
-from symext.cli import dump_group_spec, load_group_spec, main
+from symext.catalog import dump_group_spec, load_group_spec
+from symext.cli import main
 from symext.permgroup import Permutation
 
 with tempfile.TemporaryDirectory() as tmp:

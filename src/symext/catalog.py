@@ -1,4 +1,7 @@
-"""Builtin groups: S3, A4, G21, S4, A5 and the D2n / Q4n / Hp families.
+"""Builtin groups: S3, A4, G21, S4, A5 and the D2n / Q4n / Hp families; and
+``resolve_group``, which turns a builtin, a JSON group-spec file
+(``load_group_spec`` / ``dump_group_spec``) or permutation generators into a
+``GroupContext``, or raises a one-line ``InputError``.
 
 Each constructor returns a validated character table whose classes follow
 the conventional listing (identity first).  The five fixed tables are
@@ -11,21 +14,43 @@ derived class data is matched back to the builtin one for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import os
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 
-from .closedforms import CentralCharSpec, central_char_spec, subgroup_spec
+from .closedforms import (
+    CentralCharSpec,
+    InvalidCentralCharError,
+    InvalidSubgroupError,
+    NormalSubgroupSpec,
+    central_char_spec,
+    subgroup_spec,
+)
 from .exactnum import Cyclotomic, binom, primes_below
 from .groupdata import (
     CharacterTable,
     ClassData,
     ClassFunction,
+    NonRationalMultiplicityError,
+    adams,
     assemble_table,
+    decompose,
+    power_map_mismatch,
+    regular_character,
     validate_table,
 )
-from .permgroup import GeneratedGroup, Permutation, class_data, enumerate_group, parse_digits
+from .permgroup import (
+    CapExceededError,
+    GeneratedGroup,
+    Permutation,
+    class_data,
+    enumerate_group,
+    parse_digits,
+    standard_characters,
+)
 
 FIXED_FAMILIES = ("S3", "A4", "G21", "S4", "A5")
 PARAM_FAMILIES = ("D2n", "Q4n", "Hp")
@@ -33,6 +58,19 @@ PARAM_FAMILIES = ("D2n", "Q4n", "Hp")
 # power-basis arithmetic in Q(zeta_N) slows down as phi(N) grows; these caps
 # keep table construction interactive and are documented in the README
 PARAM_CAPS = {"D2n": 100, "Q4n": 50, "Hp": 11}
+
+# Largest --degree (decompose, closedform, verify) and genfun --series: the
+# recurrences grow about as degree^2 per class, the class sums with the size
+# of the integers; at 1000 the largest builtin regular character takes minutes.
+MAX_DEGREE = 1000
+# Largest spec-file root_order N and class count k (builtins: 100 and 131):
+# reduction rows cost O(N phi(N)), the table check O(k^3) packed products.
+MAX_ROOT_ORDER = 1000
+MAX_CLASSES = 131
+
+
+class InputError(ValueError):
+    """Bad selector, file or flag; reported with exit code 2."""
 
 
 class NoModelError(ValueError):
@@ -467,6 +505,14 @@ class PermModel:
     data: ClassData
     matching: tuple[int, ...]
 
+    @classmethod
+    def matched(cls, classes: ClassData, group: GeneratedGroup) -> PermModel | None:
+        """``group`` as a model of ``classes``: its class data derived and
+        matched to them, or None if no matching exists."""
+        derived = class_data(group)
+        matching = match_class_data(classes, derived)
+        return None if matching is None else cls(group, derived, matching)
+
 
 def match_class_data(a: ClassData, b: ClassData) -> tuple[int, ...] | None:
     """A bijection of classes preserving sizes, orders, inverses and power maps."""
@@ -579,17 +625,10 @@ def get_perm_model(family: str, param: int | None = None) -> PermModel:
         gens = _regular_action_q4n(param)
     else:
         gens = _regular_action_hp(param)
-    group = enumerate_group(gens)
-    table = get_group(family, param)
-    if len(group) != table.classes.group_order:
-        raise NoModelError(
-            f"model for {family} has order {len(group)}, expected {table.classes.group_order}"
-        )
-    derived = class_data(group)
-    matching = match_class_data(table.classes, derived)
-    if matching is None:
+    model = PermModel.matched(get_group(family, param).classes, enumerate_group(gens))
+    if model is None:
         raise NoModelError(f"no class matching found for {family}")
-    return PermModel(group, derived, matching)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -652,3 +691,320 @@ def quotient_transfers(
         # class, V on the identity, 3-cycles on the 3-cycles
         return {"V": (get_group("S3"), (0, 1, 2, 1, 0))}
     return {}
+
+
+# ---------------------------------------------------------------------------
+# resolved groups: builtins, group-spec files and generated permutation groups
+
+
+@dataclass
+class GroupContext:
+    """A resolved group.  A builtin (family, param) builds its permutation model,
+    natural character and central characters on first read (``central_spec``
+    only the one it names); a spec file or generators set the model and
+    central characters at load, validated."""
+
+    name: str
+    table: CharacterTable | None = None
+    builtin: tuple[str, int | None] | None = None
+    subgroups: dict[str, NormalSubgroupSpec] = field(default_factory=dict)
+    transfers: dict = field(default_factory=dict)
+
+    @cached_property
+    def model(self) -> PermModel | None:
+        try:
+            return get_perm_model(*self.builtin) if self.builtin else None
+        except NoModelError:
+            return None
+
+    @cached_property
+    def natural(self) -> ClassFunction | None:
+        # the fixed-point character, transported onto the table's class order
+        if self.model is None:
+            return None
+        _, natural = standard_characters(self.model.group, self.model.data)
+        return ClassFunction(self.classes, [natural.values[i] for i in self.model.matching])
+
+    @cached_property
+    def central(self) -> dict[str, CentralCharSpec]:
+        return central_characters(*self.builtin) if self.builtin else {}
+
+    def central_spec(self, name: str) -> CentralCharSpec | None:
+        """The central character ``name``; a builtin builds only that one
+        unless ``central`` is built already."""
+        if self.builtin and "central" not in self.__dict__:
+            return central_characters(*self.builtin, (name,)).get(name)
+        return self.central.get(name)
+
+    @property
+    def classes(self) -> ClassData:
+        return self.model.data if self.table is None else self.table.classes
+
+    def character(self, selector: str) -> ClassFunction:
+        if selector == "regular":
+            return regular_character(self.classes)
+        if selector == "natural":
+            if self.natural is None:
+                raise InputError("no permutation model, so no natural character")
+            return self.natural
+        try:
+            return self.table.character(selector)
+        except KeyError:
+            raise InputError(f"unknown character {selector!r}; available: "
+                             + ", ".join(self.table.labels)) from None
+
+
+def _builtin_context(family: str, param: int | None) -> GroupContext:
+    table = get_group(family, param)
+    subgroups = {name: subgroup_spec(table.classes, idx)
+                 for name, idx in named_subgroups(family, param).items()}
+    return GroupContext(table.name or family, table, (family, param), subgroups,
+                        quotient_transfers(family, param))
+
+
+def _integer(value, where: str) -> int:
+    # a JSON integer; bool is an int subclass in Python but not in JSON
+    if type(value) is not int:
+        raise InputError(f"{where} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be a JSON object")
+    return value
+
+
+def _indices(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list of class indices")
+    return tuple(_integer(i, where) for i in value)
+
+
+def _parse_cyclo(value, root_order: int, where: str) -> Cyclotomic:
+    if not (isinstance(value, list) and all(isinstance(t, list) and len(t) == 3 for t in value)):
+        raise InputError(f"{where}: a value is a list of [exponent, num, den] triples")
+    terms = [[_integer(x, where) for x in t] for t in value]
+    if any(d == 0 for _, _, d in terms):
+        raise InputError(f"{where}: a term has denominator 0")
+    return Cyclotomic.from_terms(root_order, [(e, Fraction(n, d)) for e, n, d in terms])
+
+
+def check_multiplier(m: int, where: str) -> int:
+    """m, the multiplier of a closed form, if it is in 1..MAX_DEGREE: lambda_t
+    of m*zeta_0 has degree m at the identity."""
+    if not 1 <= m <= MAX_DEGREE:
+        raise InputError(f"{where}: the multiplier {m} is not in 1..{MAX_DEGREE}")
+    return m
+
+
+def load_group_spec(path: str) -> GroupContext:
+    """Load and fully validate a JSON group-spec file; failures are fatal."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read group spec: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit, bad UTF-8
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    if raw.get("format_version") != 1:
+        raise InputError(f"{path}: format_version must be 1")
+    try:
+        name = str(raw["name"])
+        order = _integer(raw["order"], f"{path}: order")
+        root_order = _integer(raw["root_order"], f"{path}: root_order")
+        classes = raw["classes"]
+        irreducibles = raw["irreducibles"]
+    except KeyError as exc:
+        raise InputError(f"{path}: missing required field {exc}") from exc
+    for key, value in (("classes", classes), ("irreducibles", irreducibles)):
+        if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+            raise InputError(f"{path}: {key} must be a list of JSON objects")
+    if not classes:
+        raise InputError(f"{path}: classes must not be empty")
+    if len(classes) > MAX_CLASSES:
+        raise InputError(f"{path}: at most {MAX_CLASSES} classes are supported")
+    if not 1 <= root_order <= MAX_ROOT_ORDER:
+        raise InputError(f"{path}: root_order must be in 1..{MAX_ROOT_ORDER}")
+    if order < 1:
+        raise InputError(f"{path}: order must be positive")
+
+    def class_index(value, where: str) -> int:
+        if not 0 <= _integer(value, where) < len(classes):
+            raise InputError(f"{where}: class index {value} is not in 0..{len(classes) - 1}")
+        return value
+
+    names, sizes, rep_orders, inverse = [], [], [], []
+    prime_maps: dict[int, list[int]] = {}
+    for i, cls in enumerate(classes):
+        where = f"{path}: classes[{i}]"
+        try:
+            names.append(str(cls["name"]))
+            sizes.append(_integer(cls["size"], f"{where}.size"))
+            rep_orders.append(_integer(cls["rep_order"], f"{where}.rep_order"))
+            inverse.append(class_index(cls["inverse"], f"{where}.inverse"))
+        except KeyError as exc:
+            raise InputError(f"{where}: missing field {exc}") from exc
+        if sizes[-1] < 1 or rep_orders[-1] < 1:
+            raise InputError(f"{where}: size and rep_order must be positive")
+        for p_raw, image in _object(cls.get("prime_powers", {}), f"{where}.prime_powers").items():
+            p = parse_digits(p_raw, f"{where}.prime_powers key")
+            if p is None or not _is_prime(p):
+                kind = "an integer" if p is None else "a prime"
+                raise InputError(f"{where}.prime_powers: key {p_raw!r} is not {kind}")
+            image = class_index(image, f"{where}.prime_powers[{p_raw!r}]")
+            prime_maps.setdefault(p, [0] * len(classes))[i] = image
+    exponent = lcm(*rep_orders)
+    if root_order % exponent:
+        raise InputError(f"{path}: root_order {root_order} is not a multiple of the exponent "
+                         f"{exponent}")
+    value_rows, labels = [], []
+    for j, irr in enumerate(irreducibles):
+        where = f"{path}: irreducibles[{j}]"
+        label = str(irr.get("name", f"chi{j+1}"))
+        if ":" in label or label in ("regular", "natural"):
+            raise InputError(f"{where}: name {label!r} must not contain ':' or be regular "
+                             "or natural")
+        if label in labels:
+            raise InputError(f"{where}: name {label!r} repeats irreducibles[{labels.index(label)}]")
+        labels.append(label)
+        vals = irr.get("values")
+        if not isinstance(vals, list) or len(vals) != len(classes):
+            raise InputError(f"{where}: need one value per class")
+        value_rows.append([_parse_cyclo(v, root_order, f"{where}.values[{c}]")
+                           for c, v in enumerate(vals)])
+    try:
+        table = assemble_table(name, order, names, sizes, rep_orders, inverse, prime_maps,
+                               labels, value_rows)
+    except (KeyError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    cd = table.classes
+    problems = validate_table(table)
+    if problems:
+        raise InputError(f"{path}: table validation failed: " + "; ".join(problems))
+    mismatch = power_map_mismatch(table, prime_maps)
+    if mismatch:
+        raise InputError(f"{path}: {mismatch}")
+    # Adams operations map characters to virtual characters (Atiyah and Tall,
+    # Topology 8 (1969)): a map of a prime dividing |G| that breaks one is wrong
+    for p in sorted(q for q in prime_maps if order % q == 0):
+        for label, chi in zip(table.labels, table.irreducibles):
+            try:
+                integral = all(q.denominator == 1 for q in decompose(adams(chi, p), table))
+            except NonRationalMultiplicityError:
+                integral = False
+            if not integral:
+                raise InputError(f"{path}: psi^{p} of {label} is no virtual character, so "
+                                 f"the {p}-power map (prime_powers \"{p}\") is wrong")
+    ctx = GroupContext(name=name, table=table)
+    gens = raw.get("generators")
+    if gens:
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise InputError(f"{path}: generators must be a list of cycle strings")
+        group = _enumerate_generators(gens)
+        _attach_model(ctx, group, f"{path}: generators do not match the declared classes")
+    subgroups = _object(raw.get("normal_subgroups", {}), f"{path}: normal_subgroups")
+    for sub_name, idx in subgroups.items():
+        where = f"{path}: normal_subgroups[{sub_name!r}]"
+        try:
+            ctx.subgroups[sub_name] = subgroup_spec(cd, _indices(idx, where))
+        except InvalidSubgroupError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    for cname, cc in _object(raw.get("central_chars", {}), f"{path}: central_chars").items():
+        where = f"{path}: central_chars[{cname!r}]"
+        sub = _object(cc, where).get("subgroup")
+        if isinstance(sub, str) and sub not in ctx.subgroups:
+            raise InputError(f"{where}: unknown subgroup {sub!r}")
+        try:
+            spec = (ctx.subgroups[sub] if isinstance(sub, str)
+                    else subgroup_spec(cd, _indices(sub, f"{where}.subgroup")))
+            zeta = {}
+            for c_raw, e in _object(cc.get("zeta", {}), f"{where}.zeta").items():
+                c = parse_digits(c_raw, f"{where}.zeta key")
+                if c is None:
+                    raise InputError(f"{where}.zeta: key {c_raw!r} is not a class index")
+                zeta[c] = Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
+            multiplier = check_multiplier(
+                _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"
+            )
+            ctx.central[cname] = central_char_spec(cd, spec, zeta, multiplier)
+        except (InvalidSubgroupError, InvalidCentralCharError) as exc:
+            raise InputError(f"{where}: {exc}") from exc
+    return ctx
+
+
+def cyclo_terms(value: Cyclotomic, root_order: int) -> list[list[int]]:
+    """Serialize a value as [exponent, numerator, denominator] triples."""
+    if value.is_rational():  # at any order, as a rational
+        return [[0, value.num[0], value.den]] if value.num[0] else []
+    lifted = value.lift(root_order)
+    return [[i, c.numerator, c.denominator] for i, c in enumerate(lifted.coeffs) if c != 0]
+
+
+def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) -> dict:
+    """The JSON document for a character table, in group-spec format."""
+    cd = table.classes
+    root = lcm(cd.exponent, table._columns.n)  # the order of every irrational value divides n
+    maps = [(str(p), m) for p, m in sorted(cd.prime_power_maps.items()) if cd.exponent % p == 0]
+    classes = [
+        {"name": cd.names[c], "size": cd.sizes[c], "rep_order": cd.rep_orders[c],
+         "inverse": cd.inverse_class[c], "prime_powers": {p: m[c] for p, m in maps}}
+        for c in range(cd.class_count)
+    ]
+    irreducibles = [
+        {"name": lbl, "values": [cyclo_terms(v, root) for v in chi.values]}
+        for lbl, chi in zip(table.labels, table.irreducibles)
+    ]
+    doc = {"format_version": 1, "name": table.name or "group", "order": cd.group_order,
+           "root_order": root, "classes": classes, "irreducibles": irreducibles}
+    if generators:
+        doc["generators"] = generators
+    return doc
+
+
+def _enumerate_generators(cycles: list[str]) -> GeneratedGroup:
+    perms = [Permutation.from_cycles(g) for g in cycles if g.strip()]
+    if not perms:
+        raise InputError("no generators given")
+    degree = max(p.degree for p in perms)
+    perms = [Permutation(list(p.images) + list(range(p.degree, degree))) for p in perms]
+    try:
+        return enumerate_group(perms)
+    except CapExceededError as exc:
+        raise InputError(f"generators: {exc}") from exc
+
+
+def _attach_model(ctx: GroupContext, group: GeneratedGroup, mismatch: str) -> None:
+    """Attach the permutation group ``group`` as the model of ctx's table."""
+    ctx.model = PermModel.matched(ctx.table.classes, group)
+    if ctx.model is None:
+        raise InputError(mismatch)
+
+
+def resolve_group(selector: str | None, generators: str | None = None) -> GroupContext:
+    """The group of a builtin selector or a spec-file path, with the model its
+    ``;``-separated permutation generators give, or the group that they
+    generate when there is no selector."""
+    ctx = None
+    if selector and (os.path.exists(selector) or selector.endswith(".json")):
+        ctx = load_group_spec(selector)
+    elif selector:
+        try:
+            ctx = _builtin_context(*parse_group_selector(selector))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    elif not generators:
+        raise InputError("a group is required (--group or --generators)")
+    if generators:
+        group = _enumerate_generators(generators.split(";"))
+        if ctx is not None:  # a table plus explicit generators
+            _attach_model(ctx, group, "generators do not realize the selected group")
+        else:
+            data = class_data(group)
+            ctx = GroupContext(name=f"<generated order {len(group)}>")
+            ctx.model = PermModel(group, data, tuple(range(data.class_count)))
+    return ctx

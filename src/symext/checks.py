@@ -1,7 +1,7 @@
 """The certificates ``verify`` reports, one row each.
 
 ``verify_checks`` runs every identity check attached to a resolved group
-(the CLI's ``GroupContext``: its ``classes``, ``table``, ``natural``,
+(a ``catalog.GroupContext``: its ``classes``, ``table``, ``natural``,
 ``model``, ``subgroups``, ``central`` and ``transfers``) and returns the rows
 in order, each a dict with ``check``, ``ok`` and ``detail``.  One
 ``SeriesShare`` serves every row's series but the quotient transfers', and
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from .catalog import GroupContext
 from .closedforms import (
     CentralForms,
     MapInconsistentError,
@@ -40,7 +41,7 @@ from .lambdaops import (
 )
 
 
-def verify_checks(ctx, degree: int) -> list[dict]:
+def verify_checks(ctx: GroupContext, degree: int) -> list[dict]:
     checks: list[dict] = []
     share = SeriesShare()
 

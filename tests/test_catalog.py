@@ -1,5 +1,12 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import symext
 from symext import catalog
 from symext.catalog import (
     NoModelError,
@@ -280,3 +287,39 @@ def test_named_structure():
     assert central_characters("S3") == {}
     assert "V" in quotient_transfers("S4")
     assert quotient_transfers("A4") == {}
+
+
+LIBRARY_ONLY = """
+import json, sys
+from symext import catalog, checks
+with open(sys.argv[1], "w") as fh:
+    json.dump(catalog.dump_group_spec(catalog.get_group("A4")), fh)
+for ctx in (catalog.load_group_spec(sys.argv[1]), catalog.resolve_group("S3")):
+    rows = checks.verify_checks(ctx, 3)
+    assert rows and all(row["ok"] for row in rows), rows
+assert "symext.cli" not in sys.modules
+"""
+
+
+def test_spec_files_builtins_and_verify_run_without_the_cli(tmp_path):
+    src = Path(symext.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", LIBRARY_ONLY, str(tmp_path / "a4.json")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def _imports_cli(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "symext.cli" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module in ("cli", "symext.cli") or (
+            node.module in (None, "symext") and any(a.name == "cli" for a in node.names))
+    return False
+
+
+def test_only_the_entry_point_imports_the_cli():
+    package = Path(symext.__file__).resolve().parent
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if any(map(_imports_cli, ast.walk(ast.parse(path.read_text()))))]
+    assert importers == ["__main__.py"]

@@ -14,6 +14,7 @@ at the end check it against the reference inner products.
 """
 
 import contextlib
+import functools
 import io
 from fractions import Fraction
 from unittest import mock
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import reference_dual_route_check, reference_inner_product, with_syms
-from symext import catalog, checks, cli, groupdata
+from symext import catalog, checks, groupdata
 from symext.catalog import get_group
 from symext.exactnum import Cyclotomic
 from symext.closedforms import OneDimForms, one_dim_forms
@@ -132,6 +133,9 @@ def test_verify_catches_a_wrong_orbit_entry(monkeypatch, family, param, wrong):
     else:
         entry = (r, next(v for v, perm in perms.items() if perm[r] != j))
     mutated = (tuple(entry if i == j else e for i, e in enumerate(orbit)), perms)
+    # verify runs on tables of its own, so what it derives from the patched
+    # grouping (the orbit sums, say) never reaches the process-wide cache
+    monkeypatch.setattr(catalog, "get_group", functools.cache(catalog.get_group.__wrapped__))
     monkeypatch.setattr(CharacterTable, "character_orbits", lambda self: mutated)
     code, out = run_cli(["verify", "--group", f"{family}:{param}"])
     assert code == EXIT_VERIFY
@@ -142,7 +146,7 @@ def test_verify_catches_a_wrong_orbit_entry(monkeypatch, family, param, wrong):
 @pytest.mark.parametrize("group, linear", [("D2n:10", False), ("Hp:3", False), ("A4", True)])
 def test_verify_catches_a_moved_sym_value_off_the_representative(monkeypatch, group, linear):
     # power_sum_check is off, so only the orbit comparison can see the move
-    table = get_group(*cli.parse_group_selector(group))
+    table = get_group(*catalog.parse_group_selector(group))
     j, _, _ = _non_rep(table, linear)
     target, real = table.irreducibles[j], LambdaSequence.compute.__func__
 
@@ -167,7 +171,7 @@ def test_verify_catches_a_moved_sym_value_off_the_representative(monkeypatch, gr
 def test_verify_catches_a_moved_form_of_a_linear_representative(monkeypatch, group):
     # the forms are compared once per orbit, at the representative: here the
     # representative of a non-representative linear character
-    table = get_group(*cli.parse_group_selector(group))
+    table = get_group(*catalog.parse_group_selector(group))
     _, r, _ = _non_rep(table, linear=True)
     target, real = table.irreducibles[r], OneDimForms.genfun
 

@@ -12,7 +12,16 @@ import pytest
 
 from oracle_utils import cyclic_spec, with_syms
 from symext import catalog, checks, cli, groupdata, lambdaops, permgroup
-from symext.catalog import NoModelError, central_characters, get_group
+from symext.catalog import (
+    MAX_CLASSES,
+    MAX_DEGREE,
+    MAX_ROOT_ORDER,
+    NoModelError,
+    central_characters,
+    dump_group_spec,
+    get_group,
+    load_group_spec,
+)
 from symext.closedforms import (
     CentralForms,
     MapInconsistentError,
@@ -29,12 +38,7 @@ from symext.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
-    MAX_CLASSES,
-    MAX_DEGREE,
-    MAX_ROOT_ORDER,
     OutputDocument,
-    dump_group_spec,
-    load_group_spec,
     main,
 )
 
@@ -716,6 +720,41 @@ def test_group_spec_of_the_wrong_type_is_an_input_error(tmp_path, mutate, messag
     assert message in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, images", [("0", [0] * 5), ("1", [0, 1, 2, 3, 4]),
+                                         ("4", [0, 0, 2, 0, 0])])
+def test_a_prime_powers_key_that_is_no_prime_is_an_input_error(tmp_path, key, images):
+    # each map is S4's true key-th power map, so only the key is wrong
+    doc = dump_group_spec(get_group("S4"))
+    for cls, image in zip(doc["classes"], images):
+        cls["prime_powers"][key] = image
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {path}: classes[0].prime_powers: key {key!r} is not a prime\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--char", "chi3", "--op", "ext", "--degree", "3"],
+    ["genfun", "--char", "chi3", "--irr", "chi1"],
+    ["closedform", "--spec", "regular"],
+    ["verify"],
+], ids=["decompose", "genfun", "closedform", "verify"])
+def test_a_wrong_power_map_of_a_dividing_prime_is_an_input_error(tmp_path, argv):
+    # S4's 4-cycles square to the transpositions instead of the double
+    # transpositions, a class of the same order: the table and the unit-prime
+    # maps still check out, but psi^2 of chi2, chi3 and chi5 is no virtual
+    # character (decompose exited 3 on it, with a multiplicity of -1/4)
+    doc = dump_group_spec(get_group("S4"))
+    doc["classes"][3]["prime_powers"]["2"] = 1
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(argv + ["--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert err == (f"error: {path}: psi^2 of chi2 is no virtual character, so the 2-power map"
+                   ' (prime_powers "2") is wrong\n')
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1000,7 +1039,7 @@ def test_only_a_missing_model_is_skipped(monkeypatch, fault):
     def broken(family, param=None):
         raise fault("no model here")
 
-    monkeypatch.setattr(cli, "get_perm_model", broken)
+    monkeypatch.setattr(catalog, "get_perm_model", broken)
     code, out, err = run_cli(["verify", "--group", "S3"])
     if fault is NoModelError:
         assert code == EXIT_OK and err == ""
@@ -1127,7 +1166,6 @@ def test_verify_reads_the_validation_done_at_load(monkeypatch):
         return groupdata.validate_table(table)
 
     monkeypatch.setattr(catalog, "validate_table", counted)
-    monkeypatch.setattr(cli, "validate_table", counted)
     catalog.get_group.cache_clear()
     code, out, err = run_cli(["verify", "--group", "D2n:6"])
     assert code == EXIT_OK and err == ""
@@ -1220,7 +1258,7 @@ def test_an_irreducible_index_is_ascii_digits():
 def test_only_a_request_that_reads_the_model_builds_it(monkeypatch, argv, models, centrals):
     from symext import catalog
 
-    model_calls = _calls(monkeypatch, cli, "get_perm_model")
+    model_calls = _calls(monkeypatch, catalog, "get_perm_model")
     central_calls = _calls(monkeypatch, catalog, "central_characters")
     code, out, err = run_cli(argv)
     assert code == EXIT_OK and err == ""
@@ -1229,10 +1267,10 @@ def test_only_a_request_that_reads_the_model_builds_it(monkeypatch, argv, models
 
 def test_the_permutation_model_is_built_once_per_process(monkeypatch):
     catalog.get_perm_model.cache_clear()
-    calls = [_calls(monkeypatch, module, "enumerate_group") for module in (catalog, cli)]
+    calls = _calls(monkeypatch, catalog, "enumerate_group")
     first, second = run_cli(["verify", "--group", "S4"]), run_cli(["verify", "--group", "S4"])
     assert first == second and first[0] == EXIT_OK and first[2] == ""
-    assert sum(map(len, calls)) == 1
+    assert len(calls) == 1
 
 
 def test_a_central_closed_form_builds_only_the_spec_it_names(monkeypatch):
@@ -1293,7 +1331,7 @@ def test_a_model_fault_reaches_only_the_requests_that_read_the_model(
     def broken(family, param=None):
         raise fault("model build failed")
 
-    monkeypatch.setattr(cli, "get_perm_model", broken)
+    monkeypatch.setattr(catalog, "get_perm_model", broken)
     got, out, err = run_cli(["genfun", "--group", "S3", "--char", "regular", "--irr", "chi1"])
     assert got == EXIT_OK and err == "" and out
     got, out, err = run_cli(["decompose", "--group", "S3", "--char", "natural"])

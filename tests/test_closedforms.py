@@ -7,8 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from symext.catalog import FIXED_FAMILIES, central_characters, get_group, quotient_transfers
-from symext.cli import load_group_spec
+from symext.catalog import (
+    FIXED_FAMILIES,
+    central_characters,
+    get_group,
+    load_group_spec,
+    quotient_transfers,
+)
 from symext.closedforms import (
     InvalidCentralCharError,
     InvalidSubgroupError,

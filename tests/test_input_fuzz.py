@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symext.catalog import get_group
-from symext.cli import dump_group_spec, main
+from symext.catalog import dump_group_spec, get_group
+from symext.cli import main
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import random_virtual, reference_inner_product, reference_lambda_values
-from symext import cli, groupdata, lambdaops
+from symext import catalog, groupdata, lambdaops
 from symext.catalog import get_group
 from symext.closedforms import central_forms
 from symext.exactnum import Cyclotomic, as_cyclotomic
@@ -90,7 +90,7 @@ def test_stopped_lambdas_match_the_full_recurrence(family, param):
 
 
 def hp7_central():
-    ctx = cli._builtin_context("Hp", 7)
+    ctx = catalog._builtin_context("Hp", 7)
     return central_forms(ctx.classes, ctx.central["zeta_1"])
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symext.catalog import get_group, tau_prime
-from symext.cli import GroupContext
+from symext.catalog import GroupContext, get_group, tau_prime
 from symext.exactnum import Cyclotomic, divisors
 from symext.groupdata import ClassFunction, adams, decompose, regular_character
 from symext.lambdaops import (

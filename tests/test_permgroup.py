@@ -3,7 +3,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import reference_class_data, reference_sorted_classes
-from symext import cli
+from symext import catalog
 from symext.catalog import FIXED_FAMILIES, get_group, get_perm_model
 from symext.groupdata import decompose, integral_multiplicities
 from symext.permgroup import (
@@ -206,6 +206,6 @@ def test_every_builtin_model_has_the_reference_skeleton(family, param):
 
 
 def test_the_generated_s4_has_the_reference_skeleton():
-    group = cli._enumerate_generators(["(0 1)", "(0 1 2 3)"])
+    group = catalog._enumerate_generators(["(0 1)", "(0 1 2 3)"])
     assert group.base == (0, 1, 2)
     _assert_base_skeleton(group)

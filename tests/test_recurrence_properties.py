@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import with_syms
-from symext import cli, lambdaops
+from symext import catalog, lambdaops
 from symext.catalog import get_group
 from symext.closedforms import central_forms
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient
@@ -192,7 +192,7 @@ def test_lambdas_and_syms_match_the_cyclotomic_loops(kf, M):
 def hp7_central_psi(scale, c, M):
     """psi at class c of scale times the Hp:7 central character (zeta_1
     extended by zero, times 7)."""
-    ctx = cli._builtin_context("Hp", 7)
+    ctx = catalog._builtin_context("Hp", 7)
     return psi_at(central_forms(ctx.classes, ctx.central["zeta_1"]).character() * scale, c, M)
 
 
