@@ -905,7 +905,7 @@ def load_group_spec(path: str) -> GroupContext:
     if gens:
         if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
             raise InputError(f"{path}: generators must be a list of cycle strings")
-        group = _enumerate_generators(gens)
+        group = _enumerate_generators(gens, path)
         _attach_model(ctx, group, f"{path}: generators do not match the declared classes")
     subgroups = _object(raw.get("normal_subgroups", {}), f"{path}: normal_subgroups")
     for sub_name, idx in subgroups.items():
@@ -966,16 +966,23 @@ def dump_group_spec(table: CharacterTable, generators: list[str] | None = None) 
     return doc
 
 
-def _enumerate_generators(cycles: list[str]) -> GeneratedGroup:
-    perms = [Permutation.from_cycles(g) for g in cycles if g.strip()]
+def _enumerate_generators(cycles: list[str], path: str = "") -> GeneratedGroup:
+    """The group the cycle strings generate.  Every error of a spec file's
+    generators names ``<path>: generators``; the --generators flag's errors
+    keep their own wording."""
+    where = f"{path}: generators" if path else "generators"
+    try:
+        perms = [Permutation.from_cycles(g) for g in cycles if g.strip()]
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}" if path else str(exc)) from exc
     if not perms:
-        raise InputError("no generators given")
+        raise InputError(f"{where} are all blank" if path else "no generators given")
     degree = max(p.degree for p in perms)
     perms = [Permutation(list(p.images) + list(range(p.degree, degree))) for p in perms]
     try:
         return enumerate_group(perms)
     except CapExceededError as exc:
-        raise InputError(f"generators: {exc}") from exc
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _attach_model(ctx: GroupContext, group: GeneratedGroup, mismatch: str) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .exactnum import cyclotomic_polynomial, fold, poly_div_exact
+from .exactnum import cyclotomic_polynomial, poly_div_exact
 from .groupdata import (
     CharacterTable,
     ClassFunction,
@@ -257,6 +257,9 @@ def genfun_rationals(
     scale = lcm(*(row_den for _, row_den in rows))
     out = []
     for j in js:
+        if not any(nums[j] for nums, _ in rows):
+            out.append(RationalFunction((), (Fraction(1),)))  # what _over_molien makes of 0
+            continue
         num = poly_mul(den, [nums[j] * (scale // row_den) for nums, row_den in rows])[: len(rows)]
         if any(num[top - d + 1 :]):
             raise CrossCheckError(
@@ -270,34 +273,12 @@ def genfun_rationals(
 def _molien_factors(chi: ClassFunction) -> list[int]:
     """k once for each factor of D = prod_k Phi_k^e_k, where e_k is the largest
     multiplicity of one primitive k-th root of unity among the eigenvalues of
-    a class.
-
-    At a class c of order o the multiplicity of zeta_o^a is
-    (1/o) sum_s chi(c^s) zeta_o^(-as), summed in Z[z]/(z^n - 1) and folded
-    once.  Each must be a nonnegative integer, which holds iff chi restricted
-    to <c> is a character; else InvalidCharacterError.  A class c^u, u a
-    unit, generates the same subgroup and only permutes the multiplicities
-    among roots of one order, so one class per rational class is read.
-    """
-    cd = chi.data
+    a class: a max over ``chi.eigenvalue_multiplicities``, which raises
+    InvalidCharacterError if chi is no character of some cyclic subgroup."""
     exps: dict[int, int] = {}
-    for c in cd.rational_classes()[1]:
-        o = cd.rep_orders[c]
-        vals = [chi.values[cd.power_map(s)[c]] for s in range(o)]
-        n, den = lcm(o, *(v.order for v in vals)), lcm(*(v.den for v in vals))
-        terms = [[(i * (n // v.order), x * (den // v.den)) for i, x in enumerate(v.num) if x]
-                 for v in vals]
-        for a in range(o):
-            acc = [0] * n
-            for s, ts in enumerate(terms):
-                for e, x in ts:
-                    acc[(e - a * s * (n // o)) % n] += x
-            coords = fold(enumerate(acc), n)
-            m, rem = divmod(coords[0], o * den)
-            if rem or m < 0 or any(coords[1:]):
-                raise InvalidCharacterError(
-                    f"chi is no character of the cyclic subgroup of class {cd.names[c]}"
-                )
+    for ms in chi.eigenvalue_multiplicities.values():
+        o = len(ms)
+        for a, m in enumerate(ms):
             exps[o // gcd(a, o)] = max(exps.get(o // gcd(a, o), 0), m)
     return [k for k, e in exps.items() for _ in range(e)]
 

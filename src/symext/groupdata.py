@@ -22,6 +22,7 @@ from .exactnum import (
     _coords,
     as_cyclotomic,
     divisors,
+    fold,
     moebius,
     pack,
     pack_bounds,
@@ -45,6 +46,10 @@ class NonRationalMultiplicityError(ValueError):
 
 class NonIntegralMultiplicityError(ValueError):
     """A certified-integral decomposition came out fractional or negative."""
+
+
+class InvalidCharacterError(ValueError):
+    """A value claimed to be a genuine character violates a degree bound."""
 
 
 class ClassData:
@@ -227,10 +232,10 @@ class ClassData:
 class ClassFunction:
     """A function on conjugacy classes with exact cyclotomic values."""
 
-    __slots__ = ("data", "values", "_orbits")
+    __slots__ = ("data", "values", "_orbits", "_eigen")
 
     def __init__(self, data: ClassData, values: Iterable[Scalar]):
-        self.data, self._orbits = data, None
+        self.data, self._orbits, self._eigen = data, None, None
         self.values = tuple(v if type(v) is Cyclotomic else as_cyclotomic(v) for v in values)
         if len(self.values) != data.class_count:
             raise ValueError("one value per conjugacy class required")
@@ -239,7 +244,7 @@ class ClassFunction:
     def _trusted(cls, data: ClassData, values: tuple[Cyclotomic, ...]) -> "ClassFunction":
         """A class function of ``values``, already one Cyclotomic per class."""
         f = object.__new__(cls)
-        f.data, f.values, f._orbits = data, values, None
+        f.data, f.values, f._orbits, f._eigen = data, values, None, None
         return f
 
     @property
@@ -247,6 +252,40 @@ class ClassFunction:
         """``data.galois_orbits(values)``, found on the first read and kept."""
         self._orbits = self._orbits or self.data.galois_orbits(self.values)
         return self._orbits
+
+    @property
+    def eigenvalue_multiplicities(self) -> dict[int, tuple[int, ...]]:
+        """(m_0, ..., m_(o-1)) for each representative c of the rational
+        classes, o its order, found on the first read and kept: m_a is the
+        multiplicity of zeta_o^a among the eigenvalues of c, that is
+        X_a = (1/o) sum_(s < o) f(c^s) zeta_o^(-as).  Each X_a must be a
+        nonnegative integer, which holds iff f restricted to <c> is a
+        character; else InvalidCharacterError at the first class where one is
+        not.  A class c^u, u a unit, generates <c> and only permutes the X_a
+        among roots of one order, so one class per rational class is read.
+
+        When ``galois_orbits`` is the rational-class table, f(c^(gu)) =
+        sigma_u(f(c^g)) for each g | o and unit u mod o/g, and f(c^g) is
+        fixed by every sigma_u with u = 1 mod o/g, so it lies in
+        Q(zeta_(o/g)).  Grouping the s by g = gcd(s, o) then gives o X_a as
+        the sum over g | o of Tr_(Q(zeta_(o/g))/Q)(f(c^g) zeta_(o/g)^(-a)):
+        one trace per divisor, read off the Ramanujan sums with no fold, and
+        every X_a rational.  Otherwise each X_a is summed over s in
+        Z[z]/(z^n - 1) and folded once, which also shows an irrational one.
+        Both routes give the same X_a and put each through the same
+        integrality test."""
+        if self._eigen is None:
+            cd = self.data
+            route = (_multiplicities_by_traces if self.galois_orbits is cd.rational_classes()[0]
+                     else _multiplicities_by_sums)
+            out = {}
+            for c in cd.rational_classes()[1]:
+                out[c] = route(self, c)
+                if out[c] is None:
+                    raise InvalidCharacterError(
+                        f"chi is no character of the cyclic subgroup of class {cd.names[c]}")
+            self._eigen = out
+        return self._eigen
 
     @staticmethod
     def constant(data: ClassData, value: Scalar) -> "ClassFunction":
@@ -294,6 +333,54 @@ class ClassFunction:
 
     def __repr__(self) -> str:
         return "ClassFunction(" + ", ".join(repr(v) for v in self.values) + ")"
+
+
+def _multiplicities_by_sums(f: ClassFunction, c: int) -> tuple[int, ...] | None:
+    """m_0 .. m_(o-1) of ``eigenvalue_multiplicities`` at the class c of order
+    o, each o X_a summed over s at order n = lcm(o, the value orders) and
+    folded once; None if some X_a is not a nonnegative integer."""
+    cd, o = f.data, f.data.rep_orders[c]
+    vals = [f.values[cd.power_map(s)[c]] for s in range(o)]
+    n, den = lcm(o, *(v.order for v in vals)), lcm(*(v.den for v in vals))
+    terms = [[(i * (n // v.order), x * (den // v.den)) for i, x in enumerate(v.num) if x]
+             for v in vals]
+    out = []
+    for a in range(o):
+        acc = [0] * n
+        for s, ts in enumerate(terms):
+            for e, x in ts:
+                acc[(e - a * s * (n // o)) % n] += x
+        coords = fold(enumerate(acc), n)
+        m, rem = divmod(coords[0], o * den)
+        if rem or m < 0 or any(coords[1:]):
+            return None
+        out.append(m)
+    return tuple(out)
+
+
+def _multiplicities_by_traces(f: ClassFunction, c: int) -> tuple[int, ...] | None:
+    """The same for a Galois-compatible f, o X_a being the sum over g | o of
+    the traces of f(c^g) zeta_(o/g)^(-a) from Q(zeta_(o/g)).  Write f(c^g) =
+    (sum_e x_e zeta_N^e) / den at N = lcm(o/g, its order); its trace is then
+    sum_e x_e T_N(e - a N/(o/g)) / (den phi(N)/phi(o/g))."""
+    cd, o = f.data, f.data.rep_orders[c]
+    terms = []  # (T_N, N, N/(o/g), the (e, x_e), den phi(N)/phi(o/g)) per g | o
+    for g in divisors(o):
+        m, v = o // g, f.values[cd.power_map(g)[c]]
+        order = 1 if v.is_rational() else v.order
+        n = lcm(m, order)
+        xs = [(e * (n // order), x) for e, x in enumerate(v.num) if x]
+        terms.append((_ramanujan_sums(n), n, n // m, xs, v.den * (totient(n) // totient(m))))
+    den = lcm(*(t[-1] for t in terms))
+    out = []
+    for a in range(o):
+        total = sum(sum(x * trace[(e - a * step) % n] for e, x in xs) * (den // d)
+                    for trace, n, step, xs, d in terms)
+        m, rem = divmod(total, o * den)
+        if rem or m < 0:
+            return None
+        out.append(m)
+    return tuple(out)
 
 
 class CharacterTable:
@@ -477,7 +564,7 @@ class _PackedRows:
 
     def trace_weights(self, table: CharacterTable) -> tuple[list[list[int]], list[int]]:
         """(weights, classes): per row j, the integers |r| |O_r| sum_a x_a
-        T_(a+b) for every r in classes and b < phi(N), where x are the
+        T_(a+b mod N) for every r in classes and b < phi(N), where x are the
         coordinates of den * chi_j(r) and T_m = Tr(zeta_N^m) is the Ramanujan
         sum c_N(m); one trace vector per distinct value.  The classes are the
         representatives r of the rational classes O_r when ``_rational_orbit``
@@ -493,7 +580,7 @@ class _PackedRows:
                     if ids[r] not in vectors:
                         v = chi.values[r].lift(n)
                         s, xs = self.den // v.den, [(a, x) for a, x in enumerate(v.num) if x]
-                        vectors[ids[r]] = [s * sum(x * trace[a + b] for a, x in xs)
+                        vectors[ids[r]] = [s * sum(x * trace[(a + b) % n] for a, x in xs)
                                            for b in range(phi)]
                     s = cd.sizes[r] * size
                     w += [s * t for t in vectors[ids[r]]]
@@ -513,9 +600,10 @@ def _packed_rows(table: CharacterTable) -> _PackedRows:
 
 @cache
 def _ramanujan_sums(n: int) -> tuple[int, ...]:
-    """T_m = Tr(zeta_n^m) = sum_(d | gcd(m, n)) mu(n/d) d for m < 2 phi(n) - 1."""
-    return tuple(sum(moebius(n // d) * d for d in divisors(gcd(m, n)))
-                 for m in range(2 * totient(n) - 1))
+    """T_m = Tr(zeta_n^m) = sum_(d | gcd(m, n)) mu(n/d) d, indexed by the
+    residue m mod n."""
+    by_gcd = {g: sum(moebius(n // d) * d for d in divisors(g)) for g in divisors(n)}
+    return tuple(by_gcd[gcd(m, n)] for m in range(n))
 
 
 def _trace_terms(coords, classes: Sequence[int], inverse: Sequence[int], phi: int):
@@ -589,7 +677,8 @@ def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coord
 def decompose(f: ClassFunction, table: CharacterTable) -> tuple[Fraction, ...]:
     """Multiplicities of f against the irreducible basis, as exact rationals."""
     nums, den = _decompose(f, table)
-    return tuple(Fraction(x, den) for x in nums)
+    qs = {x: Fraction(x, den) for x in set(nums)}  # one Fraction per distinct numerator
+    return tuple(map(qs.__getitem__, nums))
 
 
 def integral_decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ...]:

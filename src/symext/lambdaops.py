@@ -47,11 +47,7 @@ from .exactnum import (
     packed_dot,
     slot_width,
 )
-from .groupdata import ClassFunction
-
-
-class InvalidCharacterError(ValueError):
-    """A value claimed to be a genuine character violates a degree bound."""
+from .groupdata import ClassFunction, InvalidCharacterError
 
 
 class NotPeriodicError(ValueError):

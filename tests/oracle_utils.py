@@ -14,7 +14,11 @@ together with the table's rows in a fresh ``_Columns``, where
 ``one_dim_forms`` looks them up in the table's own.  ``reference_lambda_values`` is Newton's
 lambda recurrence run at every step with no stop rule, in plain
 ``Cyclotomic`` arithmetic.  ``with_syms`` plants S values in a sequence, the
-mutant that the checks reading S must reject.  ``reference_sorted_classes``
+mutant that the checks reading S must reject.
+``reference_eigenvalue_multiplicities`` is the per-class loop that sums
+every f(c^s) zeta^(-as) and folds the sum once, for every class function,
+where the package takes one trace per divisor of the class order when it
+can.  ``reference_sorted_classes``
 and ``reference_class_data`` are the class skeleton of a permutation group
 built from whole permutations: every conjugate, power and inverse is a
 degree-length product, looked up in a dict of all elements.
@@ -26,10 +30,22 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 import random
 
-from symext.exactnum import as_cyclotomic, cyclotomic_polynomial, poly_div_exact, primes_below
+from symext.exactnum import (
+    as_cyclotomic,
+    cyclotomic_polynomial,
+    fold,
+    poly_div_exact,
+    primes_below,
+)
 from symext.genfun import SYM, MultiplicityTable, RationalFunction, poly_mul
 from symext.catalog import get_group
-from symext.groupdata import CharacterTable, ClassData, ClassFunction, _Columns
+from symext.groupdata import (
+    CharacterTable,
+    ClassData,
+    ClassFunction,
+    InvalidCharacterError,
+    _Columns,
+)
 from symext.lambdaops import LambdaSequence, power_sum_check
 
 
@@ -333,6 +349,34 @@ def reference_one_dim_exponents(chi, table):
     for i, row in enumerate(rows[k:]):
         first.setdefault(row, i)
     return tuple(first.get(row) for row in rows[:k])
+
+
+def reference_eigenvalue_multiplicities(f):
+    """{c: (m_0, ..., m_(o-1))} over the rational-class representatives c,
+    o the order of c: m_a = (1/o) sum_(s < o) f(c^s) zeta_o^(-as), every
+    term summed in Z[z]/(z^n - 1) and folded once; InvalidCharacterError at
+    the first class where some m_a is not a nonnegative integer."""
+    cd, out = f.data, {}
+    for c in cd.rational_classes()[1]:
+        o = cd.rep_orders[c]
+        vals = [f.values[cd.power_map(s)[c]] for s in range(o)]
+        n, den = lcm(o, *(v.order for v in vals)), lcm(*(v.den for v in vals))
+        terms = [[(i * (n // v.order), x * (den // v.den)) for i, x in enumerate(v.num) if x]
+                 for v in vals]
+        ms = []
+        for a in range(o):
+            acc = [0] * n
+            for s, ts in enumerate(terms):
+                for e, x in ts:
+                    acc[(e - a * s * (n // o)) % n] += x
+            coords = fold(enumerate(acc), n)
+            m, rem = divmod(coords[0], o * den)
+            if rem or m < 0 or any(coords[1:]):
+                raise InvalidCharacterError(
+                    f"chi is no character of the cyclic subgroup of class {cd.names[c]}")
+            ms.append(m)
+        out[c] = tuple(ms)
+    return out
 
 
 def cyclic_spec(n, root):

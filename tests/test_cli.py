@@ -1031,7 +1031,21 @@ def test_generators_over_the_cap_are_an_input_error(tmp_path, where):
         argv = ["verify", "--group", str(path)]
     code, out, err = run_cli(argv)
     assert code == EXIT_INPUT and out == ""
-    assert err.splitlines() == ["error: generators: group order exceeds cap 20000"]
+    field = f"{path}: generators" if where == "spec" else "generators"
+    assert err.splitlines() == [f"error: {field}: group order exceeds cap 20000"]
+
+
+@pytest.mark.parametrize("gens, flag_line, spec_line", [
+    ([" ", ""], "no generators given", "generators are all blank"),
+    (["(0 1"], "unparsed cycle text: '(0 1'", "generators: unparsed cycle text: '(0 1'"),
+])
+def test_a_spec_files_generator_errors_name_the_file(tmp_path, gens, flag_line, spec_line):
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(dump_group_spec(get_group("S3"), generators=gens)))
+    for argv, line in ((["--group", str(path)], f"{path}: {spec_line}"),
+                       (["--generators", ";".join(gens)], flag_line)):
+        code, out, err = run_cli(["verify", *argv])
+        assert (code, out, err.splitlines()) == (EXIT_INPUT, "", [f"error: {line}"])
 
 
 @pytest.mark.parametrize("fault", [NoModelError, RuntimeError])

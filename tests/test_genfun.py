@@ -172,6 +172,22 @@ def test_a_denominator_short_of_one_factor_fails_the_certificate(monkeypatch):
         genfun_rational(s3.character("chi2"), s3, 0, SYM)
 
 
+def test_a_zero_column_is_the_zero_form_without_a_division(monkeypatch):
+    # S^n of a linear character of D2n:50 is its n-th power, so only the
+    # columns of the powers are nonzero; the others skip the Phi_k divisions
+    table = get_group("D2n", 50)
+    chi = table.irreducibles[1]
+    calls = []
+    over_molien = genfun._over_molien
+    monkeypatch.setattr(genfun, "_over_molien", lambda *a: calls.append(a) or over_molien(*a))
+    js = range(len(table.labels))
+    forms = genfun_rationals(chi, table, js, SYM)
+    zero = [j for j in js if not any(genfun_series(chi, table, j, SYM, 4))]
+    assert len(calls) == len(js) - len(zero) == 2
+    assert all(forms[j] == genfun.RationalFunction((), (Fraction(1),)) for j in zero)
+    assert [rf.series(8) for rf in forms] == [genfun_series(chi, table, j, SYM, 8) for j in js]
+
+
 def test_genfun_rational_of_large_degree_regular_character():
     # the S4 regular character: a Molien denominator of degree 64, and
     # columns of 64 terms

@@ -14,9 +14,13 @@ order 1 if it is rational, else at the lcm of the orders of the irrational
 psi values at its class, and compatibility asks f(r^u) to have the order of
 f(r).  ``genfun_rationals`` reads the eigenvalue multiplicities at one class
 per rational class; it must reject exactly the class functions whose
-lambda_t is not a polynomial of degree f(e) at every class.
+lambda_t is not a polynomial of degree f(e) at every class.  Those
+multiplicities come from one trace per divisor of the class order for a
+compatible f and from the per-class sum otherwise; either way they equal
+the reference sum, error or result.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -24,9 +28,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import a4_with_an_identity_5_power_map, with_syms
-from symext import groupdata
-from symext.catalog import get_group
+from oracle_utils import (
+    a4_with_an_identity_5_power_map,
+    cyclic_spec,
+    reference_eigenvalue_multiplicities,
+    with_syms,
+)
+from symext import groupdata, lambdaops
+from symext.catalog import FIXED_FAMILIES, get_group, load_group_spec
 from symext.exactnum import Cyclotomic, as_cyclotomic, divisors, totient, unit_lift
 from symext.genfun import EXT, SYM, genfun_rationals, genfun_series
 from symext.groupdata import (
@@ -34,6 +43,7 @@ from symext.groupdata import (
     NonRationalMultiplicityError,
     decompose,
     inner_product,
+    regular_character,
 )
 from symext.lambdaops import (
     CrossCheckError,
@@ -329,3 +339,82 @@ def test_a_class_function_finds_its_orbit_table_once(monkeypatch):
     seq = LambdaSequence.compute(fs[-1], 4)
     for g in seq.lambdas + seq.syms:
         assert g.galois_orbits == real(cd, g.values)
+
+
+def eigenvalue_multiplicities(f):
+    return f.eigenvalue_multiplicities
+
+
+def assert_the_eigenvalues_give_the_values(f, ms):
+    # sum_a m_a = f(e), and sum_a m_a zeta_o^(as) = f(c^s) at every s
+    cd = f.data
+    for c, m in ms.items():
+        o = cd.rep_orders[c]
+        assert len(m) == o and sum(m) == f.values[0]
+        for s in range(o):
+            value = Cyclotomic.from_terms(o, [(a * s, x) for a, x in enumerate(m) if x])
+            assert value == f.values[cd.power_map(s)[c]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(class_function())
+@example(("perturbed", S3, ClassFunction(S3.classes, [2, 1, -1])))
+@example(("virtual", D10, D10.irreducibles[2] - D10.irreducibles[3]))
+def test_eigenvalue_multiplicities_match_the_per_class_sums(kf):
+    _, _, f = kf
+    got = outcome(eigenvalue_multiplicities, f)
+    assert got == outcome(reference_eigenvalue_multiplicities, f)
+    if got[0] == "ok":
+        assert_the_eigenvalues_give_the_values(f, got[1])
+
+
+EIGEN_TABLES = [(family, None) for family in FIXED_FAMILIES] + [
+    ("D2n", 5), ("D2n", 8), ("D2n", 50), ("Q4n", 3), ("Q4n", 25), ("Hp", 3), ("Hp", 7), ("Hp", 11)]
+
+
+@pytest.mark.parametrize("family, param", EIGEN_TABLES)
+def test_builtin_characters_take_the_trace_route_to_the_reference_values(
+        family, param, monkeypatch):
+    # each irreducible also with its irrational values lifted to the exponent,
+    # which stays compatible and puts f(c^g) at an order N above o/g
+    table = get_group(family, param)
+    cd = table.classes
+    monkeypatch.setattr(groupdata, "_multiplicities_by_sums", None)  # a call raises TypeError
+    lifted = [[v if v.is_rational() else v.lift(cd.exponent) for v in chi.values]
+              for chi in table.irreducibles]
+    for values in (*(chi.values for chi in table.irreducibles), *lifted,
+                   regular_character(cd).values):
+        f = ClassFunction(cd, values)  # nothing kept from an earlier read
+        ms = f.eigenvalue_multiplicities
+        assert ms == reference_eigenvalue_multiplicities(f)
+        assert_the_eigenvalues_give_the_values(f, ms)
+
+
+def test_incompatible_characters_take_the_per_class_sums(tmp_path, monkeypatch):
+    # the A4 plant and the cyclic group stored at twice its exponent: their
+    # irrational rows are not Galois compatible, so the trace route may not run
+    path = tmp_path / "c40r80.json"
+    path.write_text(json.dumps(cyclic_spec(40, 80)))
+    c40r80 = load_group_spec(str(path)).table
+    a4 = a4_with_an_identity_5_power_map()
+    monkeypatch.setattr(groupdata, "_multiplicities_by_traces", None)
+    irrational = [f for f in c40r80.irreducibles if not all(v.is_rational() for v in f.values)]
+    assert len(irrational) == 38
+    fs = [*irrational, a4.irreducibles[1], a4.irreducibles[2]]
+    for f in fs:
+        assert f.galois_orbits is not f.data.rational_classes()[0]
+        assert f.eigenvalue_multiplicities == reference_eigenvalue_multiplicities(f)
+    # c40r80's chi2 is the faithful linear character: zeta_40 once at g1
+    assert c40r80.irreducibles[1].eigenvalue_multiplicities[1] == (0, 1) + (0,) * 38
+
+
+def test_eigenvalue_multiplicities_are_read_once_per_class_function(monkeypatch):
+    table, calls = get_group("D2n", 8), []
+    real = groupdata._multiplicities_by_traces
+    monkeypatch.setattr(groupdata, "_multiplicities_by_traces",
+                        lambda f, c: calls.append(c) or real(f, c))
+    chi = ClassFunction(table.classes, table.irreducibles[4].values)
+    first = chi.eigenvalue_multiplicities
+    assert chi.eigenvalue_multiplicities is first
+    assert calls == list(table.classes.rational_classes()[1])
+    assert lambdaops.InvalidCharacterError is groupdata.InvalidCharacterError
