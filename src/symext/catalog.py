@@ -851,11 +851,15 @@ def load_group_spec(path: str) -> GroupContext:
             raise InputError(f"{where}: missing field {exc}") from exc
         if sizes[-1] < 1 or rep_orders[-1] < 1:
             raise InputError(f"{where}: size and rep_order must be positive")
+        seen = set()
         for p_raw, image in _object(cls.get("prime_powers", {}), f"{where}.prime_powers").items():
             p = parse_digits(p_raw, f"{where}.prime_powers key")
             if p is None or not _is_prime(p):
                 kind = "an integer" if p is None else "a prime"
                 raise InputError(f"{where}.prime_powers: key {p_raw!r} is not {kind}")
+            if p in seen:
+                raise InputError(f"{where}.prime_powers: key {p_raw!r} repeats the prime {p}")
+            seen.add(p)
             image = class_index(image, f"{where}.prime_powers[{p_raw!r}]")
             prime_maps.setdefault(p, [0] * len(classes))[i] = image
     exponent = lcm(*rep_orders)
@@ -927,6 +931,8 @@ def load_group_spec(path: str) -> GroupContext:
                 c = parse_digits(c_raw, f"{where}.zeta key")
                 if c is None:
                     raise InputError(f"{where}.zeta: key {c_raw!r} is not a class index")
+                if c in zeta:
+                    raise InputError(f"{where}.zeta: key {c_raw!r} repeats the class {c}")
                 zeta[c] = Cyclotomic.root_of_unity(root_order, _integer(e, f"{where}.zeta"))
             multiplier = check_multiplier(
                 _integer(cc.get("multiplier", 1), f"{where}.multiplier"), f"{where}.multiplier"

@@ -264,24 +264,23 @@ class ClassFunction:
         not.  A class c^u, u a unit, generates <c> and only permutes the X_a
         among roots of one order, so one class per rational class is read.
 
-        When ``galois_orbits`` is the rational-class table, f(c^(gu)) =
-        sigma_u(f(c^g)) for each g | o and unit u mod o/g, and f(c^g) is
-        fixed by every sigma_u with u = 1 mod o/g, so it lies in
-        Q(zeta_(o/g)).  Grouping the s by g = gcd(s, o) then gives o X_a as
-        the sum over g | o of Tr_(Q(zeta_(o/g))/Q)(f(c^g) zeta_(o/g)^(-a)):
-        one trace per divisor, read off the Ramanujan sums with no fold, and
-        every X_a rational.  Otherwise each X_a is summed over s in
-        Z[z]/(z^n - 1) and folded once, which also shows an irrational one.
-        Both routes give the same X_a and put each through the same
-        integrality test."""
+        The candidate reads o X_a off one trace per divisor g of o.  When f
+        restricted to <c> is a character, f(c^(gu)) = sigma_u(f(c^g)) for
+        each g | o and unit u mod o/g, and f(c^g) is fixed by every sigma_u
+        with u = 1 mod o/g, so it lies in Q(zeta_(o/g)): grouping the s by
+        g = gcd(s, o) then gives o X_a as the sum of those traces.  When
+        ``galois_orbits`` is the rational-class table those identities hold
+        at every class, so the candidate is the X_a.  Otherwise it is kept
+        only if it rebuilds f on <c> (``_rebuilds``): it is the X_a when f on
+        <c> is a character, and no nonnegative integers rebuild f when it is
+        not, the X_a being unique."""
         if self._eigen is None:
             cd = self.data
-            route = (_multiplicities_by_traces if self.galois_orbits is cd.rational_classes()[0]
-                     else _multiplicities_by_sums)
+            proved = self.galois_orbits is cd.rational_classes()[0]
             out = {}
             for c in cd.rational_classes()[1]:
-                out[c] = route(self, c)
-                if out[c] is None:
+                out[c] = _multiplicities_by_traces(self, c)
+                if out[c] is None or not (proved or _rebuilds(self, c, out[c])):
                     raise InvalidCharacterError(
                         f"chi is no character of the cyclic subgroup of class {cd.names[c]}")
             self._eigen = out
@@ -335,34 +334,12 @@ class ClassFunction:
         return "ClassFunction(" + ", ".join(repr(v) for v in self.values) + ")"
 
 
-def _multiplicities_by_sums(f: ClassFunction, c: int) -> tuple[int, ...] | None:
-    """m_0 .. m_(o-1) of ``eigenvalue_multiplicities`` at the class c of order
-    o, each o X_a summed over s at order n = lcm(o, the value orders) and
-    folded once; None if some X_a is not a nonnegative integer."""
-    cd, o = f.data, f.data.rep_orders[c]
-    vals = [f.values[cd.power_map(s)[c]] for s in range(o)]
-    n, den = lcm(o, *(v.order for v in vals)), lcm(*(v.den for v in vals))
-    terms = [[(i * (n // v.order), x * (den // v.den)) for i, x in enumerate(v.num) if x]
-             for v in vals]
-    out = []
-    for a in range(o):
-        acc = [0] * n
-        for s, ts in enumerate(terms):
-            for e, x in ts:
-                acc[(e - a * s * (n // o)) % n] += x
-        coords = fold(enumerate(acc), n)
-        m, rem = divmod(coords[0], o * den)
-        if rem or m < 0 or any(coords[1:]):
-            return None
-        out.append(m)
-    return tuple(out)
-
-
 def _multiplicities_by_traces(f: ClassFunction, c: int) -> tuple[int, ...] | None:
-    """The same for a Galois-compatible f, o X_a being the sum over g | o of
-    the traces of f(c^g) zeta_(o/g)^(-a) from Q(zeta_(o/g)).  Write f(c^g) =
-    (sum_e x_e zeta_N^e) / den at N = lcm(o/g, its order); its trace is then
-    sum_e x_e T_N(e - a N/(o/g)) / (den phi(N)/phi(o/g))."""
+    """The candidate m_0 .. m_(o-1) of ``eigenvalue_multiplicities`` at the
+    class c of order o, None if one is not a nonnegative integer: o m_a is
+    the sum over g | o of the traces of f(c^g) zeta_(o/g)^(-a) from
+    Q(zeta_(o/g)).  Write f(c^g) = (sum_e x_e zeta_N^e) / den at N = lcm(o/g,
+    its order); its trace is sum_e x_e T_N(e - a N/(o/g)) / (den phi(N)/phi(o/g))."""
     cd, o = f.data, f.data.rep_orders[c]
     terms = []  # (T_N, N, N/(o/g), the (e, x_e), den phi(N)/phi(o/g)) per g | o
     for g in divisors(o):
@@ -381,6 +358,14 @@ def _multiplicities_by_traces(f: ClassFunction, c: int) -> tuple[int, ...] | Non
             return None
         out.append(m)
     return tuple(out)
+
+
+def _rebuilds(f: ClassFunction, c: int, ms: tuple[int, ...]) -> bool:
+    """Whether sum_a m_a zeta_o^(as) = f(c^s) at every s < o, o the order of
+    c: one integer fold at order o and one ``==`` per s."""
+    cd, o = f.data, f.data.rep_orders[c]
+    return all(Cyclotomic._raw(o, fold(((a * s, m) for a, m in enumerate(ms)), o), 1)
+               == f.values[cd.power_map(s)[c]] for s in range(o))
 
 
 class CharacterTable:

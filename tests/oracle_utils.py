@@ -17,8 +17,9 @@ lambda recurrence run at every step with no stop rule, in plain
 mutant that the checks reading S must reject.
 ``reference_eigenvalue_multiplicities`` is the per-class loop that sums
 every f(c^s) zeta^(-as) and folds the sum once, for every class function,
-where the package takes one trace per divisor of the class order when it
-can.  ``reference_sorted_classes``
+where the package takes one trace per divisor of the class order and, for
+an f that is not Galois compatible, checks that it rebuilds f.
+``reference_sorted_classes``
 and ``reference_class_data`` are the class skeleton of a permutation group
 built from whole permutations: every conjugate, power and inverse is a
 degree-length product, looked up in a dict of all elements.

@@ -16,6 +16,7 @@ from symext.catalog import (
     MAX_CLASSES,
     MAX_DEGREE,
     MAX_ROOT_ORDER,
+    InputError,
     NoModelError,
     central_characters,
     dump_group_spec,
@@ -734,6 +735,29 @@ def test_a_prime_powers_key_that_is_no_prime_is_an_input_error(tmp_path, key, im
     assert err == f"error: {path}: classes[0].prime_powers: key {key!r} is not a prime\n"
 
 
+@pytest.mark.parametrize("field, first, second", [
+    ("prime_powers", ("2", 4), ("02", 1)), ("prime_powers", ("02", 1), ("2", 4)),
+    ("zeta", ("4", 6), ("04", 0)), ("zeta", ("04", 0), ("4", 6)),
+])
+def test_a_spec_key_that_repeats_a_prime_or_a_class_is_an_input_error(
+        tmp_path, field, first, second):
+    # "2" and "02" name one prime of S4's C4, "4" and "04" one class of a
+    # central character: in either key order the file is an input error,
+    # where a silent overwrite would let the later key win
+    doc = dump_group_spec(get_group("S4"))
+    if field == "prime_powers":
+        doc["classes"][3]["prime_powers"] = dict([first, second, ("3", 3)])
+        message = f"classes[3].prime_powers: key {second[0]!r} repeats the prime 2"
+    else:
+        doc["central_chars"] = {"z": {"subgroup": [0, 4], "zeta": dict([("0", 0), first, second])}}
+        message = f"central_chars['z'].zeta: key {second[0]!r} repeats the class 4"
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["closedform", "--group", str(path), "--spec", "central:z"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: {path}: {message}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--char", "chi3", "--op", "ext", "--degree", "3"],
     ["genfun", "--char", "chi3", "--irr", "chi1"],
@@ -753,6 +777,44 @@ def test_a_wrong_power_map_of_a_dividing_prime_is_an_input_error(tmp_path, argv)
     assert code == EXIT_INPUT and out == ""
     assert err == (f"error: {path}: psi^2 of chi2 is no virtual character, so the 2-power map"
                    ' (prime_powers "2") is wrong\n')
+
+
+PLANT_GROUPS = [("S3", None), ("A4", None), ("S4", None), ("A5", None), ("G21", None),
+                ("D2n", 5), ("D2n", 6), ("Q4n", 3), ("Q4n", 4), ("Hp", 3)]
+
+
+def moved_prime_power_entries():
+    """(where, doc) for every builtin dump of PLANT_GROUPS with one
+    prime_powers entry, of a prime dividing |G|, moved to another class of
+    the same order as its true image."""
+    for family, param in PLANT_GROUPS:
+        cd = get_group(family, param).classes
+        for p, m in sorted(cd.prime_power_maps.items()):
+            if cd.group_order % p:
+                continue
+            for c, image in enumerate(m):
+                for other in range(cd.class_count):
+                    if other != image and cd.rep_orders[other] == cd.rep_orders[image]:
+                        doc = dump_group_spec(get_group(family, param))
+                        doc["classes"][c]["prime_powers"][str(p)] = other
+                        yield f"{family}:{param} {cd.names[c]}^{p} -> {cd.names[other]}", doc
+
+
+def test_a_moved_prime_power_entry_is_an_input_error_or_no_wrong_answer(tmp_path):
+    # a wrong map that loads gives answers certified against the stated maps,
+    # so each plant is exit 2 at load or else never exit 3
+    path = tmp_path / "plant.json"
+    plants = list(moved_prime_power_entries())
+    assert len(plants) == 29
+    for where, doc in plants:
+        path.write_text(json.dumps(doc))
+        try:
+            irr, chi = load_group_spec(str(path)).table.labels[:2]
+        except InputError:
+            continue
+        for argv in (["verify"], ["decompose", "--char", chi, "--op", "sym", "--degree", "4"],
+                     ["genfun", "--char", chi, "--irr", irr]):
+            assert run_cli(argv + ["--group", str(path)])[0] != EXIT_INTERNAL, (where, argv)
 
 
 @pytest.mark.parametrize(

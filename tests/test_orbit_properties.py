@@ -15,9 +15,10 @@ psi values at its class, and compatibility asks f(r^u) to have the order of
 f(r).  ``genfun_rationals`` reads the eigenvalue multiplicities at one class
 per rational class; it must reject exactly the class functions whose
 lambda_t is not a polynomial of degree f(e) at every class.  Those
-multiplicities come from one trace per divisor of the class order for a
-compatible f and from the per-class sum otherwise; either way they equal
-the reference sum, error or result.
+multiplicities come from one trace per divisor of the class order; for a
+compatible f that candidate is exact, and otherwise it must rebuild f on
+the cyclic subgroup of each class.  Either way they equal the reference
+sum, error or result.
 """
 
 import json
@@ -376,10 +377,11 @@ EIGEN_TABLES = [(family, None) for family in FIXED_FAMILIES] + [
 def test_builtin_characters_take_the_trace_route_to_the_reference_values(
         family, param, monkeypatch):
     # each irreducible also with its irrational values lifted to the exponent,
-    # which stays compatible and puts f(c^g) at an order N above o/g
+    # which stays compatible and puts f(c^g) at an order N above o/g; the
+    # trace candidate is exact for a compatible f, so nothing rebuilds f
     table = get_group(family, param)
     cd = table.classes
-    monkeypatch.setattr(groupdata, "_multiplicities_by_sums", None)  # a call raises TypeError
+    monkeypatch.setattr(groupdata, "_rebuilds", None)  # a call raises TypeError
     lifted = [[v if v.is_rational() else v.lift(cd.exponent) for v in chi.values]
               for chi in table.irreducibles]
     for values in (*(chi.values for chi in table.irreducibles), *lifted,
@@ -390,22 +392,41 @@ def test_builtin_characters_take_the_trace_route_to_the_reference_values(
         assert_the_eigenvalues_give_the_values(f, ms)
 
 
-def test_incompatible_characters_take_the_per_class_sums(tmp_path, monkeypatch):
+def test_incompatible_characters_rebuild_f_once_per_rational_class(tmp_path, monkeypatch):
     # the A4 plant and the cyclic group stored at twice its exponent: their
-    # irrational rows are not Galois compatible, so the trace route may not run
+    # irrational rows are not Galois compatible, so each trace candidate must
+    # rebuild f on the cyclic subgroup of every rational class
     path = tmp_path / "c40r80.json"
     path.write_text(json.dumps(cyclic_spec(40, 80)))
     c40r80 = load_group_spec(str(path)).table
     a4 = a4_with_an_identity_5_power_map()
-    monkeypatch.setattr(groupdata, "_multiplicities_by_traces", None)
+    calls, real = [], groupdata._rebuilds
+    monkeypatch.setattr(groupdata, "_rebuilds",
+                        lambda f, c, ms: calls.append((f, c)) or real(f, c, ms))
     irrational = [f for f in c40r80.irreducibles if not all(v.is_rational() for v in f.values)]
     assert len(irrational) == 38
     fs = [*irrational, a4.irreducibles[1], a4.irreducibles[2]]
     for f in fs:
         assert f.galois_orbits is not f.data.rational_classes()[0]
+        calls.clear()
         assert f.eigenvalue_multiplicities == reference_eigenvalue_multiplicities(f)
+        assert calls == [(f, c) for c in f.data.rational_classes()[1]]
     # c40r80's chi2 is the faithful linear character: zeta_40 once at g1
     assert c40r80.irreducibles[1].eigenvalue_multiplicities[1] == (0, 1) + (0,) * 38
+
+
+def test_an_integral_trace_candidate_that_does_not_rebuild_f_is_rejected():
+    # on A4, f = (1, 1, w, w) is no character of <C3>: its trace candidate
+    # there, one eigenvalue w, is integral but gives f(C3^2) = w^2, not w
+    a4 = get_group("A4")
+    w = Cyclotomic.root_of_unity(3)
+    f = ClassFunction(a4.classes, [1, 1, w, w])
+    assert groupdata._multiplicities_by_traces(f, 2) == (0, 1, 0)
+    message = "chi is no character of the cyclic subgroup of class C3"
+    with pytest.raises(InvalidCharacterError) as exc:
+        f.eigenvalue_multiplicities
+    assert str(exc.value) == message
+    assert outcome(reference_eigenvalue_multiplicities, f) == ("InvalidCharacterError", message)
 
 
 def test_eigenvalue_multiplicities_are_read_once_per_class_function(monkeypatch):
