@@ -798,15 +798,28 @@ def check_multiplier(m: int, where: str) -> int:
     return m
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.load would keep the last of two equal keys, so the meaning of a
+    # file would depend on its key order
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"key {key!r} repeats in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_group_spec(path: str) -> GroupContext:
     """Load and fully validate a JSON group-spec file; failures are fatal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read group spec: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except ValueError as exc:  # an integer past Python's digit limit, bad UTF-8
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

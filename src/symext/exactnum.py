@@ -16,6 +16,8 @@ unity of any order.
 
 from __future__ import annotations
 
+import struct
+import sys
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm, prod
@@ -238,6 +240,36 @@ def packed_dot(xs: Sequence[int], ys: Sequence[int], width: int, n: int) -> list
         for j, r in rows[e % n] if s else ():
             out[j] += s * r
     return out
+
+
+# words: signed integers s_i, each |s_i| < 2^63, packed as sum_i s_i 2^(64 i)
+# through the bytes of their 64-bit words in the machine's byte order, both
+# ways.  Adding O = sum_i 2^63 2^(64 i) makes every slot nonnegative, and xor
+# with O turns an offset slot into its two's complement word and back.
+# (struct, which the CLI's imports load anyway, packs the words.)
+
+
+@cache
+def _word_offset(size: int) -> int:
+    return ((1 << 64 * size) - 1) // ((1 << 64) - 1) << 63
+
+
+def word_bytes(values: Sequence[int]) -> bytes:
+    """The 64-bit words of the values; struct.error if one does not fit."""
+    return struct.pack(f"{len(values)}q", *values)
+
+
+def words(buf: bytes) -> int:
+    """sum_i s_i 2^(64 i) over the words s_i of ``word_bytes``."""
+    o = _word_offset(len(buf) >> 3)
+    return (int.from_bytes(buf, sys.byteorder) ^ o) - o
+
+
+def word_slots(total: int, size: int) -> memoryview:
+    """The ``size`` words s_i of total = sum_i s_i 2^(64 i), as ``words``
+    packs them, for slots known to lie strictly inside (-2^63, 2^63)."""
+    o = _word_offset(size)
+    return memoryview(((total + o) ^ o).to_bytes(8 * size, sys.byteorder)).cast("q")
 
 
 def product_order(a: "Cyclotomic", b: "Cyclotomic") -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -33,6 +34,9 @@ from .exactnum import (
     slot_width,
     totient,
     unit_lift,
+    word_bytes,
+    word_slots,
+    words,
 )
 
 
@@ -504,29 +508,63 @@ def inner_product(f: ClassFunction, f2: ClassFunction) -> Cyclotomic:
 
 class _PackedRows:
     """A table's irreducible values at one order over one denominator, packed
-    for ``decompose`` and held as per-class columns; repacked only when wider
-    slots are needed.  ``bits``, the bit length of the largest coordinate,
-    is scanned by the first ``columns`` call."""
+    for ``decompose``: as per-class columns, repacked only when wider slots
+    are needed, and on 64-bit words by ``candidate`` and ``word_rows``.
+    ``bits``, the bit length of the largest coordinate, is scanned by the
+    first ``width`` call."""
 
-    __slots__ = ("order", "den", "bits", "packed", "weights", "sums")
+    __slots__ = ("order", "den", "bits", "packed", "weights", "sums", "wbits", "pw", "rows")
 
     def __init__(self, table: CharacterTable, order: int):
         self.order, self.packed, self.bits = order, (0, []), None
-        self.weights = self.sums = None  # built by trace_weights and orbit_sums
+        # built by trace_weights, orbit_sums, candidate and word_rows
+        self.weights = self.sums = self.wbits = self.pw = self.rows = None
         self.den = lcm(*(v.den for chi in table.irreducibles for v in chi.values))
 
-    def columns(self, table: CharacterTable, xbits: int, least: int = 0) -> tuple[int, list]:
-        """(w, cols): cols[c][j] is den * chi_j(c) packed at a width w, at
-        least ``least``, whose slots hold a sum of k products of a value
-        below 2^xbits by a coordinate."""
+    def width(self, table: CharacterTable, xbits: int, least: int = 0) -> int:
+        """The slot width, at least ``least``, that holds a sum of k products
+        of a value below 2^xbits by a coordinate of den * chi_j."""
         if self.bits is None:
             self.bits = pack_bounds([v for chi in table.irreducibles for v in chi.values],
                                     self.order)[1]
-        w = max(slot_width(xbits, self.bits, table.classes.class_count, 1), least)
+        return max(slot_width(xbits, self.bits, table.classes.class_count, 1), least)
+
+    def columns(self, table: CharacterTable, w: int) -> tuple[int, list]:
+        """(w', cols): cols[c][j] is den * chi_j(c) packed at a width w' >= w."""
         if self.packed[0] < w:
             rows = [pack(chi.values, self.order, self.den, w) for chi in table.irreducibles]
             self.packed = (w, list(zip(*rows)))
         return self.packed
+
+    def candidate(self, table: CharacterTable, idx: Sequence[int], xs: Sequence[int]) -> list[int]:
+        """nums_j = sum_p W_j[idx_p] xs_p for every ``trace_weights`` row W_j.
+        When a slot bound keeps every |nums_j| below 2^63, that is one dot
+        product over PW[p] = sum_j W_j[p] 2^(64 j), packed by ``words`` at the
+        first such call; else one dot product per row."""
+        weights = self.trace_weights(table)[0]
+        if self.wbits is None:
+            self.wbits = max(map(abs, chain.from_iterable(weights))).bit_length()
+        xbits = max(map(abs, xs), default=0).bit_length()
+        if slot_width(self.wbits, xbits, len(idx), 1) > 64:
+            return [sum(map(mul, map(row.__getitem__, idx), xs)) for row in weights]
+        if self.pw is None:
+            self.pw = [words(word_bytes(col)) for col in zip(*weights)]
+        total = sum(map(mul, map(self.pw.__getitem__, idx), xs))
+        return word_slots(total, len(weights)).tolist()
+
+    def word_rows(self, table: CharacterTable) -> list[int]:
+        """C_j: den * chi_j over every (class, coordinate) slot, each class
+        padded to phi(N) coordinates by ``_padded``, packed by ``words`` on
+        the first call; each distinct value is padded once."""
+        if self.rows is None:
+            n, phi, values = self.order, totient(self.order), {}
+            for chi, ids in zip(table.irreducibles, table._columns.rows):
+                values.update(zip(ids, chi.values))
+            slots = {i: _padded([[x * (self.den // v.den) for x in _coords(v, n)]], phi)
+                     for i, v in values.items()}
+            self.rows = [words(b"".join(map(slots.__getitem__, ids)))
+                         for ids in table._columns.rows]
+        return self.rows
 
     def orbit_sums(self, table: CharacterTable) -> tuple:
         """(reps, owner, cols) over the orbits O of ``character_orbits``:
@@ -541,7 +579,7 @@ class _PackedRows:
             self.sums = ()
             if len(first) < len(owner):
                 groups = [[j for j, o in enumerate(owner) if o == i] for i in range(len(first))]
-                w, packed = self.columns(table, 0)
+                w, packed = self.columns(table, self.width(table, 0))
                 cols = [[sum(map(col.__getitem__, js)) for js in groups] for col in packed]
                 if all(abs(x) < 1 << (w - 1) for col in cols for x in col):
                     self.sums = (list(first), owner, cols)
@@ -632,24 +670,43 @@ def _rational_orbit(table: CharacterTable, clean: bool | None = None) -> tuple |
     return table._route or None
 
 
+def _padded(coords: Sequence[Sequence[int]], phi: int) -> bytes:
+    """The coordinates of every class in turn, each class padded with zeros
+    to phi coordinates (a rational value has fewer), as ``word_bytes``."""
+    flat, i = [0] * (len(coords) * phi), 0
+    for xs in coords:
+        flat[i:i + len(xs)] = xs
+        i += phi
+    return word_bytes(flat)
+
+
 def _certified(table: CharacterTable, pr: _PackedRows, nums, d, fden: int, coords):
     """d * fden if q_j = nums_j / (d * fden) has sum_j q_j chi_j(c) = f(c) at
     every class, else None, for coords[c] the coordinates of fden * f(c) as
     ``_coords`` gives them; checked as sum_j nums_j R_j[c] = d * pr.den * F[c]
-    on packed integers at a width that holds both sides, each class's sum
-    running over the j with nums_j != 0 only.  With fewer nums than rows,
-    nums_o is the numerator of every row of the o-th character orbit O and
-    R_o[c] = den * rho_O(c) is the plain integer of ``orbit_sums``, f being
-    rational: then sum_O q_O rho_O = f is the same identity."""
+    on packed integers at a width that holds both sides, the sums running
+    over the j with nums_j != 0 only.  At a width of 64 bits that is one
+    comparison over every class, sum_j nums_j C_j = d * pr.den * F on the
+    words of ``word_rows`` and of f's padded coordinates; wider, one per
+    class.  With fewer nums than rows, nums_o is the numerator of every row
+    of the o-th character orbit O and R_o[c] = den * rho_O(c) is the plain
+    integer of ``orbit_sums``, f being rational: then sum_O q_O rho_O = f is
+    the same identity."""
     k, scale = table.classes.class_count, d * pr.den
+    js = [j for j, x in enumerate(nums) if x]
+    qs = [nums[j] for j in js]
     if len(nums) < k:
         w, cols = 0, pr.sums[2]
     else:
         fbits = max(abs(x) for xs in coords for x in xs).bit_length()
-        w, cols = pr.columns(table, max(map(abs, nums), default=0).bit_length(),
-                             slot_width(scale.bit_length(), fbits, 1, 1))
-    js = [j for j, x in enumerate(nums) if x]
-    qs = [nums[j] for j in js]
+        w = pr.width(table, max(map(abs, nums), default=0).bit_length(),
+                     slot_width(scale.bit_length(), fbits, 1, 1))
+        if w == 64:
+            packed = words(_padded(coords, totient(pr.order)))
+            rows = pr.word_rows(table)
+            ok = sum(map(mul, qs, map(rows.__getitem__, js))) == packed * scale
+            return d * fden if ok else None
+        w, cols = pr.columns(table, w)
     for col, xs in zip(cols, coords):
         packed = 0
         for x in reversed(xs):
@@ -680,7 +737,7 @@ def integral_decompose(f: ClassFunction, table: CharacterTable) -> tuple[int, ..
 def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]:
     """(nums, D): the multiplicities of f are nums_j / D.
 
-    The candidate is one integer dot product per row, over the nonzero
+    The candidate is an integer dot product per row, over the nonzero
     coordinates of the values f(r^-1) at order N only (a rational value has
     at most coordinate 0): each orbit O_r of ``trace_weights`` adds
     |r| |O_r| Tr(chi_j(r) f(r^-1)) / phi(N) to |G| q_j.  Over every class
@@ -688,7 +745,11 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
     over the rational classes of compatible rows it is the same for
     compatible f (as is every rational combination of the rows).  The exact
     reconstruction sum_j q_j chi_j = f, summed over the nonzero q_j,
-    certifies it.  A rational f (one coordinate per class) tries first the
+    certifies it.  Where the bit bounds keep every slot below 2^63, the
+    candidate is one dot product for all rows and the reconstruction one
+    comparison for all classes, on 64-bit words (``_PackedRows.candidate``,
+    ``_certified``); a wider row takes them row by row and class by class.
+    A rational f (one coordinate per class) tries first the
     character orbits O of ``orbit_sums``: each sigma_u fixes f, so it
     permutes the constituents and a rational q_j is constant on O; one
     candidate per orbit and sum_O q_O rho_O = f on plain integers certify
@@ -718,7 +779,7 @@ def _decompose(f: ClassFunction, table: CharacterTable) -> tuple[list[int], int]
         den = _certified(table, pr, nums, d, fden, coords)
         if den is not None:
             return [nums[o] for o in sums[1]], den
-    nums = [sum(map(mul, map(row.__getitem__, idx), gz)) for row in weights]
+    nums = pr.candidate(table, idx, gz)
     den = _certified(table, pr, nums, d, fden, coords)
     if den is not None:
         return nums, den

@@ -11,9 +11,15 @@ values zero at random classes or at every orbit representative, all-rational
 values, and virtual characters with few or one nonzero multiplicity.
 """
 
+import hashlib
+import io
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from unittest import mock
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,9 +29,9 @@ from oracle_utils import (
     reference_inner_product,
     reference_validate_table,
 )
-from symext import catalog, groupdata
+from symext import catalog, cli, groupdata
 from symext.catalog import get_group
-from symext.exactnum import Cyclotomic, _coords, as_cyclotomic, divisors, totient
+from symext.exactnum import Cyclotomic, _coords, as_cyclotomic, divisors, slot_width, totient
 from symext.groupdata import (
     CharacterTable,
     ClassData,
@@ -484,3 +490,131 @@ def test_the_conjugation_check_conjugates_each_distinct_value_once(monkeypatch):
     # once, and the conjugation sigma_6 = sigma_2 sigma_3 composes their id
     # lists (_hp gives every prime map, so assembly takes none)
     assert len(irrational) == 12 and len(calls) == 3 * 12
+
+
+# ---------------------------------------------------------------------------
+# decompose on 64-bit words: a row whose slot bounds stay below 2^63 takes
+# its candidate off one packed dot product and its certificate as one
+# comparison over every class; a wider row keeps the row-by-row candidate
+# and the class-by-class certificate
+
+
+@contextmanager
+def wide_slots():
+    """Every slot bound in groupdata widened past one word, so every row
+    takes the row-by-row candidate and the class-by-class certificate."""
+    real = groupdata.slot_width
+    with mock.patch.object(groupdata, "slot_width", lambda *a: max(real(*a), 128)):
+        yield
+
+
+@contextmanager
+def slot_paths():
+    """Records "word candidate", "word certificate" and ("wide certificate",
+    width) for each decomposition step that takes that path."""
+    calls, P = [], groupdata._PackedRows
+    slots, rows, columns = groupdata.word_slots, P.word_rows, P.columns
+
+    def wide(pr, table, w):
+        calls.append(("wide certificate", w))
+        return columns(pr, table, w)
+
+    with mock.patch.object(groupdata, "word_slots",
+                           lambda *a: calls.append("word candidate") or slots(*a)), \
+         mock.patch.object(P, "word_rows",
+                           lambda pr, t: calls.append("word certificate") or rows(pr, t)), \
+         mock.patch.object(P, "columns", wide):
+        yield calls
+
+
+@st.composite
+def combination_off_the_span(draw):
+    """A builtin table and f = sum_j q_j chi_j with numerators of up to 3,
+    20, 40, 56 or 70 bits: rational (q constant on the character orbits),
+    irrational, or virtual (q of either sign, so slots go negative); then
+    moved off the span at one class by a rational or a root of unity, or
+    not."""
+    table = get_group(*draw(st.sampled_from(BUILTINS + [("D2n", 50), ("Hp", 7)])))
+    cd, k = table.classes, table.classes.class_count
+    bits = draw(st.sampled_from([3, 20, 40, 56, 70]))
+    kind = draw(st.sampled_from(["rational", "irrational", "virtual"]))
+    low = -(2**bits) if kind == "virtual" else 0
+    qs = [Fraction(draw(st.integers(low, 2**bits)), draw(st.sampled_from([1, 1, 2, 3])))
+          for _ in range(k)]
+    if kind == "rational":
+        qs = [qs[r] for r, _ in table.character_orbits()[0]]
+    f = ClassFunction.constant(cd, 0)
+    for q, chi in zip(qs, table.irreducibles):
+        f = f + chi * q
+    move = draw(st.sampled_from([None, "rational", "root"]))
+    if move:
+        c = draw(st.integers(0, k - 1))
+        by = (Cyclotomic.root_of_unity(cd.exponent) if move == "root"
+              else Cyclotomic.from_rational(draw(st.sampled_from([-1, 1, Fraction(1, 2)]))))
+        f = ClassFunction(cd, [v + by if i == c else v for i, v in enumerate(f.values)])
+    return table, f, bits
+
+
+@settings(deadline=None, max_examples=80)
+@given(combination_off_the_span())
+def test_the_word_path_and_the_per_class_path_give_the_same_decomposition(tfb):
+    table, f, bits = tfb
+    with slot_paths() as calls:
+        got = outcome(groupdata._decompose, f, table)
+    with wide_slots(), slot_paths() as wide:
+        assert outcome(groupdata._decompose, f, table) == got
+    assert "word candidate" not in wide and "word certificate" not in wide
+    # narrow rows of an irrational f take words on both sides
+    if bits <= 20 and not all(v.is_rational() for v in f.values):
+        assert "word candidate" in calls and "word certificate" in calls
+        assert not any(isinstance(c, tuple) and c[1] > 64 for c in calls)
+
+
+def test_the_hp7_tau1_column_crosses_from_word_slots_to_wide_slots():
+    # S^n(tau_1) on Hp:7 is certified on words to n = 590 and on 128-bit
+    # slots from n = 591; the stdout digest was recorded before decompose
+    # read any row off words
+    argv = ["decompose", "--group", "Hp:7", "--char", "tau_1", "--op", "sym", "--degree", "600"]
+    out = io.StringIO()
+    with slot_paths() as calls, redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "7757b80e6fb78fff408bf94dcbd146e98eb31e63330a97dd3eacae9c2a4cb16a")
+    assert "word candidate" in calls and "word certificate" in calls
+    assert ("wide certificate", 128) in calls
+
+
+def _narrow_general_inputs(table, f):
+    """(pr, nums, d, fden, coords, idx, xs): the inputs of ``_certified`` and
+    of ``candidate`` for f's general-path decomposition."""
+    nums, den = groupdata._decompose(f, table)
+    pr, cd = table._packed, table.classes
+    fden = lcm(*(v.den for v in f.values))
+    coords = [[x * (fden // v.den) for x in _coords(v, pr.order)] for v in f.values]
+    _, classes = pr.trace_weights(table)
+    idx, xs = groupdata._trace_terms(coords, classes, cd.inverse_class, totient(pr.order))
+    return pr, nums, den // fden, fden, coords, idx, xs
+
+
+@pytest.mark.parametrize("extra, wide", [(0, False), (1, True)])
+def test_a_slot_bound_one_bit_past_a_word_takes_the_wide_path(monkeypatch, extra, wide):
+    # the bounds are raised by hand to their last value inside one word, then
+    # one bit past it: the same numbers, certified on either path
+    table = get_group("D2n", 5)
+    tau1, tau2 = table.character("tau1"), table.character("tau2")
+    f = tau1 * tau2 + tau1
+    pr, nums, d, fden, coords, idx, xs = _narrow_general_inputs(table, f)
+    k = table.classes.class_count
+    # the certificate: sum_j nums_j C_j has slots below k 2^(numbits + bits)
+    numbits = max(map(abs, nums)).bit_length()
+    monkeypatch.setattr(pr, "bits", 63 - numbits - k.bit_length() + extra)
+    assert slot_width(numbits, pr.bits, k, 1) == (128 if wide else 64)
+    with slot_paths() as calls:
+        assert groupdata._certified(table, pr, nums, d, fden, coords) == d * fden
+    assert calls == ([("wide certificate", 128)] if wide else ["word certificate"])
+    # the candidate: its slots are below len(idx) 2^(wbits + xbits)
+    xbits = max(map(abs, xs)).bit_length()
+    monkeypatch.setattr(pr, "wbits", 63 - xbits - len(idx).bit_length() + extra)
+    with slot_paths() as calls:
+        assert pr.candidate(table, idx, xs) == nums
+    assert calls == ([] if wide else ["word candidate"])

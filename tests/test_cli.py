@@ -433,11 +433,6 @@ def _set_class_field(doc, c, field, value):
     return doc
 
 
-def _set_power(doc, c, p, image):
-    doc["classes"][c]["prime_powers"][str(p)] = image
-    return doc
-
-
 def _set_inverses(doc, images):
     for cls, image in zip(doc["classes"], images):
         cls["inverse"] = image
@@ -621,8 +616,8 @@ def test_a_100_class_cyclic_spec_takes_one_galois_per_value_and_prime(tmp_path, 
         (lambda doc: _set_field(doc, "order", 9), "exponent does not divide the group order"),
         (lambda doc: _set_field(doc, "order", 0), "order must be positive"),
         (lambda doc: _set_field(doc, "order", -6), "order must be positive"),
-        (lambda doc: _set_power(doc, 0, 3, 1), "3-power map does not fix the identity class"),
-        (lambda doc: _set_power(doc, 2, 2, 1), "2-power map sends C3 to a class of wrong order"),
+        (lambda doc: _set_power(doc, 0, "3", 1), "3-power map does not fix the identity class"),
+        (lambda doc: _set_power(doc, 2, "2", 1), "2-power map sends C3 to a class of wrong order"),
         (lambda doc: _copy_column(doc, 2, 1),
          "5-power image of class 1 is not determined by the table"),
     ],
@@ -756,6 +751,27 @@ def test_a_spec_key_that_repeats_a_prime_or_a_class_is_an_input_error(
     code, out, err = run_cli(["closedform", "--group", str(path), "--spec", "central:z"])
     assert code == EXIT_INPUT and out == ""
     assert err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize("where, first, second", [
+    ("prime_powers", 4, 1), ("prime_powers", 1, 4), ("order", 24, 12),
+])
+def test_a_literally_repeated_json_key_is_an_input_error(tmp_path, where, first, second):
+    # json.load keeps the last of two equal keys: with C4's "2" written
+    # 4 then 1 verify exited 2 (a wrong 2-power map), with 1 then 4 it
+    # exited 0; a repeated top-level "order" was read the same way
+    doc = dump_group_spec(get_group("S4"))
+    if where == "prime_powers":
+        doc["classes"][3]["prime_powers"] = {"2": first, "REPEAT": second, "3": 3}
+        key = "2"
+    else:
+        doc = {**doc, "order": first, "REPEAT": second}
+        key = "order"
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc).replace('"REPEAT"', json.dumps(key)))
+    code, out, err = run_cli(["verify", "--group", str(path)])
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == [f"error: {path}: key {key!r} repeats in one JSON object"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,9 @@ from symext.exactnum import (
     prime_factors,
     primes_below,
     totient,
+    word_bytes,
+    word_slots,
+    words,
 )
 
 
@@ -300,3 +303,21 @@ def test_equality_reads_the_denominator_at_one_order_and_lifts_across_orders():
         assert a.order != b.order
         assert a == b and b == a
     assert zeta(5) != (zeta(5) / 2).lift(10) and (zeta(5) / 2).lift(10) != zeta(5)
+
+
+EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1)]
+
+
+@pytest.mark.parametrize("value", EDGES)
+def test_one_word_round_trips_at_the_edges(value):
+    total = words(word_bytes([value]))
+    assert total == value
+    assert word_slots(total, 1).tolist() == [value]
+
+
+@given(st.lists(st.sampled_from(EDGES) | st.integers(-(2**63 - 1), 2**63 - 1), max_size=12))
+def test_words_are_the_slots_of_one_integer_and_back(values):
+    # sum_i s_i 2^(64 i), with every negative slot borrowing from the next
+    total = words(word_bytes(values))
+    assert total == sum(s << 64 * i for i, s in enumerate(values))
+    assert word_slots(total, len(values)).tolist() == values
